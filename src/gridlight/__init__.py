@@ -70,7 +70,6 @@ from .control import (
     decide_dqn,
     decide_greedy,
     decide_maxpressure,
-    reward_of,
 )
 from .experiment import (
     CaseStudy,

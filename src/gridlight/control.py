@@ -7,14 +7,15 @@ learning), and an epsilon-greedy DQN controller whose reward is pluggable
 (spillback-aware PRCOL, PressLight-style pressure, or CoLight-style queue
 length).
 
-A decision is a (phase, green duration) pair.  Durations come either from a
-fixed setting or from the kinematic clearance of the chosen phase's queues,
-clamped to the configured range.
+A decision is a (phase, green duration) pair.  Each controller has its own
+phase rule and all four share one duration rule: a fixed setting, or the
+kinematic clearance of the chosen phase's queues clamped to the configured
+range, as ``duration_mode`` says.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
@@ -25,10 +26,10 @@ from .network import Phase
 from .signalmath import (
     DEFAULT_KINEMATICS,
     KinematicParams,
+    REWARD_KINDS,
     MovementCounts,
     green_duration,
     phase_score,
-    reward,
 )
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
     "decide_maxpressure",
     "decide_greedy",
     "decide_dqn",
-    "reward_of",
     "build_controller",
 ]
 
@@ -78,7 +78,7 @@ class ControllerConfig:
     def __post_init__(self) -> None:
         if self.kind not in CONTROLLER_KINDS:
             raise ValueError(f"unknown controller kind {self.kind!r}")
-        if self.reward_kind not in ("prcol", "pressure", "pressure_signed", "queue"):
+        if self.reward_kind not in REWARD_KINDS:
             raise ValueError(f"unknown reward kind {self.reward_kind!r}")
         if self.duration_mode not in DURATION_MODES:
             raise ValueError(f"unknown duration mode {self.duration_mode!r}")
@@ -113,66 +113,66 @@ def decide_dqn(net: QNetwork, s: np.ndarray, eps: float, rng: np.random.Generato
     return int(np.argmax(forward(net, s)))
 
 
-def reward_of(counts_after: Mapping[str, MovementCounts], reward_kind: str) -> float:
-    """Reward observed at the next decision boundary, after the action ran."""
-    return reward(counts_after.values(), reward_kind)
-
-
-class FixedTimeController:
-    """Cycle the four phases in order with a fixed green each."""
-
-    def __init__(self, green: int = 10):
-        self.green = green
-        self._cycle: dict[str, int] = {}
-
-    def decide(self, world: World, intersection_id: str, obs: Optional[np.ndarray] = None) -> Decision:
-        nxt = self._cycle.get(intersection_id, 0)
-        self._cycle[intersection_id] = (nxt + 1) % 4
-        return Decision(phase=nxt, green_duration=self.green)
-
-
-class MaxPressureController:
-    """Grant green to the max-pressure phase; duration stays fixed."""
-
-    def __init__(self, green: int = 10):
-        self.green = green
-
-    def decide(self, world: World, intersection_id: str, obs: Optional[np.ndarray] = None) -> Decision:
-        counts = world.movement_counts(intersection_id)
-        phase = decide_maxpressure(counts, world.net.intersection(intersection_id).phases)
-        return Decision(phase=phase, green_duration=self.green)
-
-
-class _DurationMixin:
-    config: ControllerConfig
-    kinematics: KinematicParams
-
-    def _duration(self, world: World, intersection_id: str, phase: int, counts) -> int:
-        if self.config.duration_mode == "fixed":
-            return self.config.green_fixed
-        granted = world.net.intersection(intersection_id).phases[phase].movements
-        return green_duration(
-            (counts[mid] for mid in granted),
-            self.kinematics,
-            self.config.green_min,
-            self.config.green_max,
-        )
-
-
-class GreedyPrcolController(_DurationMixin):
-    """Pick the phase with the highest spillback-aware score each boundary."""
+class _Controller:
+    """The duration rule every controller shares; subclasses supply the phase rule."""
 
     def __init__(self, config: ControllerConfig, kinematics: KinematicParams = DEFAULT_KINEMATICS):
         self.config = config
         self.kinematics = kinematics
 
+    def _decision(
+        self,
+        world: World,
+        intersection_id: str,
+        phase: int,
+        counts: Optional[Mapping[str, MovementCounts]] = None,
+    ) -> Decision:
+        if self.config.duration_mode == "fixed":
+            return Decision(phase, self.config.green_fixed)
+        if counts is None:
+            counts = world.movement_counts(intersection_id)
+        granted = world.net.intersection(intersection_id).phases[phase].movements
+        green = green_duration(
+            (counts[mid] for mid in granted),
+            self.kinematics,
+            self.config.green_min,
+            self.config.green_max,
+        )
+        return Decision(phase, green)
+
+
+class FixedTimeController(_Controller):
+    """Cycle the four phases in order."""
+
+    def __init__(self, config: ControllerConfig, kinematics: KinematicParams = DEFAULT_KINEMATICS):
+        super().__init__(config, kinematics)
+        self._cycle: dict[str, int] = {}
+
+    def decide(self, world: World, intersection_id: str, obs: Optional[np.ndarray] = None) -> Decision:
+        nxt = self._cycle.get(intersection_id, 0)
+        self._cycle[intersection_id] = (nxt + 1) % 4
+        return self._decision(world, intersection_id, nxt)
+
+
+class MaxPressureController(_Controller):
+    """Grant green to the max-pressure phase."""
+
+    def decide(self, world: World, intersection_id: str, obs: Optional[np.ndarray] = None) -> Decision:
+        counts = world.movement_counts(intersection_id)
+        phase = decide_maxpressure(counts, world.net.intersection(intersection_id).phases)
+        return self._decision(world, intersection_id, phase, counts)
+
+
+class GreedyPrcolController(_Controller):
+    """Pick the phase with the highest spillback-aware score each boundary."""
+
     def decide(self, world: World, intersection_id: str, obs: Optional[np.ndarray] = None) -> Decision:
         counts = world.movement_counts(intersection_id)
         phase = decide_greedy(counts, world.net.intersection(intersection_id).phases, "prcol")
-        return Decision(phase=phase, green_duration=self._duration(world, intersection_id, phase, counts))
+        return self._decision(world, intersection_id, phase, counts)
 
 
-class DQNController(_DurationMixin):
+class DQNController(_Controller):
     """Epsilon-greedy policy over a Q-network, one shared net for all junctions."""
 
     def __init__(
@@ -183,27 +183,16 @@ class DQNController(_DurationMixin):
         eps: float = 0.0,
         kinematics: KinematicParams = DEFAULT_KINEMATICS,
     ):
+        super().__init__(config, kinematics)
         self.net = net
-        self.config = config
         self.rng = rng
         self.eps = eps
-        self.kinematics = kinematics
 
     def decide(self, world: World, intersection_id: str, obs: Optional[np.ndarray] = None) -> Decision:
         if obs is None:
             obs = world.observe(intersection_id)
         phase = decide_dqn(self.net, obs * self.config.obs_scale, self.eps, self.rng)
-        counts = None
-        if self.config.duration_mode == "dynamic":
-            counts = world.movement_counts(intersection_id)
-        return Decision(
-            phase=phase,
-            green_duration=(
-                self.config.green_fixed
-                if counts is None
-                else self._duration(world, intersection_id, phase, counts)
-            ),
-        )
+        return self._decision(world, intersection_id, phase)
 
 
 def build_controller(
@@ -214,14 +203,13 @@ def build_controller(
     eps: float = 0.0,
 ):
     """Instantiate the controller described by ``config``."""
-    if config.kind == "fixed":
-        return FixedTimeController(green=config.green_fixed)
-    if config.kind == "maxpressure":
-        return MaxPressureController(green=config.green_fixed)
-    if config.kind == "greedy_prcol":
-        return GreedyPrcolController(config, kinematics)
     if config.kind == "dqn":
         if net is None:
             raise ValueError("the DQN controller needs a Q-network")
         return DQNController(net, config, rng or np.random.default_rng(0), eps, kinematics)
-    raise ValueError(f"unknown controller kind {config.kind!r}")
+    classic = {
+        "fixed": FixedTimeController,
+        "maxpressure": MaxPressureController,
+        "greedy_prcol": GreedyPrcolController,
+    }
+    return classic[config.kind](config, kinematics)

@@ -84,10 +84,6 @@ class Vehicle:
         self.entered_at = entered_at
         self.exited_at: Optional[int] = None
 
-    @property
-    def remaining_route(self) -> list[str]:
-        return [m.id for m in self.route[self.route_idx:]]
-
     def __repr__(self) -> str:  # debugging aid
         return f"Vehicle({self.vid}, lane={self.lane_id}, pos={self.pos:.1f}, {self.status})"
 
@@ -205,9 +201,6 @@ class World:
     def occupancy(self, lane_id: str) -> int:
         """Vehicles currently on the lane (entry buffers excluded)."""
         return len(self.lanes[lane_id].vehicles)
-
-    def queue_length(self, lane_id: str) -> int:
-        return self.lanes[lane_id].queue_len
 
     def on_network_count(self) -> int:
         return sum(len(ls.vehicles) for ls in self.lanes.values())

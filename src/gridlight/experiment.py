@@ -19,17 +19,18 @@ byte-identical metrics and telemetry files.
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import os
 import statistics
 import time as _time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .control import ControllerConfig, DQNController, build_controller, reward_of
+from .control import ControllerConfig, DQNController, build_controller
 from .engine import OBS_SIZE, YELLOW, StepTelemetry, World
 from .flows import SpawnEvent, expand_flows, gen_syn_heavy, gen_syn_light, load_flow_file
 from .learner import (
@@ -43,9 +44,9 @@ from .learner import (
     sync_target,
     train_step,
 )
-from .network import RoadNetwork, build_grid
+from .network import RoadNetwork, build_grid, validate
 from .roadnet import load_roadnet
-from .signalmath import DEFAULT_KINEMATICS, KinematicParams, n_pass
+from .signalmath import DEFAULT_KINEMATICS, KinematicParams, n_pass, reward
 from .telemetry import (
     DecisionRecord,
     write_decisions_csv,
@@ -125,71 +126,40 @@ class ExperimentConfig:
     # ------------------------------------------------------------- serializing
 
     def to_dict(self) -> dict:
-        return {
-            "network": dict(self.network),
-            "flow": dict(self.flow),
-            "controller": {
-                "kind": self.controller.kind,
-                "reward_kind": self.controller.reward_kind,
-                "duration_mode": self.controller.duration_mode,
-                "green_fixed": self.controller.green_fixed,
-                "green_min": self.controller.green_min,
-                "green_max": self.controller.green_max,
-                "obs_scale": self.controller.obs_scale,
-            },
-            "horizon": self.horizon,
-            "episodes": self.episodes,
-            "gamma": self.gamma,
-            "lr": self.lr,
-            "buffer_capacity": self.buffer_capacity,
-            "batch_size": self.batch_size,
-            "target_sync": self.target_sync,
-            "epsilon_start": self.epsilon_start,
-            "epsilon_end": self.epsilon_end,
-            "yellow": self.yellow,
-            "kinematics": {
-                "accel": self.kinematics.accel,
-                "max_speed": self.kinematics.max_speed,
-                "vehicle_length": self.kinematics.vehicle_length,
-                "min_gap": self.kinematics.min_gap,
-            },
-            "seeds": list(self.seeds),
-            "obs_counts": self.obs_counts,
-            "hidden_sizes": list(self.hidden_sizes),
-            "epsilon_horizon": self.epsilon_horizon,
-            "eval_every": self.eval_every,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        doc = dict(doc)
-        kwargs: dict = {}
-        if "controller" in doc:
-            kwargs["controller"] = ControllerConfig(**doc.pop("controller"))
-        if "kinematics" in doc:
-            kwargs["kinematics"] = KinematicParams(**doc.pop("kinematics"))
-        if "seeds" in doc:
-            kwargs["seeds"] = tuple(doc.pop("seeds"))
-        if "hidden_sizes" in doc:
-            kwargs["hidden_sizes"] = tuple(doc.pop("hidden_sizes"))
-        if "epsilon_horizon" in doc:
-            kwargs["epsilon_horizon"] = doc.pop("epsilon_horizon")
-        if "eval_every" in doc:
-            kwargs["eval_every"] = doc.pop("eval_every")
-        for key in (
-            "network", "flow", "horizon", "episodes", "gamma", "lr", "buffer_capacity",
-            "batch_size", "target_sync", "epsilon_start", "epsilon_end", "yellow", "obs_counts",
-        ):
-            if key in doc:
-                kwargs[key] = doc.pop(key)
-        if doc:
-            raise ValueError(f"unknown config keys: {sorted(doc)}")
+        """Inverse of :meth:`to_dict`; nested objects may leave out fields.
+
+        A missing key keeps its default, a nested ``controller`` or
+        ``kinematics`` object replaces only the fields it names, and lists
+        become the tuples the fields hold.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError("a config must be a JSON object")
+        _reject_unknown(doc, cls, "config keys")
+        kwargs = {}
+        for f in dataclasses.fields(cls):
+            if f.name not in doc:
+                continue
+            value = doc[f.name]
+            default = f.default if f.default is not dataclasses.MISSING else f.default_factory()
+            if isinstance(default, dict) or dataclasses.is_dataclass(default):
+                if not isinstance(value, dict):
+                    raise ValueError(f"config key {f.name!r} must be an object, got {value!r}")
+            if dataclasses.is_dataclass(default):
+                _reject_unknown(value, default, f"{f.name} keys")
+                value = dataclasses.replace(default, **value)
+            elif isinstance(default, tuple):
+                if not isinstance(value, (list, tuple)):
+                    raise ValueError(f"config key {f.name!r} must be a list, got {value!r}")
+                value = tuple(value)
+            kwargs[f.name] = value
         return cls(**kwargs)
 
     def to_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_metrics_json(path, self.to_dict())
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
@@ -201,6 +171,12 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
+def _reject_unknown(doc: dict, cls, what: str) -> None:
+    unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {what}: {unknown}")
+
+
 @dataclass
 class MetricsReport:
     """Headline episode metrics plus provenance."""
@@ -210,22 +186,9 @@ class MetricsReport:
     generated: int
     seed: Optional[int]
     config_fingerprint: str
-    wall_clock: float = 0.0
-    per_seed: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        # wall_clock is intentionally excluded: metrics files must be
-        # byte-identical across reruns of the same (config, seed)
-        doc = {
-            "average_travel_time": self.average_travel_time,
-            "throughput": self.throughput,
-            "generated": self.generated,
-            "seed": self.seed,
-            "config_fingerprint": self.config_fingerprint,
-        }
-        if self.per_seed:
-            doc["per_seed"] = self.per_seed
-        return doc
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -263,11 +226,18 @@ def throughput(vehicles: Iterable) -> int:
 # -------------------------------------------------------------------- builders
 
 
+def _spec_path(spec: dict, section: str) -> str:
+    if "path" not in spec:
+        raise ValueError(f"config key {section!r} of kind {spec['kind']!r} needs a 'path'")
+    return spec["path"]
+
+
 def build_network(config: ExperimentConfig) -> RoadNetwork:
+    """The configured road network, validated once here for every episode on it."""
     spec = config.network
     kind = spec.get("kind", "grid")
     if kind == "grid":
-        return build_grid(
+        net = build_grid(
             rows=int(spec.get("rows", 3)),
             cols=int(spec.get("cols", 3)),
             we_length=float(spec.get("we_length", 300.0)),
@@ -276,13 +246,18 @@ def build_network(config: ExperimentConfig) -> RoadNetwork:
             l_g=config.kinematics.min_gap,
             max_speed=config.kinematics.max_speed,
         )
-    if kind == "roadnet":
-        return load_roadnet(
-            spec["path"],
+    elif kind == "roadnet":
+        net = load_roadnet(
+            _spec_path(spec, "network"),
             l_v=config.kinematics.vehicle_length,
             l_g=config.kinematics.min_gap,
         )
-    raise ValueError(f"unknown network kind {kind!r}")
+    else:
+        raise ValueError(f"unknown network kind {kind!r}")
+    problems = validate(net)
+    if problems:
+        raise ValueError(f"invalid network: {problems[0]} (+{len(problems) - 1} more)")
+    return net
 
 
 def build_events(
@@ -301,7 +276,7 @@ def build_events(
     if kind == "syn-heavy":
         return gen_syn_heavy(net, config.horizon), kin
     if kind == "file":
-        flows = load_flow_file(spec["path"], net)
+        flows = load_flow_file(_spec_path(spec, "flow"), net)
         overrides = next((f.vehicle for f in flows if f.vehicle), None)
         if overrides:
             kin = KinematicParams(
@@ -312,6 +287,19 @@ def build_events(
             )
         return expand_flows(flows), kin
     raise ValueError(f"unknown flow kind {kind!r}")
+
+
+class Scenario(NamedTuple):
+    """What an episode runs on: a validated network, its demand, the kinematics."""
+
+    net: RoadNetwork
+    events: list[SpawnEvent]
+    kinematics: KinematicParams
+
+
+def _build_scenario(config: ExperimentConfig) -> Scenario:
+    net = build_network(config)
+    return Scenario(net, *build_events(config, net))
 
 
 @dataclass
@@ -332,43 +320,34 @@ def run_episode(
     config: ExperimentConfig,
     controller,
     *,
-    net: Optional[RoadNetwork] = None,
-    events: Optional[list[SpawnEvent]] = None,
-    kinematics: Optional[KinematicParams] = None,
-    learning: bool = False,
+    scenario: Optional[Scenario] = None,
     learner_ctx: Optional[LearnerContext] = None,
     seed: Optional[int] = None,
-    collect_telemetry: bool = True,
-    record_decisions: bool = True,
-    validate_network: bool = True,
+    record: bool = True,
 ) -> EpisodeResult:
     """One full episode under the given controller.
 
     At every green expiry the intersection is observed, the previous
-    action's reward is computed from the fresh movement counts and (when
-    learning) stored and trained on, and the controller's new decision is
-    applied.  Returns metrics, optional step telemetry, the decision log
-    and the per-step training losses.
+    action's reward is computed from the fresh movement counts and (when a
+    ``learner_ctx`` is given) stored and trained on, and the controller's
+    new decision is applied.  Returns metrics, the per-step training
+    losses and, when ``record`` is set, the step telemetry and the decision
+    log.  ``scenario`` is built from the config when not given; its network
+    is taken as validated (see :func:`build_network`).
     """
-    if learning and learner_ctx is None:
-        raise ValueError("learning episodes need a LearnerContext")
-    if net is None:
-        net = build_network(config)
-    if events is None or kinematics is None:
-        events, kinematics = build_events(config, net)
+    net, events, kinematics = scenario or _build_scenario(config)
     world = World(
         net,
         events,
         kinematics=kinematics,
         yellow=config.yellow,
         obs_counts=config.obs_counts,
-        check=validate_network,
+        check=False,
     )
     obs_scale = config.controller.obs_scale
     reward_kind = config.controller.reward_kind
-    started = _time.perf_counter()
 
-    steps: Optional[list[StepTelemetry]] = [] if collect_telemetry else None
+    steps: Optional[list[StepTelemetry]] = [] if record else None
     decisions: list[DecisionRecord] = []
     losses: list[float] = []
     pending: dict[str, tuple[np.ndarray, int]] = {}
@@ -382,12 +361,13 @@ def run_episode(
             iid = inter.id
             if not world.needs_decision(iid):
                 continue
-            counts = world.movement_counts(iid)
             obs = world.observe(iid) * obs_scale
+            learn = iid in pending
+            counts = world.movement_counts(iid) if learn or record else None
 
-            if learning and iid in pending:
+            if learn:
                 s_prev, a_prev = pending.pop(iid)
-                r = reward_of(counts, reward_kind)
+                r = reward(counts.values(), reward_kind)
                 learner_ctx.buffer.push(Transition(s_prev, a_prev, r, obs, False))
                 batch = learner_ctx.buffer.sample(config.batch_size, learner_ctx.sample_rng)
                 if batch is not None:
@@ -400,15 +380,15 @@ def run_episode(
                     if learner_ctx.train_steps % config.target_sync == 0:
                         sync_target(learner_ctx.net, learner_ctx.target)
 
-            if record_decisions and iid in open_records:
+            if record and iid in open_records:
                 rec, base = open_records.pop(iid)
                 rec.actual_discharged = interval_crossings(rec) - base
 
             decision = controller.decide(world, iid, obs)
             world.apply_decision(iid, decision.phase, decision.green_duration)
-            if learning:
+            if learner_ctx is not None:
                 pending[iid] = (obs, decision.phase)
-            if record_decisions:
+            if record:
                 granted = inter.phases[decision.phase].movements
                 rec = DecisionRecord(
                     time=world.time,
@@ -424,18 +404,16 @@ def run_episode(
                 )
                 decisions.append(rec)
                 open_records[iid] = (rec, interval_crossings(rec))
-        tel = world.step(collect=collect_telemetry)
+        tel = world.step(collect=record)
         if steps is not None:
             steps.append(tel)
 
     for iid, (rec, base) in open_records.items():
         rec.actual_discharged = interval_crossings(rec) - base
-    if learning:
-        for iid, (s_prev, a_prev) in pending.items():
-            counts = world.movement_counts(iid)
-            r = reward_of(counts, reward_kind)
-            s_now = world.observe(iid) * obs_scale
-            learner_ctx.buffer.push(Transition(s_prev, a_prev, r, s_now, True))
+    for iid, (s_prev, a_prev) in pending.items():
+        r = reward(world.movement_counts(iid).values(), reward_kind)
+        s_now = world.observe(iid) * obs_scale
+        learner_ctx.buffer.push(Transition(s_prev, a_prev, r, s_now, True))
 
     metrics = MetricsReport(
         average_travel_time=avg_travel_time(world.vehicles, config.horizon),
@@ -443,17 +421,53 @@ def run_episode(
         generated=world.entered_total,
         seed=seed,
         config_fingerprint=config.fingerprint(),
-        wall_clock=_time.perf_counter() - started,
     )
     return EpisodeResult(metrics=metrics, steps=steps, decisions=decisions, losses=losses, world=world)
 
 
-def _write_run_outputs(out_dir: str, config: ExperimentConfig, net: RoadNetwork, result: EpisodeResult) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    write_metrics_json(os.path.join(out_dir, "metrics.json"), result.metrics.to_dict())
-    if result.steps is not None:
-        write_telemetry_csv(os.path.join(out_dir, "telemetry.csv"), net, result.steps)
-    write_decisions_csv(os.path.join(out_dir, "decisions.csv"), result.decisions)
+def _new_qnetwork(config: ExperimentConfig, seed_seq: np.random.SeedSequence) -> QNetwork:
+    return QNetwork(
+        layer_sizes=(OBS_SIZE, *config.hidden_sizes, 4),
+        rng=np.random.default_rng(seed_seq),
+    )
+
+
+def _greedy_episode(
+    config: ExperimentConfig,
+    seed: Optional[int],
+    scenario: Scenario,
+    parameters: QNetwork | str | None = None,
+    out_dir: Optional[str] = None,
+    record: bool = False,
+) -> EpisodeResult:
+    """One episode of the configured controller with exploration off.
+
+    The DQN controller acts with ``parameters`` (a network or a checkpoint
+    path), or with a fresh network drawn from ``seed`` when there are none.
+    The episode is recorded when ``record`` is set or its artifacts are
+    written to ``out_dir``.
+    """
+    qnet = None
+    if config.controller.kind == "dqn":
+        if parameters is None:
+            qnet = _new_qnetwork(config, np.random.SeedSequence(seed))
+        else:
+            qnet = load_checkpoint(parameters) if isinstance(parameters, str) else parameters
+            if qnet.input_size != OBS_SIZE or qnet.output_size != 4:
+                raise ValueError(
+                    f"checkpoint architecture {qnet.layer_sizes} does not match the "
+                    f"{OBS_SIZE}-input / 4-output controller contract"
+                )
+    controller = build_controller(config.controller, scenario.kinematics, net=qnet)
+    result = run_episode(
+        config, controller, scenario=scenario, seed=seed, record=record or out_dir is not None
+    )
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        write_metrics_json(os.path.join(out_dir, "metrics.json"), result.metrics.to_dict())
+        write_telemetry_csv(os.path.join(out_dir, "telemetry.csv"), scenario.net, result.steps)
+        write_decisions_csv(os.path.join(out_dir, "decisions.csv"), result.decisions)
+    return result
 
 
 def run_single(
@@ -467,27 +481,19 @@ def run_single(
     For the DQN controller a checkpoint may be supplied; otherwise a freshly
     initialized (untrained) network is used.
     """
-    net = build_network(config)
-    events, kin = build_events(config, net)
-    qnet = None
-    rng = None
-    if config.controller.kind == "dqn":
-        if checkpoint is not None:
-            qnet = load_checkpoint(checkpoint)
-            _check_architecture(qnet)
-        else:
-            qnet = QNetwork(
-                layer_sizes=(OBS_SIZE, *config.hidden_sizes, 4),
-                rng=np.random.default_rng(np.random.SeedSequence(seed)),
-            )
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-    controller = build_controller(config.controller, kin, net=qnet, rng=rng, eps=0.0)
-    result = run_episode(
-        config, controller, net=net, events=events, kinematics=kin, seed=seed
-    )
-    if out_dir is not None:
-        _write_run_outputs(out_dir, config, net, result)
-    return result
+    return _greedy_episode(config, seed, _build_scenario(config), checkpoint, out_dir, record=True)
+
+
+def evaluate(
+    config: ExperimentConfig,
+    parameters: QNetwork | str,
+    seed: Optional[int] = None,
+    out_dir: Optional[str] = None,
+) -> MetricsReport:
+    """Greedy rollout of trained parameters: epsilon 0, learning off."""
+    if config.controller.kind != "dqn":
+        raise ValueError("evaluate() only applies to the dqn controller")
+    return _greedy_episode(config, seed, _build_scenario(config), parameters, out_dir).metrics
 
 
 # -------------------------------------------------------------------- training
@@ -505,14 +511,6 @@ class TrainRun:
     final_eval: MetricsReport
     best_eval: MetricsReport
     wall_clock: float
-
-
-def _check_architecture(net: QNetwork) -> None:
-    if net.input_size != OBS_SIZE or net.output_size != 4:
-        raise ValueError(
-            f"checkpoint architecture {net.layer_sizes} does not match the "
-            f"{OBS_SIZE}-input / 4-output controller contract"
-        )
 
 
 def train(
@@ -535,10 +533,7 @@ def train(
     started = _time.perf_counter()
     root = np.random.SeedSequence(seed)
     ss_init, ss_actions, ss_samples = root.spawn(3)
-    net = QNetwork(
-        layer_sizes=(OBS_SIZE, *config.hidden_sizes, 4),
-        rng=np.random.default_rng(ss_init),
-    )
+    net = _new_qnetwork(config, ss_init)
     ctx = LearnerContext(
         net=net,
         target=net.copy(),
@@ -546,20 +541,10 @@ def train(
         sample_rng=np.random.default_rng(ss_samples),
     )
     action_rng = np.random.default_rng(ss_actions)
-    road_net = build_network(config)
-    events, kin = build_events(config, road_net)
+    scenario = _build_scenario(config)
     sched = EpsilonSchedule(
         config.epsilon_start, config.epsilon_end, config.epsilon_horizon or config.episodes
     )
-
-    def greedy_eval(qnet: QNetwork) -> MetricsReport:
-        controller = DQNController(qnet, config.controller, np.random.default_rng(0), 0.0, kin)
-        result = run_episode(
-            config, controller, net=road_net, events=events, kinematics=kin,
-            seed=seed, collect_telemetry=False, record_decisions=False,
-            validate_network=False,
-        )
-        return result.metrics
 
     curve: list[dict] = []
     best_train_tt = float("inf")
@@ -567,19 +552,9 @@ def train(
     best_net = net.copy()
     for ep in range(config.episodes):
         eps = epsilon(sched, ep)
-        controller = DQNController(net, config.controller, action_rng, eps, kin)
+        controller = DQNController(net, config.controller, action_rng, eps, scenario.kinematics)
         result = run_episode(
-            config,
-            controller,
-            net=road_net,
-            events=events,
-            kinematics=kin,
-            learning=True,
-            learner_ctx=ctx,
-            seed=seed,
-            collect_telemetry=False,
-            record_decisions=False,
-            validate_network=(ep == 0),
+            config, controller, scenario=scenario, learner_ctx=ctx, seed=seed, record=False
         )
         row = {
             "episode": ep,
@@ -595,7 +570,7 @@ def train(
             if config.eval_every is None:
                 best_net = net.copy()
         if config.eval_every is not None and (ep + 1) % config.eval_every == 0:
-            interim = greedy_eval(net)
+            interim = _greedy_episode(config, seed, scenario, net).metrics
             row["eval_travel_time"] = interim.average_travel_time
             if interim.average_travel_time < best_eval_tt:
                 best_eval_tt = interim.average_travel_time
@@ -604,16 +579,14 @@ def train(
         if progress is not None:
             progress(row)
 
-    final_eval = evaluate(config, net, seed=seed)
-    best_eval = evaluate(config, best_net, seed=seed)
     run = TrainRun(
         seed=seed,
         curve=curve,
         final_net=net,
         best_net=best_net,
         best_train_travel_time=best_train_tt,
-        final_eval=final_eval,
-        best_eval=best_eval,
+        final_eval=_greedy_episode(config, seed, scenario, net).metrics,
+        best_eval=_greedy_episode(config, seed, scenario, best_net).metrics,
         wall_clock=_time.perf_counter() - started,
     )
     if out_dir is not None:
@@ -673,15 +646,11 @@ def train_many(
         (config.to_dict(), seed, os.path.join(out_dir, f"seed_{seed}") if out_dir else None)
         for seed in config.seeds
     ]
-    results: dict[int, dict] = {}
     if jobs > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            for seed, payload in pool.map(_train_worker, tasks):
-                results[seed] = payload
+            results = dict(pool.map(_train_worker, tasks))
     else:
-        for task in tasks:
-            seed, payload = _train_worker(task)
-            results[seed] = payload
+        results = dict(map(_train_worker, tasks))
     summary = {
         "config_fingerprint": config.fingerprint(),
         "seeds": list(config.seeds),
@@ -700,28 +669,6 @@ def train_many(
         os.makedirs(out_dir, exist_ok=True)
         write_metrics_json(os.path.join(out_dir, "summary.json"), summary)
     return summary
-
-
-def evaluate(
-    config: ExperimentConfig,
-    parameters: QNetwork | str,
-    seed: Optional[int] = None,
-    out_dir: Optional[str] = None,
-) -> MetricsReport:
-    """Greedy rollout of trained parameters: epsilon 0, learning off."""
-    if config.controller.kind != "dqn":
-        raise ValueError("evaluate() only applies to the dqn controller")
-    qnet = load_checkpoint(parameters) if isinstance(parameters, str) else parameters
-    _check_architecture(qnet)
-    net = build_network(config)
-    events, kin = build_events(config, net)
-    controller = DQNController(qnet, config.controller, np.random.default_rng(0), eps=0.0, kinematics=kin)
-    result = run_episode(
-        config, controller, net=net, events=events, kinematics=kin, seed=seed
-    )
-    if out_dir is not None:
-        _write_run_outputs(out_dir, config, net, result)
-    return result.metrics
 
 
 # ------------------------------------------------------------------ case study

@@ -88,12 +88,19 @@ def forward_batch(net: QNetwork, states: np.ndarray) -> np.ndarray:
     h = np.asarray(states, dtype=float)
     if h.ndim != 2 or h.shape[1] != net.input_size:
         raise ValueError(f"batch must have shape (B, {net.input_size}), got {h.shape}")
+    return _activations(net, h)[-1]
+
+
+def _activations(net: QNetwork, states: np.ndarray) -> list[np.ndarray]:
+    """The input batch followed by every layer's output."""
+    activations = [states]
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w.T + b
+        h = activations[-1] @ w.T + b
         if i < last:
             np.maximum(h, 0.0, out=h)
-    return h
+        activations.append(h)
+    return activations
 
 
 def td_target(
@@ -146,16 +153,7 @@ def train_step(
         best_next = forward_batch(target_net, next_states).max(axis=1)
         targets[~terminal] += gamma * best_next[~terminal]
 
-    # forward pass, keeping activations for the backward sweep
-    activations = [states]
-    h = states
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w.T + b
-        if i < last:
-            h = np.maximum(h, 0.0)
-        activations.append(h)
-
+    activations = _activations(net, states)
     out = activations[-1]
     idx = np.arange(B)
     diff = out[idx, actions] - targets
@@ -167,7 +165,7 @@ def train_step(
     grad_w: list[np.ndarray] = [np.empty(0)] * len(net.weights)
     grad_b: list[np.ndarray] = [np.empty(0)] * len(net.biases)
     g = grad_out
-    for i in range(last, -1, -1):
+    for i in range(len(net.weights) - 1, -1, -1):
         grad_w[i] = g.T @ activations[i]
         grad_b[i] = g.sum(axis=0)
         if i > 0:
@@ -222,9 +220,6 @@ class ReplayBuffer:
 
     def __len__(self) -> int:
         return len(self._storage)
-
-    def __contains__(self, transition: Transition) -> bool:
-        return any(t is transition for t in self._storage)
 
 
 @dataclass(frozen=True)

@@ -157,25 +157,22 @@ def green_duration(
     return min(max(t, t_min), t_max)
 
 
-REWARD_KINDS = ("prcol", "pressure", "pressure_signed", "queue")
+REWARD_KINDS = ("prcol", "pressure", "queue")
 
 
 def reward(counts: Iterable[MovementCounts], kind: str) -> float:
     """Per-intersection reward over its 12 movements (higher is better).
 
-    ``prcol``            negated sum of movement PRCOL values.
-    ``pressure``         negated absolute value of the summed movement
-                         pressures (the PressLight-style convention).
-    ``pressure_signed``  negated signed sum, for comparison runs.
-    ``queue``            negated total vehicle count on the incoming lanes.
+    ``prcol``     negated sum of movement PRCOL values.
+    ``pressure``  negated absolute value of the summed movement pressures
+                  (the PressLight-style convention).
+    ``queue``     negated total vehicle count on the incoming lanes.
     """
     counts = list(counts)
     if kind == "prcol":
         return -sum(prcol(c) for c in counts)
     if kind == "pressure":
         return -abs(sum(pressure(c) for c in counts))
-    if kind == "pressure_signed":
-        return -sum(pressure(c) for c in counts)
     if kind == "queue":
         return -float(sum(c.n_in for c in counts))
     raise ValueError(f"unknown reward kind {kind!r}")

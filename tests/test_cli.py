@@ -64,6 +64,35 @@ class TestRun:
         assert "error" in capsys.readouterr().err
 
 
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "doc,named",
+        [
+            ({"controller": "dqn"}, ["controller"]),
+            ({"controller": {"kind": "fixed", "colour": 1}}, ["controller", "colour"]),
+            ({"kinematics": 2.0}, ["kinematics"]),
+            ({"kinematics": {"accel": 2.0, "mass": 1200}}, ["kinematics", "mass"]),
+            ({"seeds": 3}, ["seeds"]),
+            ({"flow": "syn-heavy"}, ["flow"]),
+            ({"flow": {"kind": "file"}}, ["flow", "path"]),
+            ({"network": {"kind": "roadnet"}}, ["network", "path"]),
+        ],
+        ids=[
+            "controller-not-object", "controller-unknown-key", "kinematics-not-object",
+            "kinematics-unknown-key", "seeds-not-list", "flow-not-object", "flow-file-no-path",
+            "roadnet-no-path",
+        ],
+    )
+    def test_bad_config_is_one_line(self, tmp_path, capsys, doc, named):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(doc))
+        code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert all(word in err for word in named), err
+
+
 class TestEval:
     def test_eval_checkpoint(self, tmp_path):
         config_path = tmp_path / "config.json"

@@ -14,12 +14,11 @@ from gridlight.control import (
     decide_dqn,
     decide_greedy,
     decide_maxpressure,
-    reward_of,
 )
 from gridlight.engine import World
 from gridlight.learner import QNetwork
 from gridlight.network import build_grid
-from gridlight.signalmath import MovementCounts, phase_score
+from gridlight.signalmath import MovementCounts, phase_score, reward
 
 
 @pytest.fixture(scope="module")
@@ -54,18 +53,18 @@ def random_counts(rng, inter, n_max=40, blocked_phase=None, positive_phase=None)
 
 class TestFixedTime:
     def test_cycles_in_order(self, world):
-        ctrl = FixedTimeController(green=10)
+        ctrl = FixedTimeController(ControllerConfig(kind="fixed", green_fixed=10))
         phases = [ctrl.decide(world, "i_0_0").phase for _ in range(5)]
         assert phases == [0, 1, 2, 3, 0]
 
     def test_duration_always_fixed(self, world):
-        ctrl = FixedTimeController(green=10)
+        ctrl = FixedTimeController(ControllerConfig(kind="fixed", green_fixed=10))
         assert all(ctrl.decide(world, "i_0_0").green_duration == 10 for _ in range(8))
 
     def test_per_intersection_cycles_are_independent(self):
         netw = build_grid(1, 2, 300, 300)
         w = World(netw)
-        ctrl = FixedTimeController()
+        ctrl = FixedTimeController(ControllerConfig(kind="fixed"))
         assert ctrl.decide(w, "i_0_0").phase == 0
         assert ctrl.decide(w, "i_0_1").phase == 0
         assert ctrl.decide(w, "i_0_0").phase == 1
@@ -198,18 +197,18 @@ class TestRewardOf:
         inter = net.intersections[0]
         counts = {m.id: MovementCounts(0, 0, 40) for m in inter.movements}
         for kind in ("prcol", "pressure", "queue"):
-            assert reward_of(counts, kind) == 0.0
+            assert reward(counts.values(), kind) == 0.0
 
     def test_saturated_outgoing_divergence(self, net):
         inter = net.intersections[0]
         counts = {m.id: MovementCounts(10, 40, 40) for m in inter.movements}
-        assert reward_of(counts, "prcol") == 0.0
-        assert reward_of(counts, "pressure") == pytest.approx(-360.0)
+        assert reward(counts.values(), "prcol") == 0.0
+        assert reward(counts.values(), "pressure") == pytest.approx(-360.0)
 
     def test_reference_prcol_value(self, net):
         inter = net.intersections[0]
         counts = {m.id: MovementCounts(10, 20, 40) for m in inter.movements}
-        assert reward_of(counts, "prcol") == pytest.approx(-60.0)
+        assert reward(counts.values(), "prcol") == pytest.approx(-60.0)
 
 
 class TestBuildController:

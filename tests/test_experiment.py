@@ -19,6 +19,7 @@ from gridlight.experiment import (
     run_single,
     throughput,
     train,
+    train_many,
     write_case_study,
 )
 from gridlight.learner import QNetwork, save_checkpoint
@@ -110,7 +111,7 @@ class TestRunEpisode:
         cfg = ExperimentConfig(horizon=120)
         net = build_network(cfg)
         result = run_episode(
-            cfg, FixedTimeController(), net=net, events=[], kinematics=cfg.kinematics
+            cfg, FixedTimeController(cfg.controller), scenario=(net, [], cfg.kinematics)
         )
         assert result.metrics.throughput == 0
         assert result.metrics.average_travel_time == 0.0
@@ -138,6 +139,14 @@ class TestRunEpisode:
         result = run_single(cfg, seed=0)
         assert result.decisions
         assert all(10 <= d.green_duration <= 20 for d in result.decisions)
+
+    @pytest.mark.parametrize("kind", ["fixed", "maxpressure"])
+    def test_dynamic_durations_apply_to_every_kind(self, kind):
+        controller = ControllerConfig(kind=kind, duration_mode="dynamic")
+        cfg = ExperimentConfig(flow={"kind": "syn-heavy"}, controller=controller)
+        greens = {d.green_duration for d in run_single(cfg, seed=0).decisions}
+        assert greens <= set(range(controller.green_min, controller.green_max + 1))
+        assert greens != {controller.green_fixed}
 
     def test_interval_outcomes_are_recorded(self):
         cfg = ExperimentConfig(horizon=300)
@@ -249,6 +258,19 @@ class TestTrain:
         assert again.to_dict() == run.final_eval.to_dict()
         assert (tmp_path / "learning_curve.csv").exists()
         assert (tmp_path / "checkpoint_best.npz").exists()
+
+
+class TestTrainMany:
+    def test_parallel_workers_match_serial(self):
+        cfg = ExperimentConfig(
+            horizon=300, controller=ControllerConfig(kind="dqn"), episodes=2, seeds=(0, 1)
+        )
+        serial = train_many(cfg, jobs=1)
+        parallel = train_many(cfg, jobs=2)
+        for summary in (serial, parallel):
+            for payload in summary["per_seed"].values():
+                payload.pop("wall_clock")
+        assert parallel == serial
 
 
 def synthetic_record(rng, phase=None, time=0):

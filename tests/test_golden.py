@@ -55,6 +55,8 @@ CONTROLLERS = {
     "maxpressure": ControllerConfig(kind="maxpressure"),
     "greedy_prcol-fixed": ControllerConfig(kind="greedy_prcol"),
     "greedy_prcol-dynamic": ControllerConfig(kind="greedy_prcol", duration_mode="dynamic"),
+    "fixed-dynamic": ControllerConfig(kind="fixed", duration_mode="dynamic"),
+    "maxpressure-dynamic": ControllerConfig(kind="maxpressure", duration_mode="dynamic"),
 }
 
 RUN_SINGLE = {
@@ -97,6 +99,18 @@ RUN_SINGLE = {
         "metrics.json": "48d89ce2d1d53074e92b5c57c715334bf4fbfcb1d23878444e65192a1942001a",
         "telemetry.csv": "e5f002e23fde704f8e994b1e0a578d1cc86a028a814f857a1b2f581f8d4b3432",
         "decisions.csv": "d5c13354dfc602915b364028817aebe7e44c96b76a7f51ac0e4b11e87e995352",
+    },
+    # dynamic greens for these two kinds are new behaviour, recorded after the
+    # duration rule became shared by every controller
+    ("syn-heavy", "fixed-dynamic"): {
+        "metrics.json": "e60990f56e19c13148a824bbd1c69b336a2744f81147efd5a3ac1c8841fb24b8",
+        "telemetry.csv": "0a4d09cad9d9dc53e8aecbbfa671c1565e1de77495e9a19d2dbfe5a62b7bc419",
+        "decisions.csv": "3ee8072f0e31994cd6d7fef90f4ce5e82f1fbeec10278feaf43ad293ed05ea0d",
+    },
+    ("syn-heavy", "maxpressure-dynamic"): {
+        "metrics.json": "3eb345da3192f75e127b34a7e39252d1422133fbcd6862832a54fea9338a185f",
+        "telemetry.csv": "b44435f3d5ae22dcf8e88e00bf4dd60916a48db43c33ea04ad05be905ed125ad",
+        "decisions.csv": "fba5d4d2e580faeb4a3f5fdfb77718dbe5051d6bd11d070ed34ceee8f99abade",
     },
 }
 

@@ -221,7 +221,6 @@ class TestReward:
         # outgoing-heavy sums are negative; the absolute convention flips them
         heavy_out = [MovementCounts(0, 5, 40)] * 12
         assert reward(heavy_out, "pressure") == pytest.approx(-60.0)
-        assert reward(heavy_out, "pressure_signed") == pytest.approx(60.0)
 
     def test_queue_reward(self):
         counts = [MovementCounts(3, 7, 40)] * 12
