@@ -198,19 +198,58 @@ class TestResolveRoute:
             resolve_route(net, ("rd__b_w_0__i_0_0", "rd__i_0_0__i_0_1"))
 
 
+def _in_order(net: RoadNetwork) -> dict:
+    """Every field of a network except ``grid_shape``, with dict order kept."""
+    return {
+        "intersections": net.intersections,
+        "roads": list(net.roads.items()),
+        "lanes": list(net.lanes.items()),
+        "boundary_entries": net.boundary_entries,
+        "boundary_exits": net.boundary_exits,
+        "node_positions": list(net.node_positions.items()),
+    }
+
+
 class TestRoadnetFiles:
     def test_round_trip(self, tmp_path):
-        net = build_grid(2, 3, 300, 250)
         path = tmp_path / "roadnet.json"
-        save_roadnet(net, str(path))
-        loaded = load_roadnet(str(path))
-        assert validate(loaded) == []
-        assert len(loaded.intersections) == len(net.intersections)
-        assert set(loaded.lanes) == set(net.lanes)
-        for lane_id, lane in net.lanes.items():
-            twin = loaded.lanes[lane_id]
-            assert twin.length == lane.length
-            assert twin.capacity == lane.capacity
+        for rows, cols, we, ns in [
+            (1, 1, 300, 300), (3, 3, 300, 300), (10, 10, 300, 300),
+            (2, 3, 300, 250), (2, 4, 250, 350),
+        ]:
+            net = build_grid(rows, cols, we, ns, l_v=4.5, l_g=2.0, max_speed=12.0)
+            save_roadnet(net, str(path))
+            loaded = load_roadnet(str(path), l_v=4.5, l_g=2.0)
+            assert validate(loaded) == []
+            assert loaded.grid_shape is None
+            assert _in_order(loaded) == _in_order(net), (rows, cols, we, ns)
+
+    def test_foreign_boundary_names_take_sides_from_headings(self, tmp_path):
+        # a 1x1 junction whose virtual nodes are not named b_<side>_<k>
+        points = {"J": (0, 0), "west": (-300, 0), "east": (300, 0), "up": (0, 300), "down": (0, -300)}
+        doc = {
+            "intersections": [
+                {"id": node, "point": {"x": x, "y": y}, "virtual": node != "J"}
+                for node, (x, y) in points.items()
+            ],
+            "roads": [
+                {"id": f"{a}-{b}", "startIntersection": a, "endIntersection": b, "lanes": 3}
+                for outer in ("west", "east", "up", "down")
+                for a, b in ((outer, "J"), ("J", outer))
+            ],
+        }
+        path = tmp_path / "roadnet.json"
+        path.write_text(json.dumps(doc))
+        net = load_roadnet(str(path))
+        assert validate(net) == []
+        sides = {net.road_of_lane(lane).start: side for lane, side in net.boundary_entries}
+        assert sides == {"west": "w", "east": "e", "up": "n", "down": "s"}
+        assert [lane for lane, _ in net.boundary_entries] == [
+            lane for outer in ("west", "east", "up", "down") for lane in net.roads[f"{outer}-J"].lane_ids
+        ]
+        assert net.boundary_exits == [
+            lane for outer in ("west", "east", "up", "down") for lane in net.roads[f"J-{outer}"].lane_ids
+        ]
 
     def test_unsupported_fields_warn(self, tmp_path, caplog):
         net = build_grid(1, 1, 300, 300)
