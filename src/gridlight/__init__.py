@@ -37,7 +37,6 @@ from .engine import SignalState, StepTelemetry, Vehicle, World
 from .flows import (
     FlowSpec,
     SpawnEvent,
-    arrival_interval_stats,
     expand_flows,
     gen_syn_heavy,
     gen_syn_light,

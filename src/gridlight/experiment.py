@@ -22,9 +22,11 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import statistics
 import time as _time
+import typing
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -134,29 +136,13 @@ class ExperimentConfig:
 
         A missing key keeps its default, a nested ``controller`` or
         ``kinematics`` object replaces only the fields it names, and lists
-        become the tuples the fields hold.
+        become the tuples the fields hold.  Every value is checked against
+        its field's type and nothing is coerced, so a config's fingerprint
+        is that of the values it names.
         """
         if not isinstance(doc, dict):
             raise ValueError("a config must be a JSON object")
-        _reject_unknown(doc, cls, "config keys")
-        kwargs = {}
-        for f in dataclasses.fields(cls):
-            if f.name not in doc:
-                continue
-            value = doc[f.name]
-            default = f.default if f.default is not dataclasses.MISSING else f.default_factory()
-            if isinstance(default, dict) or dataclasses.is_dataclass(default):
-                if not isinstance(value, dict):
-                    raise ValueError(f"config key {f.name!r} must be an object, got {value!r}")
-            if dataclasses.is_dataclass(default):
-                _reject_unknown(value, default, f"{f.name} keys")
-                value = dataclasses.replace(default, **value)
-            elif isinstance(default, tuple):
-                if not isinstance(value, (list, tuple)):
-                    raise ValueError(f"config key {f.name!r} must be a list, got {value!r}")
-                value = tuple(value)
-            kwargs[f.name] = value
-        return cls(**kwargs)
+        return cls(**_checked_fields(cls, doc, "config", cls()))
 
     def to_json(self, path: str) -> None:
         write_metrics_json(path, self.to_dict())
@@ -171,10 +157,44 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def _reject_unknown(doc: dict, cls, what: str) -> None:
+def _checked_fields(cls, doc: dict, where: str, defaults) -> dict:
+    """The fields ``doc`` names, each checked against its type in ``cls``."""
     unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
-        raise ValueError(f"unknown {what}: {unknown}")
+        raise ValueError(f"unknown {where} keys: {unknown}")
+    hints = typing.get_type_hints(cls)
+    prefix = "" if where == "config" else f"{where}."
+    return {
+        name: _checked_value(prefix + name, value, hints[name], getattr(defaults, name))
+        for name, value in doc.items()
+    }
+
+
+def _checked_value(key: str, value, hint, default):
+    """``value`` if it is a JSON value of type ``hint``; lists become tuples."""
+    if typing.get_origin(hint) is typing.Union:  # Optional[X]
+        if value is None:
+            return value
+        (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    if dataclasses.is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ValueError(f"config key {key!r} must be an object, got {value!r}")
+        return dataclasses.replace(default, **_checked_fields(hint, value, key, default))
+    if typing.get_origin(hint) is tuple:
+        ok, what = isinstance(value, list | tuple) and all(map(_is_int, value)), "a list of integers"
+    elif hint is int:
+        ok, what = _is_int(value), "an integer"
+    elif hint is float:
+        ok, what = _is_int(value) or isinstance(value, float) and math.isfinite(value), "a finite number"
+    else:
+        ok, what = isinstance(value, hint), {str: "a string", dict: "an object"}[hint]
+    if not ok:
+        raise ValueError(f"config key {key!r} must be {what}, got {value!r}")
+    return tuple(value) if isinstance(value, list) else value
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass

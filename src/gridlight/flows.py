@@ -33,8 +33,6 @@ __all__ = [
     "gen_syn_heavy",
     "save_flow_file",
     "load_flow_file",
-    "arrival_interval_stats",
-    "write_arrival_intervals_csv",
 ]
 
 
@@ -236,24 +234,3 @@ def load_flow_file(path: str, net: RoadNetwork) -> list[FlowSpec]:
         )
     return flows
 
-
-def arrival_interval_stats(
-    events: Iterable[SpawnEvent], entry_lane: str
-) -> tuple[list[tuple[int, int]], float]:
-    """Gaps between consecutive arrivals on one entry lane.
-
-    Returns the series of (arrival time, gap to the next arrival) pairs and
-    the mean gap (0.0 when fewer than two arrivals).
-    """
-    times = sorted(e.time for e in events if e.entry_lane == entry_lane)
-    series = [(t0, t1 - t0) for t0, t1 in zip(times, times[1:])]
-    mean = sum(gap for _, gap in series) / len(series) if series else 0.0
-    return series, mean
-
-
-def write_arrival_intervals_csv(path: str, series: Iterable[tuple[int, int]]) -> None:
-    """Dump an arrival-gap series as ``time,gap`` rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("time,gap\n")
-        for t, gap in series:
-            fh.write(f"{t},{gap}\n")

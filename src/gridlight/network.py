@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Iterable, Optional
 
 __all__ = [
     "Turn",
@@ -30,6 +30,7 @@ __all__ = [
     "RoadNetwork",
     "lane_capacity",
     "standard_phase_table",
+    "assemble_network",
     "build_grid",
     "validate",
     "turn_between",
@@ -150,12 +151,6 @@ class RoadNetwork:
         self._movements = {
             m.id: m for i in self.intersections for m in i.movements
         }
-        # downstream intersection of each lane (None for boundary-exit lanes)
-        self._lane_end: dict[str, Optional[str]] = {}
-        for road in self.roads.values():
-            end = road.end if road.end in self._by_id else None
-            for lane_id in road.lane_ids:
-                self._lane_end[lane_id] = end
         self._lane_road = {
             lane_id: road for road in self.roads.values() for lane_id in road.lane_ids
         }
@@ -165,10 +160,6 @@ class RoadNetwork:
 
     def movement(self, movement_id: str) -> Movement:
         return self._movements[movement_id]
-
-    def lane_downstream(self, lane_id: str) -> Optional[str]:
-        """Intersection the lane feeds, or None for a boundary-exit lane."""
-        return self._lane_end[lane_id]
 
     def road_of_lane(self, lane_id: str) -> Road:
         return self._lane_road[lane_id]
@@ -280,6 +271,87 @@ def _make_intersection(
     )
 
 
+def _heading(p0: tuple[float, float], p1: tuple[float, float]) -> str:
+    """Compass heading of travel from ``p0`` to ``p1`` (y grows northward)."""
+    dx, dy = p1[0] - p0[0], p1[1] - p0[1]
+    if abs(dx) >= abs(dy):
+        return "E" if dx >= 0 else "W"
+    return "N" if dy > 0 else "S"
+
+
+def assemble_network(
+    positions: dict[str, tuple[float, float]],
+    virtual: set[str],
+    roads: Iterable[tuple[str, str, str, float, float]],
+    *,
+    l_v: float,
+    l_g: float,
+    grid_shape: Optional[tuple[int, int]] = None,
+) -> RoadNetwork:
+    """Build a network from node positions, boundary nodes and road records.
+
+    ``positions`` maps every node id to its (x, y), in node order;
+    ``virtual`` holds the boundary nodes; each road record is ``(id, start,
+    end, length, max_speed)``.  A road's heading comes from its endpoint
+    positions and its three lanes hold :func:`lane_capacity` vehicles.
+    Intersections follow node order, boundary entries and exits road order.
+    An entry's side is the ``<side>`` of a ``b_<side>_<k>`` start node, or
+    else the side its heading enters the network from.  Raises
+    ``ValueError`` when two roads share an approach or a node that is not
+    virtual is not a full 4-way junction.
+    """
+    built: dict[str, Road] = {}
+    lanes: dict[str, Lane] = {}
+    for road_id, start, end, length, max_speed in roads:
+        lane_ids = tuple(f"{road_id}_{i}" for i in range(3))
+        heading = _heading(positions[start], positions[end])
+        built[road_id] = Road(road_id, start, end, heading, length, max_speed, lane_ids)  # type: ignore[arg-type]
+        cap = lane_capacity(length, l_v, l_g)
+        for lane_id in lane_ids:
+            lanes[lane_id] = Lane(id=lane_id, length=length, max_speed=max_speed, capacity=cap)
+
+    incoming: dict[str, dict[str, Road]] = {}
+    outgoing: dict[str, dict[str, Road]] = {}
+    entries: list[tuple[str, str]] = []
+    exits: list[str] = []
+    for road in built.values():
+        for node, buckets, approach, how in (
+            (road.end, incoming, _HEADING_TO_APPROACH[road.heading], "arriving from"),
+            (road.start, outgoing, road.heading, "leaving toward"),
+        ):
+            if node in virtual:
+                continue
+            bucket = buckets.setdefault(node, {})
+            if approach in bucket:
+                raise ValueError(f"intersection {node} has two roads {how} {approach}")
+            bucket[approach] = road
+        if road.start in virtual:
+            named = road.start.split("_")[1] if road.start.startswith("b_") else None
+            side = named if named in ("w", "e", "n", "s") else _HEADING_TO_APPROACH[road.heading].lower()
+            entries.extend((lane_id, side) for lane_id in road.lane_ids)
+        if road.end in virtual:
+            exits.extend(road.lane_ids)
+
+    intersections: list[Intersection] = []
+    for node in positions:
+        if node in virtual:
+            continue
+        inc, out = incoming.get(node, {}), outgoing.get(node, {})
+        if len(inc) != 4 or len(out) != 4:
+            raise ValueError(f"intersection {node} is not a full 4-way junction")
+        intersections.append(_make_intersection(node, inc, out))
+
+    return RoadNetwork(
+        intersections=intersections,
+        roads=built,
+        lanes=lanes,
+        boundary_entries=entries,
+        boundary_exits=exits,
+        grid_shape=grid_shape,
+        node_positions=positions,
+    )
+
+
 def build_grid(
     rows: int,
     cols: int,
@@ -301,10 +373,6 @@ def build_grid(
     if we_length <= 0 or ns_length <= 0:
         raise ValueError("lane lengths must be > 0")
 
-    roads: dict[str, Road] = {}
-    lanes: dict[str, Lane] = {}
-    positions: dict[str, tuple[float, float]] = {}
-
     def node(r: int, c: int) -> str:
         if 0 <= r < rows and 0 <= c < cols:
             return f"i_{r}_{c}"
@@ -316,85 +384,22 @@ def build_grid(
             return f"b_n_{c}"
         return f"b_s_{c}"
 
-    for r in range(-1, rows + 1):
-        for c in range(-1, cols + 1):
-            corner = (r in (-1, rows)) and (c in (-1, cols))
-            if not corner:
-                positions[node(r, c)] = (c * we_length, -r * ns_length)
-
-    def add_road(frm: str, to: str, heading: str, length: float) -> Road:
-        road_id = f"rd__{frm}__{to}"
-        lane_ids = tuple(f"{road_id}_{i}" for i in range(3))
-        road = Road(
-            id=road_id,
-            start=frm,
-            end=to,
-            heading=heading,
-            length=length,
-            max_speed=max_speed,
-            lane_ids=lane_ids,  # type: ignore[arg-type]
-        )
-        roads[road_id] = road
-        cap = lane_capacity(length, l_v, l_g)
-        for lane_id in lane_ids:
-            lanes[lane_id] = Lane(
-                id=lane_id, length=length, max_speed=max_speed, capacity=cap
-            )
-        return road
-
-    # horizontal segments (both directions) incl. boundary stubs
-    for r in range(rows):
-        for c in range(-1, cols):
-            a, b = node(r, c), node(r, c + 1)
-            add_road(a, b, "E", we_length)
-            add_road(b, a, "W", we_length)
-    # vertical segments; heading "S" goes from smaller to larger row index
-    for c in range(cols):
-        for r in range(-1, rows):
-            a, b = node(r, c), node(r + 1, c)
-            add_road(a, b, "S", ns_length)
-            add_road(b, a, "N", ns_length)
-
-    def road_between(frm: str, to: str) -> Road:
-        return roads[f"rd__{frm}__{to}"]
-
-    intersections: list[Intersection] = []
-    for r in range(rows):
-        for c in range(cols):
-            here = node(r, c)
-            incoming = {
-                "W": road_between(node(r, c - 1), here),
-                "E": road_between(node(r, c + 1), here),
-                "N": road_between(node(r - 1, c), here),
-                "S": road_between(node(r + 1, c), here),
-            }
-            outgoing = {
-                "W": road_between(here, node(r, c - 1)),
-                "E": road_between(here, node(r, c + 1)),
-                "N": road_between(here, node(r - 1, c)),
-                "S": road_between(here, node(r + 1, c)),
-            }
-            intersections.append(_make_intersection(here, incoming, outgoing))
-
-    entries: list[tuple[str, str]] = []
-    exits: list[str] = []
-    intersection_ids = {i.id for i in intersections}
-    for road in roads.values():
-        if road.start not in intersection_ids:
-            side = road.start.split("_")[1]  # b_<side>_<k>
-            entries.extend((lane_id, side) for lane_id in road.lane_ids)
-        if road.end not in intersection_ids:
-            exits.extend(road.lane_ids)
-
-    return RoadNetwork(
-        intersections=intersections,
-        roads=roads,
-        lanes=lanes,
-        boundary_entries=entries,
-        boundary_exits=exits,
-        grid_shape=(rows, cols),
-        node_positions=positions,
-    )
+    positions = {
+        node(r, c): (c * we_length, -r * ns_length)
+        for r in range(-1, rows + 1)
+        for c in range(-1, cols + 1)
+        if not (r in (-1, rows) and c in (-1, cols))  # no corner nodes
+    }
+    # E/W pairs row by row, then S/N pairs column by column, boundary stubs included
+    segments = [(node(r, c), node(r, c + 1), we_length) for r in range(rows) for c in range(-1, cols)]
+    segments += [(node(r, c), node(r + 1, c), ns_length) for c in range(cols) for r in range(-1, rows)]
+    roads = [
+        (f"rd__{frm}__{to}", frm, to, length, max_speed)
+        for a, b, length in segments
+        for frm, to in ((a, b), (b, a))
+    ]
+    virtual = {n for n in positions if n.startswith("b_")}
+    return assemble_network(positions, virtual, roads, l_v=l_v, l_g=l_g, grid_shape=(rows, cols))
 
 
 def resolve_route(net: RoadNetwork, road_ids: list[str] | tuple[str, ...]) -> tuple[str, list[Movement]]:

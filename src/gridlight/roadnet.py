@@ -15,15 +15,7 @@ import logging
 import math
 from typing import Any
 
-from .network import (
-    APPROACHES,
-    Intersection,
-    Lane,
-    Road,
-    RoadNetwork,
-    _make_intersection,
-    lane_capacity,
-)
+from .network import RoadNetwork, assemble_network
 
 __all__ = ["load_roadnet", "save_roadnet"]
 
@@ -44,13 +36,6 @@ def _warn_ignored(record: dict[str, Any], known: set[str], seen: set[str], where
             log.warning("ignoring unsupported roadnet field %r (%s)", key, where)
 
 
-def _heading(p0: tuple[float, float], p1: tuple[float, float]) -> str:
-    dx, dy = p1[0] - p0[0], p1[1] - p0[1]
-    if abs(dx) >= abs(dy):
-        return "E" if dx >= 0 else "W"
-    return "N" if dy > 0 else "S"
-
-
 def load_roadnet(path: str, l_v: float = 5.0, l_g: float = 2.5) -> RoadNetwork:
     """Load a roadnet JSON file and map it onto a :class:`RoadNetwork`.
 
@@ -65,7 +50,6 @@ def load_roadnet(path: str, l_v: float = 5.0, l_g: float = 2.5) -> RoadNetwork:
     seen_ignored: set[str] = set()
     positions: dict[str, tuple[float, float]] = {}
     virtual: set[str] = set()
-    order: list[str] = []
     for rec in doc["intersections"]:
         _warn_ignored(rec, _INTERSECTION_KEYS, seen_ignored, "intersection")
         try:
@@ -74,12 +58,10 @@ def load_roadnet(path: str, l_v: float = 5.0, l_g: float = 2.5) -> RoadNetwork:
         except (KeyError, TypeError) as exc:
             raise RoadnetFormatError(f"{path}: malformed intersection record: {rec!r}") from exc
         positions[node_id] = point
-        order.append(node_id)
         if rec.get("virtual", False):
             virtual.add(node_id)
 
-    roads: dict[str, Road] = {}
-    lanes: dict[str, Lane] = {}
+    roads: list[tuple[str, str, str, float, float]] = []
     for rec in doc["roads"]:
         _warn_ignored(rec, _ROAD_KEYS, seen_ignored, "road")
         try:
@@ -111,89 +93,12 @@ def load_roadnet(path: str, l_v: float = 5.0, l_g: float = 2.5) -> RoadNetwork:
             length = math.dist(p0, p1)
         if length <= 0:
             raise RoadnetFormatError(f"{path}: road {road_id} has non-positive length")
-        heading = _heading(positions[start], positions[end])
-        lane_ids = tuple(f"{road_id}_{i}" for i in range(3))
-        roads[road_id] = Road(
-            id=road_id,
-            start=start,
-            end=end,
-            heading=heading,
-            length=length,
-            max_speed=max_speed,
-            lane_ids=lane_ids,  # type: ignore[arg-type]
-        )
-        cap = lane_capacity(length, l_v, l_g)
-        for lane_id in lane_ids:
-            lanes[lane_id] = Lane(
-                id=lane_id, length=length, max_speed=max_speed, capacity=cap
-            )
+        roads.append((road_id, start, end, length, max_speed))
 
-    incoming: dict[str, dict[str, Road]] = {}
-    outgoing: dict[str, dict[str, Road]] = {}
-    for road in roads.values():
-        if road.end not in virtual:
-            side = {"E": "W", "W": "E", "S": "N", "N": "S"}[road.heading]
-            bucket = incoming.setdefault(road.end, {})
-            if side in bucket:
-                raise RoadnetFormatError(
-                    f"{path}: intersection {road.end} has two roads arriving from {side}"
-                )
-            bucket[side] = road
-        if road.start not in virtual:
-            bucket = outgoing.setdefault(road.start, {})
-            if road.heading in bucket:
-                raise RoadnetFormatError(
-                    f"{path}: intersection {road.start} has two roads leaving toward {road.heading}"
-                )
-            bucket[road.heading] = road
-
-    intersections: list[Intersection] = []
-    for node_id in order:
-        if node_id in virtual:
-            continue
-        inc = incoming.get(node_id, {})
-        out = outgoing.get(node_id, {})
-        missing = [a for a in APPROACHES if a not in inc] + [a for a in APPROACHES if a not in out]
-        if missing:
-            raise RoadnetFormatError(
-                f"{path}: intersection {node_id} is not a full 4-way junction"
-            )
-        intersections.append(_make_intersection(node_id, inc, out))
-
-    entries = [
-        (lane_id, road.start.split("_")[1] if road.start.startswith("b_") else "?")
-        for road in roads.values()
-        if road.start in virtual
-        for lane_id in road.lane_ids
-    ]
-    # for foreign naming schemes, label the entry side by the travel heading
-    entries = [
-        (lane_id, side if side in ("w", "e", "n", "s") else _entry_side(roads, lane_id))
-        for lane_id, side in entries
-    ]
-    exits = [
-        lane_id
-        for road in roads.values()
-        if road.end in virtual
-        for lane_id in road.lane_ids
-    ]
-
-    return RoadNetwork(
-        intersections=intersections,
-        roads=roads,
-        lanes=lanes,
-        boundary_entries=entries,
-        boundary_exits=exits,
-        grid_shape=None,
-        node_positions=positions,
-    )
-
-
-def _entry_side(roads: dict[str, Road], lane_id: str) -> str:
-    for road in roads.values():
-        if lane_id in road.lane_ids:
-            return {"E": "w", "W": "e", "S": "n", "N": "s"}[road.heading]
-    raise KeyError(lane_id)
+    try:
+        return assemble_network(positions, virtual, roads, l_v=l_v, l_g=l_g)
+    except ValueError as exc:
+        raise RoadnetFormatError(f"{path}: {exc}") from exc
 
 
 def save_roadnet(net: RoadNetwork, path: str) -> None:

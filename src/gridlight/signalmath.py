@@ -44,8 +44,8 @@ class KinematicParams:
 
     def __post_init__(self) -> None:
         for name in ("accel", "max_speed", "vehicle_length", "min_gap"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"KinematicParams.{name} must be > 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"KinematicParams.{name} must be finite and > 0")
 
     @property
     def headway(self) -> float:

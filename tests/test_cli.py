@@ -7,7 +7,7 @@ import pytest
 from gridlight.cli import main
 from gridlight.control import ControllerConfig
 from gridlight.experiment import ExperimentConfig
-from gridlight.flows import load_flow_file
+from gridlight.flows import load_flow_file, save_flow_file, syn_light_flows
 from gridlight.network import build_grid
 
 
@@ -76,11 +76,21 @@ class TestConfigErrors:
             ({"flow": "syn-heavy"}, ["flow"]),
             ({"flow": {"kind": "file"}}, ["flow", "path"]),
             ({"network": {"kind": "roadnet"}}, ["network", "path"]),
+            ({"controller": {"green_min": "a"}}, ["controller.green_min"]),
+            ({"horizon": "10"}, ["horizon"]),
+            ({"horizon": True}, ["horizon"]),
+            ({"yellow": 2.5}, ["yellow"]),
+            ({"kinematics": {"max_speed": float("nan")}}, ["kinematics.max_speed"]),
+            ({"gamma": float("inf")}, ["gamma"]),
+            ({"seeds": [0, "1"]}, ["seeds"]),
+            ({"eval_every": "5"}, ["eval_every"]),
+            ({"obs_counts": 3}, ["obs_counts"]),
         ],
         ids=[
             "controller-not-object", "controller-unknown-key", "kinematics-not-object",
             "kinematics-unknown-key", "seeds-not-list", "flow-not-object", "flow-file-no-path",
-            "roadnet-no-path",
+            "roadnet-no-path", "int-given-string", "horizon-string", "horizon-bool", "yellow-float",
+            "kinematics-nan", "float-inf", "seeds-not-ints", "optional-string", "str-given-int",
         ],
     )
     def test_bad_config_is_one_line(self, tmp_path, capsys, doc, named):
@@ -91,6 +101,20 @@ class TestConfigErrors:
         assert code == 1
         assert len(err.splitlines()) == 1
         assert all(word in err for word in named), err
+
+    def test_infinite_flow_vehicle_speed_is_one_line(self, tmp_path, capsys):
+        flow_path = tmp_path / "flows.json"
+        save_flow_file(syn_light_flows(build_grid(3, 3, 300, 300)), str(flow_path))
+        doc = json.loads(flow_path.read_text())
+        doc[0]["vehicle"] = {"maxSpeed": "inf"}
+        flow_path.write_text(json.dumps(doc))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"flow": {"kind": "file", "path": str(flow_path)}, "horizon": 60}))
+        code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert "max_speed" in err, err
 
 
 class TestEval:

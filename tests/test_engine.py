@@ -90,7 +90,7 @@ class TestPlatoonDischarge:
         world = World(build_grid(1, 2, 300, 300))
         inter = world.net.intersections[0]
         m = inter.movements[1]  # W straight at i_0_0; its out lane feeds i_0_1
-        assert world.net.lane_downstream(m.out_lane) == "i_0_1"
+        assert world.net.road_of_lane(m.out_lane).end == "i_0_1"
         cap = world.net.lanes[m.out_lane].capacity
         queue_up(world, m.out_lane, cap)
         world.place_vehicle(m.in_lane, pos=300.0, speed=0.0)

@@ -1,6 +1,7 @@
 """Experiment-layer tests: metric definitions, config round trips, episode
 determinism, training/evaluation consistency, and case-study aggregation."""
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,6 +24,7 @@ from gridlight.experiment import (
     write_case_study,
 )
 from gridlight.learner import QNetwork, save_checkpoint
+from gridlight.signalmath import DEFAULT_KINEMATICS
 from gridlight.telemetry import DecisionRecord, read_decisions_csv, write_decisions_csv
 
 
@@ -79,6 +81,18 @@ class TestExperimentConfig:
         a = ExperimentConfig()
         b = ExperimentConfig(gamma=0.9)
         assert a.fingerprint() != b.fingerprint()
+
+    def test_values_are_not_coerced(self):
+        cfg = ExperimentConfig.from_dict(
+            {"gamma": 1, "eval_every": None, "seeds": [4], "kinematics": {"accel": 3}}
+        )
+        assert cfg.gamma == 1 and isinstance(cfg.gamma, int)
+        assert cfg.eval_every is None
+        assert cfg.seeds == (4,)
+        assert cfg.kinematics.accel == 3 and cfg.kinematics.max_speed == DEFAULT_KINEMATICS.max_speed
+        assert cfg.fingerprint() == ExperimentConfig(
+            gamma=1, seeds=(4,), kinematics=dataclasses.replace(DEFAULT_KINEMATICS, accel=3)
+        ).fingerprint()
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):

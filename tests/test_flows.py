@@ -7,8 +7,6 @@ import pytest
 
 from gridlight.flows import (
     FlowSpec,
-    SpawnEvent,
-    arrival_interval_stats,
     expand_flows,
     gen_syn_heavy,
     gen_syn_light,
@@ -154,32 +152,3 @@ class TestFlowSpecInvariants:
         flow = syn_light_flows(grid)[0]
         with pytest.raises(ValueError):
             FlowSpec(route=flow.route, start=10, end=0, interval=5, entry_lane=flow.entry_lane)
-
-
-class TestArrivalIntervalStats:
-    def test_uniform_arrivals(self):
-        events = [SpawnEvent(t, ("r",), "lane_a") for t in (0, 20, 40)]
-        series, mean = arrival_interval_stats(events, "lane_a")
-        assert series == [(0, 20), (20, 20)]
-        assert mean == 20.0
-
-    def test_single_arrival(self):
-        events = [SpawnEvent(5, ("r",), "lane_a")]
-        series, mean = arrival_interval_stats(events, "lane_a")
-        assert series == []
-        assert mean == 0.0
-
-    def test_irregular_arrivals(self):
-        times = [0, 3, 50, 51, 400]
-        events = [SpawnEvent(t, ("r",), "lane_a") for t in times]
-        events.append(SpawnEvent(10, ("r",), "other_lane"))
-        series, mean = arrival_interval_stats(events, "lane_a")
-        assert [gap for _, gap in series] == [3, 47, 1, 349]
-        assert mean == pytest.approx(100.0)
-
-    def test_csv_output(self, tmp_path):
-        from gridlight.flows import write_arrival_intervals_csv
-
-        path = tmp_path / "gaps.csv"
-        write_arrival_intervals_csv(str(path), [(0, 20), (20, 20)])
-        assert path.read_text() == "time,gap\n0,20\n20,20\n"

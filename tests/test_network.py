@@ -285,6 +285,25 @@ class TestRoadnetFiles:
         with pytest.raises(RoadnetFormatError):
             load_roadnet(str(path))
 
+    def test_rejects_partial_junction(self, tmp_path):
+        path = tmp_path / "roadnet.json"
+        save_roadnet(build_grid(1, 1, 300, 300), str(path))
+        doc = json.loads(path.read_text())
+        doc["roads"] = [r for r in doc["roads"] if r["id"] != "rd__b_w_0__i_0_0"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(RoadnetFormatError, match=f"^{path}: intersection i_0_0 is not a full 4-way"):
+            load_roadnet(str(path))
+
+    def test_rejects_shared_approach(self, tmp_path):
+        path = tmp_path / "roadnet.json"
+        save_roadnet(build_grid(1, 1, 300, 300), str(path))
+        doc = json.loads(path.read_text())
+        doc["intersections"].append({"id": "far_w", "point": {"x": -600, "y": 10}, "virtual": True})
+        doc["roads"].append({"id": "extra", "startIntersection": "far_w", "endIntersection": "i_0_0"})
+        path.write_text(json.dumps(doc))
+        with pytest.raises(RoadnetFormatError, match=f"^{path}: intersection i_0_0 has two roads arriving from W"):
+            load_roadnet(str(path))
+
     def test_length_from_geometry(self, tmp_path):
         net = build_grid(1, 1, 300, 300)
         path = tmp_path / "roadnet.json"
