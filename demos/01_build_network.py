@@ -9,7 +9,7 @@ read back.
 import os
 import tempfile
 
-from gridlight import build_grid, lane_capacity, validate
+from gridlight.network import build_grid, lane_capacity, validate
 from gridlight.roadnet import load_roadnet, save_roadnet
 
 net = build_grid(rows=3, cols=3, we_length=300, ns_length=300)

@@ -6,7 +6,7 @@ long a standing platoon needs to clear, and how those combine into a
 dynamic green duration.
 """
 
-from gridlight import (
+from gridlight.signalmath import (
     DEFAULT_KINEMATICS,
     MovementCounts,
     green_duration,

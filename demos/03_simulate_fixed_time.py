@@ -6,7 +6,7 @@ cycles its four phases with 10 s greens and 5 s yellows.  Prints the
 headline metrics and a mid-episode snapshot of the network.
 """
 
-from gridlight import ControllerConfig
+from gridlight.control import ControllerConfig
 from gridlight.experiment import ExperimentConfig, run_single
 
 config = ExperimentConfig(controller=ControllerConfig(kind="fixed"))

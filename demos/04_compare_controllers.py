@@ -7,7 +7,7 @@ whose outgoing lane is full.  Heavy rush-hour demand separates them far
 more than light demand does.
 """
 
-from gridlight import ControllerConfig
+from gridlight.control import ControllerConfig
 from gridlight.experiment import ExperimentConfig, run_single
 
 controllers = {

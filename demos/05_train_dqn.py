@@ -7,7 +7,7 @@ behind the acceptance suite use 100 episodes (see README).  Takes a minute
 or two on a laptop.
 """
 
-from gridlight import ControllerConfig
+from gridlight.control import ControllerConfig
 from gridlight.experiment import ExperimentConfig, run_single, train
 
 config = ExperimentConfig(

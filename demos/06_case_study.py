@@ -8,7 +8,7 @@ the vehicles it actually discharged — the delivered count never exceeds
 the promise.
 """
 
-from gridlight import ControllerConfig
+from gridlight.control import ControllerConfig
 from gridlight.experiment import ExperimentConfig, case_study, run_single
 
 config = ExperimentConfig(

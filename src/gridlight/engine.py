@@ -238,13 +238,14 @@ class World:
 
     # -------------------------------------------------------------- decisions
 
-    def apply_decision(self, intersection_id: str, phase: int, green_duration: int) -> SignalState:
+    def apply_decision(self, intersection_id: str, phase: int, green_duration: int) -> int:
         """Grant ``green_duration`` seconds of green to ``phase``.
 
         Same phase: the running green is extended, no yellow.  Different
         phase: a yellow interval is inserted first.  Either way each granted
         movement's discharge budget becomes its current ``n_pass``.  Only
-        legal once the running green has expired.
+        legal once the running green has expired.  Returns the total budget
+        granted, the sum of those ``n_pass`` values.
         """
         if phase not in (0, 1, 2, 3):
             raise ValueError(f"phase must be 0..3, got {phase}")
@@ -257,18 +258,19 @@ class World:
             )
         counts = self.movement_counts(intersection_id)
         granted = self._phase_movements[intersection_id][phase]
+        budgets = [n_pass(counts[m.id]) for m in granted]
         if phase == sig.current_phase:
             sig.time_remaining = green_duration
-            for m in granted:
-                self.services[m.id].budget = float(n_pass(counts[m.id]))
+            for m, budget in zip(granted, budgets):
+                self.services[m.id].budget = float(budget)
         else:
             sig.mode = YELLOW
             sig.time_remaining = self.yellow
             sig.next_phase = phase
             sig.pending_green = green_duration
-            for m in granted:
-                self.services[m.id].pending_budget = float(n_pass(counts[m.id]))
-        return sig
+            for m, budget in zip(granted, budgets):
+                self.services[m.id].pending_budget = float(budget)
+        return sum(budgets)
 
     def needs_decision(self, intersection_id: str) -> bool:
         sig = self.signals[intersection_id]

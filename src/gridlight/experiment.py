@@ -48,7 +48,7 @@ from .learner import (
 )
 from .network import RoadNetwork, build_grid, validate
 from .roadnet import load_roadnet
-from .signalmath import DEFAULT_KINEMATICS, KinematicParams, n_pass, reward
+from .signalmath import DEFAULT_KINEMATICS, KinematicParams, reward
 from .telemetry import (
     DecisionRecord,
     write_decisions_csv,
@@ -124,6 +124,9 @@ class ExperimentConfig:
             raise ValueError("at least one seed is required")
         if not self.hidden_sizes or any(n < 1 for n in self.hidden_sizes):
             raise ValueError("hidden layer sizes must be positive")
+        for name in ("epsilon_horizon", "eval_every"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ValueError(f"config key {name!r} must be null or at least 1")
 
     # ------------------------------------------------------------- serializing
 
@@ -249,7 +252,11 @@ def throughput(vehicles: Iterable) -> int:
 def _spec_path(spec: dict, section: str) -> str:
     if "path" not in spec:
         raise ValueError(f"config key {section!r} of kind {spec['kind']!r} needs a 'path'")
-    return spec["path"]
+    return _checked_value(f"{section}.path", spec["path"], str, None)
+
+
+def _spec_value(spec: dict, key: str, hint, default):
+    return _checked_value(f"network.{key}", spec.get(key, default), hint, None)
 
 
 def build_network(config: ExperimentConfig) -> RoadNetwork:
@@ -258,10 +265,10 @@ def build_network(config: ExperimentConfig) -> RoadNetwork:
     kind = spec.get("kind", "grid")
     if kind == "grid":
         net = build_grid(
-            rows=int(spec.get("rows", 3)),
-            cols=int(spec.get("cols", 3)),
-            we_length=float(spec.get("we_length", 300.0)),
-            ns_length=float(spec.get("ns_length", 300.0)),
+            rows=_spec_value(spec, "rows", int, 3),
+            cols=_spec_value(spec, "cols", int, 3),
+            we_length=float(_spec_value(spec, "we_length", float, 300.0)),
+            ns_length=float(_spec_value(spec, "ns_length", float, 300.0)),
             l_v=config.kinematics.vehicle_length,
             l_g=config.kinematics.min_gap,
             max_speed=config.kinematics.max_speed,
@@ -382,12 +389,9 @@ def run_episode(
             if not world.needs_decision(iid):
                 continue
             obs = world.observe(iid) * obs_scale
-            learn = iid in pending
-            counts = world.movement_counts(iid) if learn or record else None
-
-            if learn:
+            if iid in pending:
                 s_prev, a_prev = pending.pop(iid)
-                r = reward(counts.values(), reward_kind)
+                r = reward(world.movement_counts(iid).values(), reward_kind)
                 learner_ctx.buffer.push(Transition(s_prev, a_prev, r, obs, False))
                 batch = learner_ctx.buffer.sample(config.batch_size, learner_ctx.sample_rng)
                 if batch is not None:
@@ -405,7 +409,7 @@ def run_episode(
                 rec.actual_discharged = interval_crossings(rec) - base
 
             decision = controller.decide(world, iid, obs)
-            world.apply_decision(iid, decision.phase, decision.green_duration)
+            ideal_npass = world.apply_decision(iid, decision.phase, decision.green_duration)
             if learner_ctx is not None:
                 pending[iid] = (obs, decision.phase)
             if record:
@@ -419,7 +423,7 @@ def run_episode(
                     counts=tuple(
                         len(world.lanes[lane_id].vehicles) for lane_id in inter.incoming_lanes
                     ),
-                    ideal_npass=sum(n_pass(counts[mid]) for mid in granted),
+                    ideal_npass=ideal_npass,
                     phase_movement_ids=granted,
                 )
                 decisions.append(rec)

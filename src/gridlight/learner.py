@@ -1,9 +1,9 @@
 """From-scratch DQN machinery on numpy.
 
 A small fully connected Q-network (rectifier hidden layers, linear output)
-with hand-written backpropagation, a ring replay buffer with uniform
-sampling, a linear exploration schedule, TD targets against a lagged target
-network, and plain gradient descent.  Checkpoints round-trip bit exactly
+with hand-written backpropagation, a replay buffer held in ring arrays with
+uniform sampling, a linear exploration schedule, TD targets against a lagged
+target network, and plain gradient descent.  Checkpoints round-trip bit exactly
 through ``.npz`` files.
 """
 
@@ -22,7 +22,6 @@ __all__ = [
     "EpsilonSchedule",
     "forward",
     "forward_batch",
-    "td_target",
     "train_step",
     "sync_target",
     "epsilon",
@@ -103,22 +102,9 @@ def _activations(net: QNetwork, states: np.ndarray) -> list[np.ndarray]:
     return activations
 
 
-def td_target(
-    r: float,
-    s_next: np.ndarray,
-    target_net: QNetwork,
-    gamma: float,
-    terminal: bool = False,
-) -> float:
-    """Bootstrap target: r, plus the discounted best target-Q of the successor."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must lie in [0, 1]")
-    if terminal:
-        return float(r)
-    return float(r) + gamma * float(np.max(forward(target_net, s_next)))
-
-
 class Transition(NamedTuple):
+    """One step of experience; a batch is a Transition of stacked rows."""
+
     s: np.ndarray
     a: int
     r: float
@@ -129,26 +115,25 @@ class Transition(NamedTuple):
 def train_step(
     net: QNetwork,
     target_net: QNetwork,
-    batch: Sequence[Transition],
+    batch: Transition,
     gamma: float,
     lr: float,
 ) -> float:
     """One gradient-descent step on the squared TD error of a batch.
 
-    Only the taken action's output contributes per sample.  Returns the
-    pre-update loss ``mean((target - Q(s, a))^2)``; the target network is
-    left untouched.
+    ``batch`` holds stacked rows, as :meth:`ReplayBuffer.sample` returns
+    them: states ``(B, input)``, actions ``(B,)``, rewards ``(B,)``,
+    successor states ``(B, input)`` and terminal flags ``(B,)``.  The target
+    is the reward, plus the discounted best target-network Q-value of the
+    successor unless the transition is terminal.  Only the taken action's
+    output contributes per sample.  Returns the pre-update loss
+    ``mean((target - Q(s, a))^2)``; the target network is left untouched.
     """
-    if not batch:
+    states, actions, rewards, next_states, terminal = batch
+    B = len(actions)
+    if B == 0:
         raise ValueError("batch must be non-empty")
-    B = len(batch)
-    states = np.stack([t.s for t in batch]).astype(float)
-    actions = np.fromiter((t.a for t in batch), dtype=int, count=B)
-    rewards = np.fromiter((t.r for t in batch), dtype=float, count=B)
-    terminal = np.fromiter((t.terminal for t in batch), dtype=bool, count=B)
-    next_states = np.stack([t.s_next for t in batch]).astype(float)
-
-    targets = rewards.copy()
+    targets = rewards.astype(float)
     if not terminal.all():
         best_next = forward_batch(target_net, next_states).max(axis=1)
         targets[~terminal] += gamma * best_next[~terminal]
@@ -191,35 +176,44 @@ def sync_target(net: QNetwork, target_net: QNetwork) -> None:
 
 
 class ReplayBuffer:
-    """Bounded transition memory; oldest entries are overwritten first."""
+    """Bounded transition memory; oldest entries are overwritten first.
+
+    Each :class:`Transition` field lives in its own ring array of
+    ``capacity`` rows, allocated on the first push with that transition's
+    shapes and dtypes.
+    """
 
     def __init__(self, capacity: int = 10_000):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._storage: list[Transition] = []
+        self._rows: Optional[Transition] = None
+        self._size = 0
         self._cursor = 0
 
     def push(self, transition: Transition) -> None:
-        if len(self._storage) < self.capacity:
-            self._storage.append(transition)
-        else:
-            self._storage[self._cursor] = transition
+        if self._rows is None:
+            self._rows = Transition(
+                *(np.empty((self.capacity, *np.shape(v)), np.asarray(v).dtype) for v in transition)
+            )
+        for rows, value in zip(self._rows, transition):
+            rows[self._cursor] = value
         self._cursor = (self._cursor + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> Optional[list[Transition]]:
-        """Uniform sample without replacement; None while not yet warm.
+    def sample(self, batch_size: int, rng: np.random.Generator) -> Optional[Transition]:
+        """Uniform sample without replacement, as stacked rows; None while not yet warm.
 
         Training only starts once the buffer holds strictly more than a
         batch, so callers skip the step when this returns None.
         """
-        if len(self._storage) <= batch_size:
+        if self._size <= batch_size:
             return None
-        picks = rng.choice(len(self._storage), size=batch_size, replace=False)
-        return [self._storage[i] for i in picks]
+        picks = rng.choice(self._size, size=batch_size, replace=False)
+        return Transition(*(rows[picks] for rows in self._rows))
 
     def __len__(self) -> int:
-        return len(self._storage)
+        return self._size
 
 
 @dataclass(frozen=True)

@@ -177,8 +177,8 @@ class RoadNetwork:
 
 def lane_capacity(length: float, l_v: float, l_g: float) -> int:
     """Vehicles of length ``l_v`` with minimum gap ``l_g`` that fit on ``length``."""
-    if length <= 0 or l_v <= 0 or l_g <= 0:
-        raise ValueError("lane length, vehicle length and gap must all be > 0")
+    if not 0 < length < math.inf or l_v <= 0 or l_g <= 0:
+        raise ValueError("lane length must be finite and > 0, vehicle length and gap > 0")
     # tolerant floor: exact ratios like 300 / 7.5 must not fall prey to float dust
     return int(math.floor(length / (l_v + l_g) + 1e-9))
 

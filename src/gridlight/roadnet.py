@@ -57,11 +57,14 @@ def load_roadnet(path: str, l_v: float = 5.0, l_g: float = 2.5) -> RoadNetwork:
             point = (float(rec["point"]["x"]), float(rec["point"]["y"]))
         except (KeyError, TypeError) as exc:
             raise RoadnetFormatError(f"{path}: malformed intersection record: {rec!r}") from exc
+        if node_id in positions:
+            raise RoadnetFormatError(f"{path}: repeated intersection id {node_id}")
         positions[node_id] = point
         if rec.get("virtual", False):
             virtual.add(node_id)
 
     roads: list[tuple[str, str, str, float, float]] = []
+    road_ids: set[str] = set()
     for rec in doc["roads"]:
         _warn_ignored(rec, _ROAD_KEYS, seen_ignored, "road")
         try:
@@ -69,6 +72,9 @@ def load_roadnet(path: str, l_v: float = 5.0, l_g: float = 2.5) -> RoadNetwork:
             start, end = rec["startIntersection"], rec["endIntersection"]
         except KeyError as exc:
             raise RoadnetFormatError(f"{path}: malformed road record: {rec!r}") from exc
+        if road_id in road_ids:
+            raise RoadnetFormatError(f"{path}: repeated road id {road_id}")
+        road_ids.add(road_id)
         for node_id in (start, end):
             if node_id not in positions:
                 raise RoadnetFormatError(
@@ -91,8 +97,8 @@ def load_roadnet(path: str, l_v: float = 5.0, l_g: float = 2.5) -> RoadNetwork:
         else:
             p0, p1 = positions[start], positions[end]
             length = math.dist(p0, p1)
-        if length <= 0:
-            raise RoadnetFormatError(f"{path}: road {road_id} has non-positive length")
+        if not 0 < length < math.inf:
+            raise RoadnetFormatError(f"{path}: road {road_id} length must be finite and > 0, got {length}")
         roads.append((road_id, start, end, length, max_speed))
 
     try:

@@ -183,6 +183,11 @@ def _kink_free(net, states, margin=1e-3):
     return True
 
 
+def _stacked(transitions) -> Transition:
+    """A batch of stacked rows, the layout ReplayBuffer.sample returns."""
+    return Transition(*map(np.array, zip(*transitions)))
+
+
 def test_criterion_05_dqn_numerics():
     started = time.perf_counter()
     rng = np.random.default_rng(7)
@@ -193,7 +198,7 @@ def test_criterion_05_dqn_numerics():
         target_net = QNetwork(rng=rng)
         B = 8
         while True:
-            batch = [
+            draws = [
                 Transition(
                     s=rng.uniform(0, 5, size=16),
                     a=int(rng.integers(4)),
@@ -203,13 +208,11 @@ def test_criterion_05_dqn_numerics():
                 )
                 for _ in range(B)
             ]
-            if _kink_free(net, np.stack([t.s for t in batch])):
+            batch = _stacked(draws)
+            if _kink_free(net, batch.s):
                 break
-        states = np.stack([t.s for t in batch])
-        actions = np.array([t.a for t in batch])
-        rewards = np.array([t.r for t in batch])
-        terminal = np.array([t.terminal for t in batch])
-        best_next = forward_batch(target_net, np.stack([t.s_next for t in batch])).max(axis=1)
+        states, actions, rewards, next_states, terminal = batch
+        best_next = forward_batch(target_net, next_states).max(axis=1)
         targets = rewards + gamma * best_next * (~terminal)
 
         probe = net.copy()
@@ -239,16 +242,18 @@ def test_criterion_05_dqn_numerics():
 
     net = QNetwork(rng=rng)
     target_net = QNetwork(rng=rng)
-    frozen = [
-        Transition(
-            s=rng.uniform(0, 5, size=16),
-            a=int(rng.integers(4)),
-            r=float(rng.normal(scale=10)),
-            s_next=rng.uniform(0, 5, size=16),
-            terminal=False,
-        )
-        for _ in range(32)
-    ]
+    frozen = _stacked(
+        [
+            Transition(
+                s=rng.uniform(0, 5, size=16),
+                a=int(rng.integers(4)),
+                r=float(rng.normal(scale=10)),
+                s_next=rng.uniform(0, 5, size=16),
+                terminal=False,
+            )
+            for _ in range(32)
+        ]
+    )
     losses = [train_step(net, target_net, frozen, gamma, lr=0.001) for _ in range(50)]
     for a, b in zip(losses[5:], losses[6:]):
         assert b <= a + 1e-9

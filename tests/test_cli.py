@@ -9,6 +9,7 @@ from gridlight.control import ControllerConfig
 from gridlight.experiment import ExperimentConfig
 from gridlight.flows import load_flow_file, save_flow_file, syn_light_flows
 from gridlight.network import build_grid
+from gridlight.roadnet import save_roadnet
 
 
 def write_config(path, **kw):
@@ -85,12 +86,21 @@ class TestConfigErrors:
             ({"seeds": [0, "1"]}, ["seeds"]),
             ({"eval_every": "5"}, ["eval_every"]),
             ({"obs_counts": 3}, ["obs_counts"]),
+            ({"eval_every": 0}, ["eval_every"]),
+            ({"epsilon_horizon": 0}, ["epsilon_horizon"]),
+            ({"epsilon_horizon": -2}, ["epsilon_horizon"]),
+            ({"network": {"kind": "grid", "rows": 3.7, "cols": 3}}, ["network.rows"]),
+            ({"network": {"kind": "grid", "rows": 3, "cols": "3"}}, ["network.cols"]),
+            ({"network": {"kind": "grid", "we_length": float("inf")}}, ["network.we_length"]),
+            ({"network": {"kind": "roadnet", "path": 3}}, ["network.path"]),
         ],
         ids=[
             "controller-not-object", "controller-unknown-key", "kinematics-not-object",
             "kinematics-unknown-key", "seeds-not-list", "flow-not-object", "flow-file-no-path",
             "roadnet-no-path", "int-given-string", "horizon-string", "horizon-bool", "yellow-float",
             "kinematics-nan", "float-inf", "seeds-not-ints", "optional-string", "str-given-int",
+            "eval-every-zero", "epsilon-horizon-zero", "epsilon-horizon-negative", "network-rows-float",
+            "network-cols-string", "network-length-inf", "network-path-int",
         ],
     )
     def test_bad_config_is_one_line(self, tmp_path, capsys, doc, named):
@@ -101,6 +111,20 @@ class TestConfigErrors:
         assert code == 1
         assert len(err.splitlines()) == 1
         assert all(word in err for word in named), err
+
+    def test_infinite_roadnet_length_is_one_line(self, tmp_path, capsys):
+        roadnet_path = tmp_path / "roadnet.json"
+        save_roadnet(build_grid(1, 1, 300, 300), str(roadnet_path))
+        doc = json.loads(roadnet_path.read_text())
+        doc["roads"][0]["length"] = float("inf")
+        roadnet_path.write_text(json.dumps(doc))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"network": {"kind": "roadnet", "path": str(roadnet_path)}}))
+        code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert doc["roads"][0]["id"] in err, err
 
     def test_infinite_flow_vehicle_speed_is_one_line(self, tmp_path, capsys):
         flow_path = tmp_path / "flows.json"

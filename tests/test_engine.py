@@ -122,13 +122,15 @@ class TestPlatoonDischarge:
 class TestSignals:
     def test_same_phase_extends_without_yellow(self):
         world = single()
-        sig = world.apply_decision("i_0_0", 0, 10)
+        world.apply_decision("i_0_0", 0, 10)
+        sig = world.signals["i_0_0"]
         assert sig.mode == GREEN and sig.time_remaining == 10
         assert sig.next_phase is None
 
     def test_phase_change_inserts_yellow(self):
         world = single()
-        sig = world.apply_decision("i_0_0", 1, 10)
+        world.apply_decision("i_0_0", 1, 10)
+        sig = world.signals["i_0_0"]
         assert sig.mode == YELLOW and sig.time_remaining == 5
         assert sig.next_phase == 1
         for _ in range(5):
@@ -142,8 +144,19 @@ class TestSignals:
         world.apply_decision("i_0_0", 3, 10)
         for _ in range(15):  # 5 yellow + 10 green
             world.step()
-        sig = world.apply_decision("i_0_0", 3, 15)
+        world.apply_decision("i_0_0", 3, 15)
+        sig = world.signals["i_0_0"]
         assert sig.mode == GREEN and sig.time_remaining == 15
+
+    def test_returns_the_granted_budget(self):
+        world = single()
+        m = west_straight(world.net)
+        queue_up(world, m.in_lane, 4)
+        assert world.apply_decision("i_0_0", 0, 10) == 4  # W straight 4, E straight 0
+        assert world.services[m.id].budget == 4.0
+        for _ in range(10):
+            world.step()
+        assert world.apply_decision("i_0_0", 1, 10) == 0  # N/S straights are empty
 
     def test_decision_before_expiry_faults(self):
         world = single()

@@ -16,19 +16,23 @@ from gridlight.learner import (
     load_checkpoint,
     save_checkpoint,
     sync_target,
-    td_target,
     train_step,
 )
+
+
+def stacked(transitions) -> Transition:
+    """A batch of stacked rows, the layout ReplayBuffer.sample returns."""
+    return Transition(*map(np.array, zip(*transitions)))
 
 
 def loss_of(net: QNetwork, target_net: QNetwork, batch, gamma: float) -> float:
     """Independent loss evaluation (no parameter update)."""
     total = 0.0
-    for t in batch:
-        y = td_target(t.r, t.s_next, target_net, gamma, t.terminal)
-        q = forward(net, t.s)[t.a]
-        total += (y - q) ** 2
-    return total / len(batch)
+    rows = list(zip(*batch))
+    for s, a, r, s_next, terminal in rows:
+        y = r if terminal else r + gamma * max(forward(target_net, s_next))
+        total += (y - forward(net, s)[a]) ** 2
+    return total / len(rows)
 
 
 def finite_difference_grads(net: QNetwork, target_net: QNetwork, batch, gamma: float, h: float = 1e-5):
@@ -70,18 +74,16 @@ def analytic_grads(net: QNetwork, target_net: QNetwork, batch, gamma: float):
 
 
 def random_batch(rng, net, size=4):
-    batch = []
-    for _ in range(size):
-        batch.append(
-            Transition(
-                s=rng.normal(size=net.input_size),
-                a=int(rng.integers(net.output_size)),
-                r=float(rng.normal(scale=5)),
-                s_next=rng.normal(size=net.input_size),
-                terminal=bool(rng.random() < 0.2),
-            )
+    return stacked(
+        Transition(
+            s=rng.normal(size=net.input_size),
+            a=int(rng.integers(net.output_size)),
+            r=float(rng.normal(scale=5)),
+            s_next=rng.normal(size=net.input_size),
+            terminal=bool(rng.random() < 0.2),
         )
-    return batch
+        for _ in range(size)
+    )
 
 
 class TestForward:
@@ -127,27 +129,6 @@ class TestForward:
         assert net.input_size == 16 and net.output_size == 4
 
 
-class TestTdTarget:
-    def test_terminal_is_reward(self):
-        assert td_target(-5.0, np.zeros(16), QNetwork(), 0.8, terminal=True) == -5.0
-
-    def test_bootstrap(self):
-        net = QNetwork(layer_sizes=(2, 2))
-        net.weights[0][:] = [[1.0, 0.0], [0.0, 1.0]]
-        net.biases[0][:] = [0.0, 0.0]
-        # Q(s) = s, max target-Q over (10, 4) is 10
-        assert td_target(-5.0, np.array([10.0, 4.0]), net, 0.8) == pytest.approx(3.0)
-
-    def test_gamma_zero_is_myopic(self):
-        rng = np.random.default_rng(1)
-        net = QNetwork(rng=rng)
-        assert td_target(2.5, rng.normal(size=16), net, 0.0) == 2.5
-
-    def test_gamma_out_of_range(self):
-        with pytest.raises(ValueError):
-            td_target(0.0, np.zeros(16), QNetwork(), 1.5)
-
-
 class TestTrainStep:
     def test_perfect_predictions_do_not_move(self):
         # zero network, zero rewards: targets are 0 = predictions everywhere
@@ -157,7 +138,7 @@ class TestTrainStep:
         for b in net.biases:
             b[:] = 0.0
         target = net.copy()
-        batch = [Transition(np.ones(16), 1, 0.0, np.ones(16), False)] * 3
+        batch = stacked([Transition(np.ones(16), 1, 0.0, np.ones(16), False)] * 3)
         loss = train_step(net, target, batch, gamma=0.8, lr=0.1)
         assert loss == 0.0
         assert all(not w.any() for w in net.weights)
@@ -170,14 +151,42 @@ class TestTrainStep:
         net.biases[0][:] = [0.0]
         target_net = net.copy()
         lr = 0.01
-        batch = [Transition(np.array([2.0]), 0, 1.0, np.array([0.0]), True)]
+        batch = stacked([Transition(np.array([2.0]), 0, 1.0, np.array([0.0]), True)])
         loss = train_step(net, target_net, batch, gamma=0.8, lr=lr)
         assert loss == pytest.approx(1.0)
         assert net.weights[0][0, 0] == pytest.approx(1.0 - 4.0 * lr)
 
+    @staticmethod
+    def _identity_net() -> QNetwork:
+        # Q(s) = s on two inputs, so Q is 0 at the origin
+        net = QNetwork(layer_sizes=(2, 2))
+        net.weights[0][:] = [[1.0, 0.0], [0.0, 1.0]]
+        net.biases[0][:] = [0.0, 0.0]
+        return net
+
+    def test_terminal_target_is_reward(self):
+        net = self._identity_net()
+        batch = stacked([Transition(np.zeros(2), 0, -5.0, np.array([10.0, 4.0]), True)])
+        assert train_step(net, net.copy(), batch, gamma=0.8, lr=0.0) == pytest.approx(25.0)
+
+    def test_bootstrap_target(self):
+        # target -5 + 0.8 * max(10, 4) = 3 against Q(s, 0) = 0
+        net = self._identity_net()
+        batch = stacked([Transition(np.zeros(2), 0, -5.0, np.array([10.0, 4.0]), False)])
+        assert train_step(net, net.copy(), batch, gamma=0.8, lr=0.0) == pytest.approx(9.0)
+
+    def test_gamma_zero_is_myopic(self):
+        rng = np.random.default_rng(1)
+        net = QNetwork(rng=rng)
+        s = rng.normal(size=16)
+        batch = stacked([Transition(s, 2, 2.5, rng.normal(size=16), False)])
+        expected = (forward(net, s)[2] - 2.5) ** 2
+        assert train_step(net, QNetwork(rng=rng), batch, gamma=0.0, lr=0.0) == pytest.approx(expected)
+
     def test_empty_batch_faults(self):
+        empty = Transition(np.empty((0, 16)), np.empty(0, int), np.empty(0), np.empty((0, 16)), np.empty(0, bool))
         with pytest.raises(ValueError):
-            train_step(QNetwork(), QNetwork(), [], 0.8, 0.001)
+            train_step(QNetwork(), QNetwork(), empty, 0.8, 0.001)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(42)
@@ -257,41 +266,61 @@ class TestSyncTarget:
 
 
 class TestReplayBuffer:
-    def _t(self, k: int) -> Transition:
+    @staticmethod
+    def _t(k: int) -> Transition:
         return Transition(np.full(16, float(k)), k % 4, float(k), np.zeros(16), False)
 
-    def test_not_ready_until_strictly_larger_than_batch(self):
-        buf = ReplayBuffer(100)
-        rng = np.random.default_rng(0)
-        for k in range(32):
+    def _filled(self, capacity: int, pushes: int) -> ReplayBuffer:
+        buf = ReplayBuffer(capacity)
+        for k in range(pushes):
             buf.push(self._t(k))
+        return buf
+
+    def test_not_ready_until_strictly_larger_than_batch(self):
+        buf = self._filled(100, 32)
+        rng = np.random.default_rng(0)
         assert buf.sample(32, rng) is None
         buf.push(self._t(99))
         batch = buf.sample(32, rng)
-        assert batch is not None and len(batch) == 32
+        assert batch is not None and batch.s.shape == (32, 16)
+        assert [len(rows) for rows in batch] == [32] * 5
 
     def test_sample_without_replacement(self):
-        buf = ReplayBuffer(100)
-        for k in range(40):
-            buf.push(self._t(k))
-        batch = buf.sample(32, np.random.default_rng(1))
-        ids = [id(t) for t in batch]
-        assert len(set(ids)) == 32
+        batch = self._filled(100, 40).sample(32, np.random.default_rng(1))
+        assert len(set(batch.r)) == 32
 
     def test_eviction_is_oldest_first(self):
-        buf = ReplayBuffer(10)
-        for k in range(13):
+        buf = self._filled(10, 13)
+        assert len(buf) == 10
+        seen = set()
+        for seed in range(20):
+            seen.update(buf.sample(9, np.random.default_rng(seed)).r)
+        assert seen == set(float(k) for k in range(3, 13))
+
+    def test_sample_is_the_rows_rng_choice_picks(self):
+        # capacity 40 after 50 pushes: row i holds push 40 + i for i < 10, push i after
+        buf = self._filled(40, 50)
+        batch = buf.sample(8, np.random.default_rng(7))
+        picks = np.random.default_rng(7).choice(40, size=8, replace=False)
+        pushed = np.where(picks < 10, picks + 40, picks)
+        assert np.array_equal(batch.r, pushed.astype(float))
+        assert np.array_equal(batch.a, pushed % 4)
+        assert np.array_equal(batch.s, np.repeat(pushed.astype(float)[:, None], 16, axis=1))
+        assert not batch.terminal.any() and not batch.s_next.any()
+
+    def test_sample_is_a_copy(self):
+        buf = self._filled(40, 41)
+        batch = buf.sample(8, np.random.default_rng(3))
+        before = batch.r.copy()
+        for k in range(100, 140):
             buf.push(self._t(k))
-        rewards = {t.r for t in buf._storage}
-        assert rewards == set(float(k) for k in range(3, 13))
+        assert np.array_equal(batch.r, before)
 
     def test_sampling_is_deterministic_given_seed(self):
-        buf = ReplayBuffer(100)
-        for k in range(50):
-            buf.push(self._t(k))
+        buf = self._filled(100, 50)
         a = buf.sample(8, np.random.default_rng(7))
         b = buf.sample(8, np.random.default_rng(7))
-        assert [t.r for t in a] == [t.r for t in b]
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 class TestEpsilonSchedule:

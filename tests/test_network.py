@@ -32,6 +32,11 @@ class TestLaneCapacity:
             with pytest.raises(ValueError):
                 lane_capacity(*args)
 
+    def test_rejects_non_finite(self):
+        for length in [float("inf"), float("nan")]:
+            with pytest.raises(ValueError, match="finite"):
+                lane_capacity(length, 5.0, 2.5)
+
     def test_monotonicity(self):
         lengths = [10, 50, 100, 333, 500, 1000]
         caps = [lane_capacity(L, 5.0, 2.5) for L in lengths]
@@ -302,6 +307,24 @@ class TestRoadnetFiles:
         doc["roads"].append({"id": "extra", "startIntersection": "far_w", "endIntersection": "i_0_0"})
         path.write_text(json.dumps(doc))
         with pytest.raises(RoadnetFormatError, match=f"^{path}: intersection i_0_0 has two roads arriving from W"):
+            load_roadnet(str(path))
+
+    @pytest.mark.parametrize(
+        "edit,named",
+        [
+            (lambda doc: doc["roads"][0].update(length=float("inf")), "road rd__b_w_0__i_0_0 length"),
+            (lambda doc: doc["roads"].append(dict(doc["roads"][0])), "repeated road id rd__b_w_0__i_0_0"),
+            (lambda doc: doc["intersections"].append(dict(doc["intersections"][0])), "repeated intersection id b_n_0"),
+        ],
+        ids=["infinite-length", "repeated-road", "repeated-intersection"],
+    )
+    def test_rejects_bad_record(self, tmp_path, edit, named):
+        path = tmp_path / "roadnet.json"
+        save_roadnet(build_grid(1, 1, 300, 300), str(path))
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(RoadnetFormatError, match=f"^{path}: {named}"):
             load_roadnet(str(path))
 
     def test_length_from_geometry(self, tmp_path):
