@@ -6,6 +6,8 @@ long a standing platoon needs to clear, and how those combine into a
 dynamic green duration.
 """
 
+import numpy as np
+
 from gridlight.signalmath import (
     DEFAULT_KINEMATICS,
     MovementCounts,
@@ -36,5 +38,6 @@ print()
 
 print("dynamic green duration = ceil(clear time of the worst queue), clamped to [10, 20]:")
 for worst in (1, 8, 14, 20, 30):
-    counts = [MovementCounts(worst, 0, 40), MovementCounts(2, 0, 40)]
-    print(f"  worst n_pass {worst:>2} -> green {green_duration(counts, k, 10, 20):>2} s")
+    # a phase's two movements as one vector of counts
+    counts = MovementCounts(np.array([worst, 2]), np.array([0, 0]), np.array([40, 40]))
+    print(f"  worst n_pass {worst:>2} -> green {green_duration(counts, [0, 1], k, 10, 20):>2} s")

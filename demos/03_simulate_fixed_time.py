@@ -19,10 +19,9 @@ print(f"avg travel time    : {m.average_travel_time:.2f} s")
 print()
 
 mid = result.steps[1800]
-on_network = sum(mid.lane_occupancy.values())
-print(f"at t=1800 s: {on_network} vehicles on the network")
-for inter_id, (phase, mode) in list(mid.signals.items())[:3]:
-    print(f"  {inter_id}: phase {phase} ({mode})")
+print(f"at t=1800 s: {mid.occupancy.sum()} vehicles on the network")
+for inter, phase, yellow in list(zip(result.world.net.intersections, mid.phases, mid.yellow))[:3]:
+    print(f"  {inter.id}: phase {phase} ({'yellow' if yellow else 'green'})")
 print()
 
 durations = {d.green_duration for d in result.decisions}

@@ -16,13 +16,12 @@ range, as ``duration_mode`` says.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
 from .engine import World
 from .learner import QNetwork, forward
-from .network import Phase
 from .signalmath import (
     DEFAULT_KINEMATICS,
     KinematicParams,
@@ -86,22 +85,18 @@ class ControllerConfig:
             raise ValueError("green durations must be positive and ordered")
 
 
-def decide_greedy(
-    counts: Mapping[str, MovementCounts], phases: tuple[Phase, ...], metric: str
-) -> int:
-    """Phase with the best score under ``metric``; ties go to the lowest index."""
-    best_phase = 0
-    best_score = None
-    for phase in phases:
-        score = phase_score(counts, phase.movements, metric)
-        if best_score is None or score > best_score:
-            best_phase, best_score = phase.id, score
-    return best_phase
+def decide_greedy(counts: MovementCounts, phase_columns, metric: str) -> int:
+    """Phase with the best score under ``metric``; ties go to the lowest index.
+
+    ``phase_columns`` holds, per phase, the positions in ``counts`` of the
+    movements it grants green (see :func:`gridlight.signalmath.phase_score`).
+    """
+    return int(np.argmax(phase_score(counts, phase_columns, metric)))
 
 
-def decide_maxpressure(counts: Mapping[str, MovementCounts], phases: tuple[Phase, ...]) -> int:
+def decide_maxpressure(counts: MovementCounts, phase_columns) -> int:
     """Classic rule: grant green to the phase with the largest total pressure."""
-    return decide_greedy(counts, phases, "pressure")
+    return decide_greedy(counts, phase_columns, "pressure")
 
 
 def decide_dqn(net: QNetwork, s: np.ndarray, eps: float, rng: np.random.Generator) -> int:
@@ -125,15 +120,15 @@ class _Controller:
         world: World,
         intersection_id: str,
         phase: int,
-        counts: Optional[Mapping[str, MovementCounts]] = None,
+        counts: Optional[MovementCounts] = None,
     ) -> Decision:
         if self.config.duration_mode == "fixed":
             return Decision(phase, self.config.green_fixed)
         if counts is None:
             counts = world.movement_counts(intersection_id)
-        granted = world.net.intersection(intersection_id).phases[phase].movements
         green = green_duration(
-            (counts[mid] for mid in granted),
+            counts,
+            world.phase_columns[phase],
             self.kinematics,
             self.config.green_min,
             self.config.green_max,
@@ -159,7 +154,7 @@ class MaxPressureController(_Controller):
 
     def decide(self, world: World, intersection_id: str, obs: Optional[np.ndarray] = None) -> Decision:
         counts = world.movement_counts(intersection_id)
-        phase = decide_maxpressure(counts, world.net.intersection(intersection_id).phases)
+        phase = decide_maxpressure(counts, world.phase_columns)
         return self._decision(world, intersection_id, phase, counts)
 
 
@@ -168,7 +163,7 @@ class GreedyPrcolController(_Controller):
 
     def decide(self, world: World, intersection_id: str, obs: Optional[np.ndarray] = None) -> Decision:
         counts = world.movement_counts(intersection_id)
-        phase = decide_greedy(counts, world.net.intersection(intersection_id).phases, "prcol")
+        phase = decide_greedy(counts, world.phase_columns, "prcol")
         return self._decision(world, intersection_id, phase, counts)
 
 

@@ -41,7 +41,15 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .flows import SpawnEvent
-from .network import Movement, RoadNetwork, Turn, resolve_route, validate
+from .network import (
+    Movement,
+    RoadNetwork,
+    Turn,
+    movement_column,
+    resolve_route,
+    standard_phase_table,
+    validate,
+)
 from .signalmath import DEFAULT_KINEMATICS, KinematicParams, MovementCounts, n_pass, platoon_clear_time
 
 __all__ = [
@@ -49,6 +57,7 @@ __all__ = [
     "SignalState",
     "StepTelemetry",
     "World",
+    "movement_tables",
     "GREEN",
     "YELLOW",
     "OBS_SIZE",
@@ -126,17 +135,38 @@ class _Service:
 class StepTelemetry:
     """What happened during one tick.
 
-    ``lane_occupancy`` is filled only when the step ran with
-    ``collect=True``; the discharge map is sparse (movements with at least
-    one crossing).
+    The discharge map is sparse (movements with at least one crossing).
+    The three vectors are filled only when the step ran with
+    ``collect=True``: ``occupancy`` holds the vehicles on each lane in
+    ``net.lanes`` order, ``phases`` and ``yellow`` each signal's current
+    phase and whether it shows yellow, in ``net.intersections`` order.
     """
 
     time: int
     entered: int
     exited: int
     discharged: dict[str, int] = field(default_factory=dict)
-    signals: dict[str, tuple[int, str]] = field(default_factory=dict)
-    lane_occupancy: Optional[dict[str, int]] = None
+    occupancy: Optional[np.ndarray] = None
+    phases: Optional[np.ndarray] = None
+    yellow: Optional[np.ndarray] = None
+
+
+def movement_tables(net: RoadNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables that read an intersection's counts out of a lane vector.
+
+    Row ``r`` belongs to ``net.intersections[r]`` and column ``j`` to its
+    ``j``-th movement in canonical order: the position in ``net.lanes`` of
+    the movement's incoming lane, of its outgoing lane, and the outgoing
+    lane's capacity.
+    """
+    position = {lane_id: k for k, lane_id in enumerate(net.lanes)}
+    rows = [
+        (position[m.in_lane], position[m.out_lane], net.lanes[m.out_lane].capacity)
+        for inter in net.intersections
+        for m in inter.movements
+    ]
+    table = np.array(rows, dtype=np.int64).reshape(-1, 12, 3).transpose(2, 0, 1).copy()
+    return table[0], table[1], table[2]
 
 
 class World:
@@ -167,7 +197,22 @@ class World:
         self.lanes: dict[str, _LaneState] = {
             lane_id: _LaneState(lane, lane_id in exit_lanes) for lane_id, lane in net.lanes.items()
         }
+        self._lane_list = list(self.lanes.values())
+        self._lane_deques = [ls.vehicles for ls in self._lane_list]
         self.signals: dict[str, SignalState] = {i.id: SignalState() for i in net.intersections}
+
+        # counts are read from one lane-occupancy vector through index tables
+        self._occupancy: Optional[np.ndarray] = None
+        in_idx, out_idx, n_max = movement_tables(net)
+        self._tables = {
+            inter.id: (in_idx[r], out_idx[r], n_max[r]) for r, inter in enumerate(net.intersections)
+        }
+        #: row k: positions in the canonical movement order of the movements phase k serves
+        self.phase_columns = np.array(
+            [[movement_column(a, t) for a, t in pair] for pair in standard_phase_table()]
+        )
+        small = all(lane.capacity <= np.iinfo(np.int16).max for lane in net.lanes.values())
+        self._telemetry_dtype = np.int16 if small else np.int32
 
         # canonical, list-based movement bundles per intersection
         self._phase_movements: dict[str, list[list[Movement]]] = {}
@@ -202,24 +247,35 @@ class World:
         """Vehicles currently on the lane (entry buffers excluded)."""
         return len(self.lanes[lane_id].vehicles)
 
+    def lane_occupancy(self) -> np.ndarray:
+        """Vehicles on every lane, in ``net.lanes`` order (entry buffers excluded).
+
+        Computed at most once per tick and shared by every reader; treat
+        it as read-only.
+        """
+        if self._occupancy is None:
+            self._occupancy = np.fromiter(map(len, self._lane_deques), np.int64, len(self._lane_deques))
+        return self._occupancy
+
+    def incoming_occupancy(self, intersection_id: str) -> np.ndarray:
+        """Occupancy of the intersection's 12 incoming lanes, canonical order."""
+        return self.lane_occupancy()[self._tables[intersection_id][0]]
+
     def on_network_count(self) -> int:
         return sum(len(ls.vehicles) for ls in self.lanes.values())
 
     def buffered_count(self) -> int:
         return sum(len(b) for b in self._buffers.values())
 
-    def movement_counts(self, intersection_id: str) -> dict[str, MovementCounts]:
-        """Current (n_in, n_out, n_max) for the intersection's 12 movements."""
-        inter = self.net.intersection(intersection_id)
-        counts = {}
-        for m in inter.movements:
-            out = self.lanes[m.out_lane]
-            counts[m.id] = MovementCounts(
-                n_in=len(self.lanes[m.in_lane].vehicles),
-                n_out=len(out.vehicles),
-                n_max=out.lane.capacity,
-            )
-        return counts
+    def movement_counts(self, intersection_id: str) -> MovementCounts:
+        """Current (n_in, n_out, n_max) of the intersection's 12 movements.
+
+        Each field is a 12-vector in canonical (W, E, N, S) x (left,
+        straight, right) order.
+        """
+        in_idx, out_idx, n_max = self._tables[intersection_id]
+        occupancy = self.lane_occupancy()
+        return MovementCounts(occupancy[in_idx], occupancy[out_idx], n_max)
 
     def observe(self, intersection_id: str) -> np.ndarray:
         """16-entry state vector: 12 incoming-lane counts + phase one-hot.
@@ -228,11 +284,11 @@ class World:
         right) order and are total occupancy by default (``obs_counts`` set
         to ``"queued"`` restricts them to standing vehicles).
         """
-        inter = self.net.intersection(intersection_id)
         out = np.zeros(OBS_SIZE)
-        for i, lane_id in enumerate(inter.incoming_lanes):
-            ls = self.lanes[lane_id]
-            out[i] = ls.queue_len if self.obs_counts == "queued" else len(ls.vehicles)
+        if self.obs_counts == "queued":
+            out[:12] = [self._lane_list[k].queue_len for k in self._tables[intersection_id][0]]
+        else:
+            out[:12] = self.incoming_occupancy(intersection_id)
         out[12 + self.signals[intersection_id].current_phase] = 1.0
         return out
 
@@ -256,9 +312,8 @@ class World:
             raise RuntimeError(
                 f"decision for {intersection_id} requested before its green elapsed"
             )
-        counts = self.movement_counts(intersection_id)
         granted = self._phase_movements[intersection_id][phase]
-        budgets = [n_pass(counts[m.id]) for m in granted]
+        budgets = n_pass(self.movement_counts(intersection_id))[self.phase_columns[phase]].tolist()
         if phase == sig.current_phase:
             sig.time_remaining = green_duration
             for m, budget in zip(granted, budgets):
@@ -292,20 +347,13 @@ class World:
         exited = self._advance_all()
         discharged = self._discharge_all()
         self._update_signals()
-        telemetry = StepTelemetry(
-            time=self.time,
-            entered=entered,
-            exited=exited,
-            discharged=discharged,
-            signals={
-                inter_id: (sig.current_phase, sig.mode) for inter_id, sig in self.signals.items()
-            },
-            lane_occupancy=(
-                {lane_id: len(ls.vehicles) for lane_id, ls in self.lanes.items()}
-                if collect
-                else None
-            ),
-        )
+        self._occupancy = None
+        telemetry = StepTelemetry(time=self.time, entered=entered, exited=exited, discharged=discharged)
+        if collect:
+            signals = self.signals.values()
+            telemetry.occupancy = self.lane_occupancy().astype(self._telemetry_dtype)
+            telemetry.phases = np.fromiter((s.current_phase for s in signals), np.int8, len(signals))
+            telemetry.yellow = np.fromiter((s.mode == YELLOW for s in signals), bool, len(signals))
         self.time += 1
         return telemetry
 
@@ -391,6 +439,7 @@ class World:
         self.vehicles.append(veh)
         self.entered_total += 1
         ls.vehicles.append(veh)
+        self._occupancy = None
         return veh
 
     # ---------------------------------------------------------------- advance

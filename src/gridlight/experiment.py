@@ -391,7 +391,7 @@ def run_episode(
             obs = world.observe(iid) * obs_scale
             if iid in pending:
                 s_prev, a_prev = pending.pop(iid)
-                r = reward(world.movement_counts(iid).values(), reward_kind)
+                r = reward(world.movement_counts(iid), reward_kind)
                 learner_ctx.buffer.push(Transition(s_prev, a_prev, r, obs, False))
                 batch = learner_ctx.buffer.sample(config.batch_size, learner_ctx.sample_rng)
                 if batch is not None:
@@ -420,9 +420,7 @@ def run_episode(
                     phase=decision.phase,
                     green_duration=decision.green_duration,
                     switched=world.signals[iid].mode == YELLOW,
-                    counts=tuple(
-                        len(world.lanes[lane_id].vehicles) for lane_id in inter.incoming_lanes
-                    ),
+                    counts=tuple(world.incoming_occupancy(iid).tolist()),
                     ideal_npass=ideal_npass,
                     phase_movement_ids=granted,
                 )
@@ -435,7 +433,7 @@ def run_episode(
     for iid, (rec, base) in open_records.items():
         rec.actual_discharged = interval_crossings(rec) - base
     for iid, (s_prev, a_prev) in pending.items():
-        r = reward(world.movement_counts(iid).values(), reward_kind)
+        r = reward(world.movement_counts(iid), reward_kind)
         s_now = world.observe(iid) * obs_scale
         learner_ctx.buffer.push(Transition(s_prev, a_prev, r, s_now, True))
 

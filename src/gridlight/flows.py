@@ -17,12 +17,14 @@ Flow files are a JSON subset of the CityFlow flow list; see
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .network import RoadNetwork, Turn, resolve_route
 
 __all__ = [
+    "MAX_FLOW_EVENTS",
     "FlowSpec",
     "SpawnEvent",
     "straight_route",
@@ -34,6 +36,11 @@ __all__ = [
     "save_flow_file",
     "load_flow_file",
 ]
+
+
+#: Most departures a flow file may describe in total; a file over it is
+#: rejected before any event is built, so a tiny interval cannot exhaust memory.
+MAX_FLOW_EVENTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -53,10 +60,14 @@ class FlowSpec:
     vehicle: Optional[dict] = field(default=None, compare=True)
 
     def __post_init__(self) -> None:
-        if self.interval <= 0:
-            raise ValueError("flow interval must be > 0")
+        if not 0 < self.interval < math.inf:
+            raise ValueError(f"flow interval must be finite and > 0, got {self.interval}")
         if self.start > self.end:
             raise ValueError("flow start must be <= end")
+
+    def departures(self) -> float:
+        """How many vehicles the stream sends, in closed form."""
+        return (self.end - self.start) // self.interval + 1
 
 
 @dataclass(frozen=True)
@@ -200,30 +211,31 @@ def load_flow_file(path: str, net: RoadNetwork) -> list[FlowSpec]:
     """Read a flow file, resolving every route against the network.
 
     Raises ``ValueError`` naming the record index for malformed records and
-    the offending id for unresolvable roads.
+    the offending id for unresolvable roads, and when the records describe
+    more than :data:`MAX_FLOW_EVENTS` departures in total.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, list):
         raise ValueError(f"{path}: expected a JSON array of flow records")
     flows: list[FlowSpec] = []
+    departures = 0.0
     for idx, rec in enumerate(doc):
         try:
             route = tuple(rec["route"])
             interval = float(rec["interval"])
             start = int(rec["startTime"])
             end = int(rec["endTime"])
+            vehicle = rec.get("vehicle")
+            if vehicle is not None:
+                if not isinstance(vehicle, dict):
+                    raise TypeError(f"vehicle must be an object, got {vehicle!r}")
+                vehicle = {k: float(v) for k, v in vehicle.items() if k in _VEHICLE_KEYS}
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed flow record #{idx}: {exc}") from exc
         try:
             entry_lane, _ = resolve_route(net, route)
-        except KeyError as exc:
-            raise ValueError(f"{path}: flow record #{idx}: {exc.args[0]}") from exc
-        vehicle = None
-        if "vehicle" in rec:
-            vehicle = {k: float(v) for k, v in rec["vehicle"].items() if k in _VEHICLE_KEYS}
-        flows.append(
-            FlowSpec(
+            flow = FlowSpec(
                 route=route,
                 start=start,
                 end=end,
@@ -231,6 +243,16 @@ def load_flow_file(path: str, net: RoadNetwork) -> list[FlowSpec]:
                 entry_lane=entry_lane,
                 vehicle=vehicle,
             )
-        )
+        except KeyError as exc:
+            raise ValueError(f"{path}: flow record #{idx}: {exc.args[0]}") from exc
+        except ValueError as exc:
+            raise ValueError(f"{path}: flow record #{idx}: {exc}") from exc
+        departures += flow.departures()
+        if departures > MAX_FLOW_EVENTS:
+            raise ValueError(
+                f"{path}: flow record #{idx} brings the file to {departures:.4g} departures, "
+                f"over the limit of {MAX_FLOW_EVENTS}"
+            )
+        flows.append(flow)
     return flows
 

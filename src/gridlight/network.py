@@ -30,6 +30,7 @@ __all__ = [
     "RoadNetwork",
     "lane_capacity",
     "standard_phase_table",
+    "movement_column",
     "assemble_network",
     "build_grid",
     "validate",
@@ -196,6 +197,11 @@ def standard_phase_table() -> tuple[tuple[tuple[str, Turn], ...], ...]:
         (("W", Turn.LEFT), ("E", Turn.LEFT)),
         (("N", Turn.LEFT), ("S", Turn.LEFT)),
     )
+
+
+def movement_column(approach: str, turn: Turn) -> int:
+    """Position of an (approach, turn) movement in the canonical order."""
+    return APPROACHES.index(approach) * len(TURNS) + TURNS.index(turn)
 
 
 def turn_between(heading_in: str, heading_out: str) -> Turn:
@@ -445,9 +451,6 @@ def validate(net: RoadNetwork) -> list[str]:
     """
     problems: list[str] = []
     table = standard_phase_table()
-    covered_by_phases = {
-        (approach, turn) for pair in table for approach, turn in pair
-    }
 
     for lane_id, lane in net.lanes.items():
         if lane.id != lane_id:
@@ -516,6 +519,15 @@ def validate(net: RoadNetwork) -> list[str]:
         non_right = {m.id for m in inter.movements if m.turn is not Turn.RIGHT}
         if len(in_phase) == 8 and (set(in_phase) != non_right or len(set(in_phase)) != 8):
             problems.append(f"{prefix}: phases do not partition the 8 controlled movements")
+        # the engine reads counts by canonical position: phase k serves the
+        # movements of table row k, and incoming lane j feeds movement j
+        if len(inter.movements) == 12 and len(inter.phases) == 4:
+            for phase, pair in zip(inter.phases, table):
+                served = tuple(inter.movements[movement_column(a, t)].id for a, t in pair)
+                if phase.movements != served:
+                    problems.append(f"{prefix} phase {phase.id}: not the standard movements {served}")
+        if inter.incoming_lanes != tuple(m.in_lane for m in inter.movements):
+            problems.append(f"{prefix}: incoming lanes are not the movements' lanes in order")
 
     # boundary / connectivity checks
     for lane_id, side in net.boundary_entries:

@@ -36,6 +36,16 @@ def _warn_ignored(record: dict[str, Any], known: set[str], seen: set[str], where
             log.warning("ignoring unsupported roadnet field %r (%s)", key, where)
 
 
+def _require_object(path: str, what: str, rec: Any) -> None:
+    if not isinstance(rec, dict):
+        raise RoadnetFormatError(f"{path}: malformed {what} record: {rec!r}")
+
+
+def _require_string(path: str, what: str, value: Any) -> None:
+    if not isinstance(value, str):
+        raise RoadnetFormatError(f"{path}: {what} must be a string, got {value!r}")
+
+
 def load_roadnet(path: str, l_v: float = 5.0, l_g: float = 2.5) -> RoadNetwork:
     """Load a roadnet JSON file and map it onto a :class:`RoadNetwork`.
 
@@ -51,12 +61,14 @@ def load_roadnet(path: str, l_v: float = 5.0, l_g: float = 2.5) -> RoadNetwork:
     positions: dict[str, tuple[float, float]] = {}
     virtual: set[str] = set()
     for rec in doc["intersections"]:
+        _require_object(path, "intersection", rec)
         _warn_ignored(rec, _INTERSECTION_KEYS, seen_ignored, "intersection")
         try:
             node_id = rec["id"]
             point = (float(rec["point"]["x"]), float(rec["point"]["y"]))
         except (KeyError, TypeError) as exc:
             raise RoadnetFormatError(f"{path}: malformed intersection record: {rec!r}") from exc
+        _require_string(path, "intersection id", node_id)
         if node_id in positions:
             raise RoadnetFormatError(f"{path}: repeated intersection id {node_id}")
         positions[node_id] = point
@@ -66,12 +78,16 @@ def load_roadnet(path: str, l_v: float = 5.0, l_g: float = 2.5) -> RoadNetwork:
     roads: list[tuple[str, str, str, float, float]] = []
     road_ids: set[str] = set()
     for rec in doc["roads"]:
+        _require_object(path, "road", rec)
         _warn_ignored(rec, _ROAD_KEYS, seen_ignored, "road")
         try:
             road_id = rec["id"]
             start, end = rec["startIntersection"], rec["endIntersection"]
         except KeyError as exc:
             raise RoadnetFormatError(f"{path}: malformed road record: {rec!r}") from exc
+        _require_string(path, "road id", road_id)
+        _require_string(path, f"road {road_id} startIntersection", start)
+        _require_string(path, f"road {road_id} endIntersection", end)
         if road_id in road_ids:
             raise RoadnetFormatError(f"{path}: repeated road id {road_id}")
         road_ids.add(road_id)

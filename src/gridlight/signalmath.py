@@ -9,14 +9,17 @@ the dynamic green duration derived from it, and the per-intersection reward
 variants used by the learning controllers.
 
 All functions are pure and operate on plain value objects, so they are safe
-to call from anywhere.
+to call from anywhere.  Movement counts are vectors: one element per
+movement, so an intersection's 12 movements are scored in one call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Union
+
+import numpy as np
 
 __all__ = [
     "KinematicParams",
@@ -61,28 +64,37 @@ DEFAULT_KINEMATICS = KinematicParams(
 
 @dataclass(frozen=True)
 class MovementCounts:
-    """Vehicle counts attached to one traffic movement.
+    """Vehicle counts attached to traffic movements.
 
     ``n_in`` vehicles on the incoming lane, ``n_out`` on the outgoing lane,
-    ``n_max`` the outgoing lane's capacity.
+    ``n_max`` the outgoing lane's capacity.  The fields are either scalars
+    (one movement) or equal-length integer vectors (one element per
+    movement, the canonical (W, E, N, S) x (left, straight, right) order
+    for an intersection's 12), and every formula below works on both.
     """
 
-    n_in: int
-    n_out: int
-    n_max: int
+    n_in: Union[int, np.ndarray]
+    n_out: Union[int, np.ndarray]
+    n_max: Union[int, np.ndarray]
 
     def __post_init__(self) -> None:
-        if self.n_in < 0 or self.n_out < 0:
+        n_in, n_out, n_max = self.n_in, self.n_out, self.n_max
+        # one pass for the common, valid case (n_max >= max(n_out, 1) holds both
+        # capacity rules); the checks below name the fault
+        if np.minimum(np.minimum(n_in, n_out), n_max - np.maximum(n_out, 1)).min() >= 0:
+            return
+        if np.min(n_in) < 0 or np.min(n_out) < 0:
             raise ValueError("vehicle counts must be non-negative")
-        if self.n_max < 1:
+        if np.min(n_max) < 1:
             raise ValueError("outgoing-lane capacity must be >= 1")
-        if self.n_out > self.n_max:
-            raise ValueError(
-                f"n_out={self.n_out} exceeds outgoing capacity n_max={self.n_max}"
-            )
+        i = int(np.argmax(np.ravel(n_out > n_max)))
+        raise ValueError(
+            f"n_out={np.ravel(n_out)[i]} exceeds outgoing capacity n_max={np.ravel(n_max)[i]}"
+            + (f" at movement {i}" if np.ndim(n_out) else "")
+        )
 
 
-def prcol(c: MovementCounts) -> float:
+def prcol(c: MovementCounts):
     """Pressure with remaining capacity of the outgoing lane.
 
     ``n_in * (1 - n_out / n_max)``: the incoming demand discounted by how
@@ -92,23 +104,23 @@ def prcol(c: MovementCounts) -> float:
     return c.n_in * (1.0 - c.n_out / c.n_max)
 
 
-def pressure(c: MovementCounts) -> float:
+def pressure(c: MovementCounts):
     """Classic movement pressure: incoming minus outgoing count."""
-    return float(c.n_in - c.n_out)
+    return np.subtract(c.n_in, c.n_out, dtype=float)
 
 
-def n_pass(c: MovementCounts) -> int:
+def n_pass(c: MovementCounts):
     """Vehicles able to cross: limited by demand and by free space downstream."""
-    return min(c.n_in, c.n_max - c.n_out)
+    return np.minimum(c.n_in, c.n_max - c.n_out)
 
 
-def phase_score(
-    counts: Mapping[str, MovementCounts], movement_ids: Iterable[str], metric: str
-) -> float:
-    """Sum a movement metric over the movements granted green by one phase.
+def phase_score(counts: MovementCounts, columns, metric: str) -> np.ndarray:
+    """Per-phase sums of a movement metric.
 
-    ``metric`` is ``"prcol"`` or ``"pressure"``.  Right-turn movements never
-    appear in a phase, so the caller only passes the controlled movements.
+    ``columns`` holds one row of movement positions in ``counts`` per
+    phase (the movements the phase grants green); the result has one score
+    per row.  ``metric`` is ``"prcol"`` or ``"pressure"``.  Right-turn
+    movements never appear in a phase.
     """
     if metric == "prcol":
         fn = prcol
@@ -116,7 +128,7 @@ def phase_score(
         fn = pressure
     else:
         raise ValueError(f"unknown phase metric {metric!r}")
-    return sum(fn(counts[m]) for m in movement_ids)
+    return fn(counts)[columns].sum(axis=-1)
 
 
 def platoon_clear_time(n: int, k: KinematicParams = DEFAULT_KINEMATICS) -> float:
@@ -139,20 +151,21 @@ def platoon_clear_time(n: int, k: KinematicParams = DEFAULT_KINEMATICS) -> float
 
 
 def green_duration(
-    phase_counts: Iterable[MovementCounts],
+    counts: MovementCounts,
+    columns,
     k: KinematicParams = DEFAULT_KINEMATICS,
     t_min: int = 10,
     t_max: int = 20,
 ) -> int:
     """Green time for a phase, from the longest queue it has to serve.
 
-    Takes the maximum :func:`n_pass` over the phase's movements, converts it
-    to a clearance time, rounds up to whole seconds and clamps to
-    ``[t_min, t_max]``.
+    Takes the maximum :func:`n_pass` over the movements at ``columns`` of
+    ``counts`` (the phase's movements), converts it to a clearance time,
+    rounds up to whole seconds and clamps to ``[t_min, t_max]``.
     """
     if t_min > t_max:
         raise ValueError("t_min must be <= t_max")
-    worst = max((n_pass(c) for c in phase_counts), default=0)
+    worst = int(np.max(n_pass(counts)[columns], initial=0))
     t = math.ceil(platoon_clear_time(worst, k))
     return min(max(t, t_min), t_max)
 
@@ -160,19 +173,21 @@ def green_duration(
 REWARD_KINDS = ("prcol", "pressure", "queue")
 
 
-def reward(counts: Iterable[MovementCounts], kind: str) -> float:
+def reward(counts: MovementCounts, kind: str) -> float:
     """Per-intersection reward over its 12 movements (higher is better).
 
     ``prcol``     negated sum of movement PRCOL values.
     ``pressure``  negated absolute value of the summed movement pressures
                   (the PressLight-style convention).
     ``queue``     negated total vehicle count on the incoming lanes.
+
+    The sums run left to right in Python floats: numpy's pairwise sum
+    rounds differently, and the learner's trajectories depend on the last bit.
     """
-    counts = list(counts)
     if kind == "prcol":
-        return -sum(prcol(c) for c in counts)
+        return -sum(prcol(counts).tolist())
     if kind == "pressure":
-        return -abs(sum(pressure(c) for c in counts))
+        return -abs(sum(pressure(counts).tolist()))
     if kind == "queue":
-        return -float(sum(c.n_in for c in counts))
+        return -float(np.sum(counts.n_in))
     raise ValueError(f"unknown reward kind {kind!r}")

@@ -24,11 +24,14 @@ Identical runs produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .engine import StepTelemetry
+import numpy as np
+
+from .engine import GREEN, YELLOW, StepTelemetry, movement_tables
 from .network import RoadNetwork
 
 __all__ = [
@@ -86,23 +89,52 @@ class DecisionRecord:
         )
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as :mod:`csv` writes it inside a row (quoted only if it must be)."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow([text, ""])
+    return buf.getvalue()[:-1]
+
+
 def write_telemetry_csv(path: str, net: RoadNetwork, steps: Iterable[StepTelemetry]) -> None:
-    """Render per-step telemetry into the documented per-intersection rows."""
-    inters = [(i.id, i.incoming_lanes, [m.id for m in i.movements]) for i in net.intersections]
+    """Render per-step telemetry into the documented per-intersection rows.
+
+    Each step's incoming-lane occupancies are gathered with one index
+    table, its sparse discharges scattered into a zero block, and each row
+    is written with one precomputed format, tick by tick.
+    """
+    incoming = movement_tables(net)[0]
+    n_rows = len(net.intersections)
+    slot = {
+        m.id: r * 12 + j
+        for r, inter in enumerate(net.intersections)
+        for j, m in enumerate(inter.movements)
+    }
+    labels = [_csv_field(inter.id) for inter in net.intersections]
+    row = "%d,%s,%d,%s," + ",".join(["%d"] * 24) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TELEMETRY_HEADER)
+        csv.writer(fh).writerow(TELEMETRY_HEADER)
         for step in steps:
-            if step.lane_occupancy is None:
+            if step.occupancy is None:
                 raise ValueError("telemetry rows need steps collected with collect=True")
-            occ = step.lane_occupancy
-            for inter_id, lanes, movement_ids in inters:
-                phase, mode = step.signals[inter_id]
-                writer.writerow(
-                    [step.time, inter_id, phase, mode]
-                    + [occ[lane_id] for lane_id in lanes]
-                    + [step.discharged.get(mid, 0) for mid in movement_ids]
+            discharged = np.zeros(n_rows * 12, dtype=np.int64)
+            for mid, n in step.discharged.items():
+                discharged[slot[mid]] = n
+            counts = np.concatenate(
+                (step.occupancy[incoming], discharged.reshape(n_rows, 12)), axis=1
+            ).tolist()
+            modes = [YELLOW if y else GREEN for y in step.yellow.tolist()]
+            t = step.time
+            fh.write(
+                "".join(
+                    [
+                        row % (t, label, phase, mode, *values)
+                        for label, phase, mode, values in zip(
+                            labels, step.phases.tolist(), modes, counts
+                        )
+                    ]
                 )
+            )
 
 
 def write_decisions_csv(path: str, records: Iterable[DecisionRecord]) -> None:

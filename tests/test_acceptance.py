@@ -63,7 +63,6 @@ from gridlight.signalmath import (
     DEFAULT_KINEMATICS,
     MovementCounts,
     n_pass,
-    phase_score,
     platoon_clear_time,
     prcol,
 )
@@ -265,25 +264,33 @@ def test_criterion_05_dqn_numerics():
 # ---------------------------------------------------------------- criterion 6
 
 
+def phase_columns(inter) -> list[list[int]]:
+    """Per phase, the canonical positions of the movements it serves, by id."""
+    column = {m.id: j for j, m in enumerate(inter.movements)}
+    return [[column[mid] for mid in p.movements] for p in inter.phases]
+
+
 def test_criterion_06_maxpressure_oracle():
     net = build_grid(1, 1, 300, 300)
     inter = net.intersections[0]
+    columns = phase_columns(inter)
     rng = np.random.default_rng(99)
     ties_seen = 0
     for trial in range(1000):
         # small ranges on even trials force frequent score ties
         hi = 4 if trial % 2 == 0 else 30
-        counts = {}
-        for m in inter.movements:
-            n_max = 40
-            counts[m.id] = MovementCounts(
-                int(rng.integers(0, hi)), int(rng.integers(0, hi)), n_max
+        draws = np.array([(rng.integers(0, hi), rng.integers(0, hi)) for _ in inter.movements])
+        counts = MovementCounts(draws[:, 0], draws[:, 1], np.full(12, 40))
+        # brute force: the two movement pressures of each phase, summed by hand
+        scores = []
+        for a, b in columns:
+            scores.append(
+                float(counts.n_in[a] - counts.n_out[a]) + float(counts.n_in[b] - counts.n_out[b])
             )
-        scores = [phase_score(counts, p.movements, "pressure") for p in inter.phases]
         best = scores.index(max(scores))
         if scores.count(max(scores)) > 1:
             ties_seen += 1
-        assert decide_maxpressure(counts, inter.phases) == best
+        assert decide_maxpressure(counts, columns) == best
     assert ties_seen > 0
     ok(6, f"1000 random count vectors match brute force, {ties_seen} ties broken low")
 
@@ -349,22 +356,21 @@ def test_criterion_08_flow_generation(tmp_path):
 def test_criterion_09_spillback_behavior():
     net = build_grid(1, 1, 300, 300)
     inter = net.intersections[0]
+    columns = phase_columns(inter)
     rng = np.random.default_rng(31)
     for _ in range(1000):
         blocked = int(rng.integers(4))
         unblocked = int((blocked + 1 + rng.integers(3)) % 4)
-        counts = {}
-        for m in inter.movements:
-            counts[m.id] = MovementCounts(
-                int(rng.integers(0, 20)), int(rng.integers(0, 41)), 40
-            )
-        for mid in inter.phases[blocked].movements:
-            counts[mid] = MovementCounts(int(rng.integers(1, 20)), 40, 40)
-        for mid in inter.phases[unblocked].movements:
-            counts[mid] = MovementCounts(int(rng.integers(1, 20)), int(rng.integers(0, 20)), 40)
-        for mid in inter.phases[blocked].movements:
-            assert prcol(counts[mid]) == 0.0
-        assert decide_greedy(counts, inter.phases, "prcol") != blocked
+        draws = np.array([(rng.integers(0, 20), rng.integers(0, 41)) for _ in inter.movements])
+        n_in, n_out = draws[:, 0], draws[:, 1]
+        for j in columns[blocked]:
+            n_in[j], n_out[j] = rng.integers(1, 20), 40
+        for j in columns[unblocked]:
+            n_in[j], n_out[j] = rng.integers(1, 20), rng.integers(0, 20)
+        counts = MovementCounts(n_in, n_out, np.full(12, 40))
+        for j in columns[blocked]:
+            assert prcol(counts)[j] == 0.0
+        assert decide_greedy(counts, columns, "prcol") != blocked
     ok(9, "full outgoing lanes: movement PRCOL = 0 and the blocked phase never chosen (1000 trials)")
 
 

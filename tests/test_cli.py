@@ -140,6 +140,55 @@ class TestConfigErrors:
         assert len(err.splitlines()) == 1
         assert "max_speed" in err, err
 
+    @pytest.mark.parametrize(
+        "edit,named",
+        [
+            (lambda doc: doc["roads"][0].update(id=["x"]), "road id"),
+            (lambda doc: doc["roads"][0].update(startIntersection=["b_w_0"]), "startIntersection"),
+            (lambda doc: doc["roads"][0].update(endIntersection=7), "endIntersection"),
+            (lambda doc: doc["intersections"][0].update(id=["b_n_0"]), "intersection id"),
+        ],
+        ids=["road-id-list", "start-list", "end-int", "intersection-id-list"],
+    )
+    def test_non_string_roadnet_id_is_one_line(self, tmp_path, capsys, edit, named):
+        roadnet_path = tmp_path / "roadnet.json"
+        save_roadnet(build_grid(1, 1, 300, 300), str(roadnet_path))
+        doc = json.loads(roadnet_path.read_text())
+        edit(doc)
+        roadnet_path.write_text(json.dumps(doc))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"network": {"kind": "roadnet", "path": str(roadnet_path)}}))
+        code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert named in err and "must be a string" in err, err
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("interval", float("nan")),
+            ("interval", float("inf")),
+            ("interval", 1e-9),
+            ("vehicle", "fast"),
+            ("vehicle", [4.5]),
+        ],
+        ids=["interval-nan", "interval-inf", "interval-tiny", "vehicle-string", "vehicle-list"],
+    )
+    def test_bad_flow_record_is_one_line(self, tmp_path, capsys, field, value):
+        flow_path = tmp_path / "flows.json"
+        save_flow_file(syn_light_flows(build_grid(3, 3, 300, 300)), str(flow_path))
+        doc = json.loads(flow_path.read_text())
+        doc[3][field] = value
+        flow_path.write_text(json.dumps(doc))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"flow": {"kind": "file", "path": str(flow_path)}, "horizon": 60}))
+        code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert "#3" in err, err
+
 
 class TestEval:
     def test_eval_checkpoint(self, tmp_path):

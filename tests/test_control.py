@@ -31,24 +31,36 @@ def world(net):
     return World(net)
 
 
+def phase_columns(inter) -> list[list[int]]:
+    """Per phase, the canonical positions of the movements it serves, by id."""
+    column = {m.id: j for j, m in enumerate(inter.movements)}
+    return [[column[mid] for mid in p.movements] for p in inter.phases]
+
+
+def uniform(n_in, n_out, n_max, n=12):
+    """The same counts on every movement, as one vector MovementCounts."""
+    return MovementCounts(np.full(n, n_in), np.full(n, n_out), np.full(n, n_max))
+
+
 def random_counts(rng, inter, n_max=40, blocked_phase=None, positive_phase=None):
-    """Random movement counts; optionally pin one phase's outgoing lanes full
-    and guarantee another phase real demand with free space."""
-    counts = {}
-    blocked = set()
-    if blocked_phase is not None:
-        blocked = set(inter.phases[blocked_phase].movements)
-    positive = set()
-    if positive_phase is not None:
-        positive = set(inter.phases[positive_phase].movements)
-    for m in inter.movements:
-        if m.id in blocked:
-            counts[m.id] = MovementCounts(int(rng.integers(1, 20)), n_max, n_max)
-        elif m.id in positive:
-            counts[m.id] = MovementCounts(int(rng.integers(1, 20)), int(rng.integers(0, 10)), n_max)
+    """Random movement counts as one vector; optionally pin one phase's
+    outgoing lanes full and guarantee another phase real demand with free
+    space."""
+    columns = phase_columns(inter)
+    blocked = set(columns[blocked_phase]) if blocked_phase is not None else set()
+    positive = set(columns[positive_phase]) if positive_phase is not None else set()
+    n_in, n_out = [], []
+    for j in range(len(inter.movements)):
+        if j in blocked:
+            n_in.append(int(rng.integers(1, 20)))
+            n_out.append(n_max)
+        elif j in positive:
+            n_in.append(int(rng.integers(1, 20)))
+            n_out.append(int(rng.integers(0, 10)))
         else:
-            counts[m.id] = MovementCounts(int(rng.integers(0, 20)), int(rng.integers(0, n_max + 1)), n_max)
-    return counts
+            n_in.append(int(rng.integers(0, 20)))
+            n_out.append(int(rng.integers(0, n_max + 1)))
+    return MovementCounts(np.array(n_in), np.array(n_out), np.full(len(n_in), n_max))
 
 
 class TestFixedTime:
@@ -73,53 +85,50 @@ class TestFixedTime:
 class TestMaxPressure:
     def test_only_loaded_phase_wins(self, net):
         inter = net.intersections[0]
-        counts = {m.id: MovementCounts(0, 0, 40) for m in inter.movements}
-        for mid in inter.phases[0].movements:
-            counts[mid] = MovementCounts(10, 0, 40)
-        assert decide_maxpressure(counts, inter.phases) == 0
+        columns = phase_columns(inter)
+        n_in = np.zeros(12, dtype=int)
+        n_in[columns[0]] = 10
+        counts = MovementCounts(n_in, np.zeros(12, dtype=int), np.full(12, 40))
+        assert decide_maxpressure(counts, columns) == 0
 
     def test_all_zero_tie_breaks_low(self, net):
         inter = net.intersections[0]
-        counts = {m.id: MovementCounts(0, 0, 40) for m in inter.movements}
-        assert decide_maxpressure(counts, inter.phases) == 0
+        assert decide_maxpressure(uniform(0, 0, 40), phase_columns(inter)) == 0
 
     def test_matches_brute_force_enumeration(self, net):
         inter = net.intersections[0]
+        columns = phase_columns(inter)
         rng = np.random.default_rng(123)
         for _ in range(1000):
             counts = random_counts(rng, inter)
-            scores = [
-                phase_score(counts, phase.movements, "pressure") for phase in inter.phases
-            ]
+            scores = [float(phase_score(counts, [cols], "pressure")[0]) for cols in columns]
             best = scores.index(max(scores))  # first maximum = lowest index
-            assert decide_maxpressure(counts, inter.phases) == best
+            assert decide_maxpressure(counts, columns) == best
 
     def test_scale_invariance(self, net):
         inter = net.intersections[0]
+        columns = phase_columns(inter)
         rng = np.random.default_rng(7)
         for _ in range(200):
-            base = {
-                m.id: MovementCounts(int(rng.integers(0, 10)), int(rng.integers(0, 10)), 100)
-                for m in inter.movements
-            }
-            tripled = {
-                mid: MovementCounts(c.n_in * 3, c.n_out * 3, 300) for mid, c in base.items()
-            }
-            assert decide_maxpressure(base, inter.phases) == decide_maxpressure(tripled, inter.phases)
+            draws = np.array([(rng.integers(0, 10), rng.integers(0, 10)) for _ in inter.movements])
+            base = MovementCounts(draws[:, 0], draws[:, 1], np.full(12, 100))
+            tripled = MovementCounts(base.n_in * 3, base.n_out * 3, np.full(12, 300))
+            assert decide_maxpressure(base, columns) == decide_maxpressure(tripled, columns)
 
 
 class TestGreedyPrcol:
     def test_never_selects_blocked_phase(self, net):
         # one phase's outgoing lanes pinned full, another with demand + space
         inter = net.intersections[0]
+        columns = phase_columns(inter)
         rng = np.random.default_rng(99)
         for _ in range(1000):
             blocked = int(rng.integers(4))
             positive = int((blocked + 1 + rng.integers(3)) % 4)
             counts = random_counts(rng, inter, blocked_phase=blocked, positive_phase=positive)
-            for mid in inter.phases[blocked].movements:
-                assert phase_score(counts, (mid,), "prcol") == 0.0
-            assert decide_greedy(counts, inter.phases, "prcol") != blocked
+            for j in columns[blocked]:
+                assert phase_score(counts, [[j]], "prcol")[0] == 0.0
+            assert decide_greedy(counts, columns, "prcol") != blocked
 
     def test_dynamic_durations_stay_in_range(self, net):
         w = World(net)
@@ -194,21 +203,18 @@ class TestDQNDecide:
 
 class TestRewardOf:
     def test_empty_intersection_all_kinds(self, net):
-        inter = net.intersections[0]
-        counts = {m.id: MovementCounts(0, 0, 40) for m in inter.movements}
+        counts = uniform(0, 0, 40, n=len(net.intersections[0].movements))
         for kind in ("prcol", "pressure", "queue"):
-            assert reward(counts.values(), kind) == 0.0
+            assert reward(counts, kind) == 0.0
 
     def test_saturated_outgoing_divergence(self, net):
-        inter = net.intersections[0]
-        counts = {m.id: MovementCounts(10, 40, 40) for m in inter.movements}
-        assert reward(counts.values(), "prcol") == 0.0
-        assert reward(counts.values(), "pressure") == pytest.approx(-360.0)
+        counts = uniform(10, 40, 40, n=len(net.intersections[0].movements))
+        assert reward(counts, "prcol") == 0.0
+        assert reward(counts, "pressure") == pytest.approx(-360.0)
 
     def test_reference_prcol_value(self, net):
-        inter = net.intersections[0]
-        counts = {m.id: MovementCounts(10, 20, 40) for m in inter.movements}
-        assert reward(counts.values(), "prcol") == pytest.approx(-60.0)
+        counts = uniform(10, 20, 40, n=len(net.intersections[0].movements))
+        assert reward(counts, "prcol") == pytest.approx(-60.0)
 
 
 class TestBuildController:

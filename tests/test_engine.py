@@ -36,7 +36,12 @@ class TestStepBasics:
         tel = world.step()
         assert tel.entered == 0 and tel.exited == 0
         assert tel.discharged == {}
-        assert all(v == 0 for v in tel.lane_occupancy.values())
+        assert tel.occupancy.tolist() == [0] * len(world.net.lanes)
+        assert tel.phases.tolist() == [0] and tel.yellow.tolist() == [False]
+
+    def test_uncollected_step_carries_no_vectors(self):
+        tel = single().step(collect=False)
+        assert tel.occupancy is None and tel.phases is None and tel.yellow is None
 
     def test_tick_is_fixed(self):
         with pytest.raises(ValueError):
@@ -348,6 +353,58 @@ class TestInvariantsFuzz:
         self._run_fuzzed_episode(seed)
 
 
+class TestOccupancyVector:
+    """The lane-occupancy vector every count is read from matches the lanes."""
+
+    @staticmethod
+    def _assert_matches_lanes(world: World) -> None:
+        assert world.lane_occupancy().tolist() == [len(ls.vehicles) for ls in world.lanes.values()]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_after_every_tick_and_placement(self, seed):
+        rng = np.random.default_rng(20_000 + seed)
+        net = build_grid(1, 2, 120, 90)
+        events = []
+        for road_id, _ in net.entry_roads:
+            from gridlight.flows import straight_route
+            from gridlight.network import resolve_route
+
+            route = straight_route(net, road_id)
+            entry_lane, _ = resolve_route(net, route)
+            interval = int(rng.integers(2, 15))
+            events += [SpawnEvent(t, route, entry_lane) for t in range(0, 300, interval)]
+        events.sort(key=lambda e: e.time)
+        world = World(net, events)
+        lane_ids = list(net.lanes)
+        placed = 0
+        for tick in range(300):
+            for inter in net.intersections:
+                if world.needs_decision(inter.id):
+                    world.apply_decision(inter.id, int(rng.integers(4)), int(rng.integers(10, 21)))
+            tel = world.step(collect=tick % 2 == 0)
+            self._assert_matches_lanes(world)
+            if tel.occupancy is not None:
+                assert tel.occupancy.tolist() == world.lane_occupancy().tolist()
+                assert tel.phases.tolist() == [s.current_phase for s in world.signals.values()]
+                assert tel.yellow.tolist() == [s.mode == YELLOW for s in world.signals.values()]
+            for inter in net.intersections:
+                counts = world.movement_counts(inter.id)
+                assert counts.n_in.tolist() == [world.occupancy(m.in_lane) for m in inter.movements]
+                assert counts.n_out.tolist() == [world.occupancy(m.out_lane) for m in inter.movements]
+            # placements between ticks invalidate the vector read just before them
+            lane_id = lane_ids[int(rng.integers(len(lane_ids)))]
+            ls = world.lanes[lane_id]
+            room = len(ls.vehicles) < ls.lane.capacity and (
+                not ls.vehicles or ls.vehicles[-1].pos >= world.k.headway
+            )
+            if room and rng.random() < 0.3:
+                world.lane_occupancy()
+                world.place_vehicle(lane_id, pos=0.0, speed=0.0)
+                self._assert_matches_lanes(world)
+                placed += 1
+        assert placed > 0
+
+
 class TestDeterminism:
     def _history(self):
         net = build_grid(2, 2, 150, 150)
@@ -366,8 +423,9 @@ class TestDeterminism:
                     tel.entered,
                     tel.exited,
                     tuple(sorted(tel.discharged.items())),
-                    tuple(sorted(tel.lane_occupancy.items())),
-                    tuple(sorted(tel.signals.items())),
+                    tuple(tel.occupancy.tolist()),
+                    tuple(tel.phases.tolist()),
+                    tuple(tel.yellow.tolist()),
                 )
             )
         return stream

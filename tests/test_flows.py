@@ -6,6 +6,7 @@ import json
 import pytest
 
 from gridlight.flows import (
+    MAX_FLOW_EVENTS,
     FlowSpec,
     expand_flows,
     gen_syn_heavy,
@@ -142,11 +143,33 @@ class TestFlowFiles:
         assert loaded[0].vehicle == {"length": 4.0, "minGap": 2.0, "maxSpeed": 10.0, "acceleration": 3.0}
 
 
+    def test_event_cap(self, grid, tmp_path):
+        flow = syn_light_flows(grid)[0]
+        record = {"route": list(flow.route), "interval": 1, "startTime": 0, "endTime": 3599}
+        path = tmp_path / "flow.json"
+        fits = MAX_FLOW_EVENTS // 3600
+        path.write_text(json.dumps([record] * fits))
+        assert len(load_flow_file(str(path), grid)) == fits
+        path.write_text(json.dumps([record] * (fits + 1)))
+        with pytest.raises(ValueError, match=f"#{fits}.*limit of {MAX_FLOW_EVENTS}"):
+            load_flow_file(str(path), grid)
+
+
 class TestFlowSpecInvariants:
     def test_rejects_bad_interval(self, grid):
         flow = syn_light_flows(grid)[0]
         with pytest.raises(ValueError):
             FlowSpec(route=flow.route, start=0, end=10, interval=0, entry_lane=flow.entry_lane)
+
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
+    def test_rejects_non_finite_interval(self, grid, interval):
+        flow = syn_light_flows(grid)[0]
+        with pytest.raises(ValueError, match="finite"):
+            FlowSpec(route=flow.route, start=0, end=10, interval=interval, entry_lane=flow.entry_lane)
+
+    def test_departures_in_closed_form(self, grid):
+        for flow in syn_heavy_flows(grid):
+            assert flow.departures() == len(expand_flows([flow]))
 
     def test_rejects_inverted_window(self, grid):
         flow = syn_light_flows(grid)[0]

@@ -315,8 +315,23 @@ class TestRoadnetFiles:
             (lambda doc: doc["roads"][0].update(length=float("inf")), "road rd__b_w_0__i_0_0 length"),
             (lambda doc: doc["roads"].append(dict(doc["roads"][0])), "repeated road id rd__b_w_0__i_0_0"),
             (lambda doc: doc["intersections"].append(dict(doc["intersections"][0])), "repeated intersection id b_n_0"),
+            (lambda doc: doc["intersections"][0].update(id=3), "intersection id must be a string, got 3"),
+            (lambda doc: doc["roads"][0].update(id=["x"]), r"road id must be a string, got \['x'\]"),
+            (
+                lambda doc: doc["roads"][0].update(startIntersection=["b_w_0"]),
+                r"road rd__b_w_0__i_0_0 startIntersection must be a string, got \['b_w_0'\]",
+            ),
+            (
+                lambda doc: doc["roads"][0].update(endIntersection={"id": "i_0_0"}),
+                "road rd__b_w_0__i_0_0 endIntersection must be a string",
+            ),
+            (lambda doc: doc["roads"].append(3), "malformed road record: 3"),
+            (lambda doc: doc["intersections"].insert(0, ["b_n_0"]), r"malformed intersection record: \['b_n_0'\]"),
         ],
-        ids=["infinite-length", "repeated-road", "repeated-intersection"],
+        ids=[
+            "infinite-length", "repeated-road", "repeated-intersection", "intersection-id-int",
+            "road-id-list", "start-list", "end-object", "road-not-object", "intersection-not-object",
+        ],
     )
     def test_rejects_bad_record(self, tmp_path, edit, named):
         path = tmp_path / "roadnet.json"

@@ -26,6 +26,15 @@ from gridlight.signalmath import (
 )
 
 
+def vec(*values):
+    return np.array(values)
+
+
+def uniform(n_in, n_out, n_max, n=12):
+    """The same counts on every movement, as one vector MovementCounts."""
+    return MovementCounts(np.full(n, n_in), np.full(n, n_out), np.full(n, n_max))
+
+
 def integrate_clear_time(n: int, k: KinematicParams = DEFAULT_KINEMATICS, dt: float = 1e-3) -> float:
     """Independent oracle: integrate the platoon kinematics at dt resolution."""
     if n == 0:
@@ -87,6 +96,34 @@ class TestPrcol:
         assert prcol(MovementCounts(n_in, n_out + 1, n_max)) < base
 
 
+class TestVectorCounts:
+    def test_elementwise_equals_scalar(self):
+        rng = np.random.default_rng(11)
+        n_max = rng.integers(1, 60, 12)
+        n_out = rng.integers(0, n_max + 1)
+        n_in = rng.integers(0, 60, 12)
+        counts = MovementCounts(n_in, n_out, n_max)
+        for j in range(12):
+            one = MovementCounts(int(n_in[j]), int(n_out[j]), int(n_max[j]))
+            assert prcol(counts)[j] == prcol(one)
+            assert pressure(counts)[j] == pressure(one)
+            assert n_pass(counts)[j] == n_pass(one)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            MovementCounts(vec(3, -1, 0), vec(0, 0, 0), vec(40, 40, 40))
+        with pytest.raises(ValueError, match="non-negative"):
+            MovementCounts(vec(3, 1, 0), vec(0, 0, -2), vec(40, 40, 40))
+
+    def test_one_overfull_element_rejected(self):
+        with pytest.raises(ValueError, match="n_out=41 exceeds outgoing capacity n_max=40 at movement 1"):
+            MovementCounts(vec(1, 1, 1), vec(0, 41, 40), vec(40, 40, 40))
+
+    def test_zero_capacity_element_rejected(self):
+        with pytest.raises(ValueError, match="capacity must be >= 1"):
+            MovementCounts(vec(0, 0, 0), vec(0, 0, 0), vec(40, 0, 40))
+
+
 class TestPressure:
     def test_positive(self):
         assert pressure(MovementCounts(10, 2, 40)) == 8.0
@@ -100,27 +137,21 @@ class TestPressure:
 
 class TestPhaseScore:
     def test_pressure_sum(self):
-        counts = {
-            "a": MovementCounts(10, 2, 40),
-            "b": MovementCounts(4, 1, 40),
-        }
-        assert phase_score(counts, ("a", "b"), "pressure") == pytest.approx(11.0)
+        counts = MovementCounts(vec(10, 4), vec(2, 1), vec(40, 40))
+        assert phase_score(counts, [[0, 1]], "pressure")[0] == pytest.approx(11.0)
 
     def test_prcol_sum(self):
-        counts = {
-            "a": MovementCounts(10, 20, 40),
-            "b": MovementCounts(6, 10, 40),
-        }
-        assert phase_score(counts, ("a", "b"), "prcol") == pytest.approx(9.5)
+        counts = MovementCounts(vec(10, 6), vec(20, 10), vec(40, 40))
+        assert phase_score(counts, [[0, 1]], "prcol")[0] == pytest.approx(9.5)
 
     def test_all_zero(self):
-        counts = {m: MovementCounts(0, 0, 40) for m in ("a", "b")}
-        assert phase_score(counts, ("a", "b"), "prcol") == 0.0
-        assert phase_score(counts, ("a", "b"), "pressure") == 0.0
+        counts = uniform(0, 0, 40, n=2)
+        assert phase_score(counts, [[0, 1]], "prcol")[0] == 0.0
+        assert phase_score(counts, [[0, 1]], "pressure")[0] == 0.0
 
     def test_unknown_metric(self):
         with pytest.raises(ValueError):
-            phase_score({}, (), "queue")
+            phase_score(uniform(0, 0, 40, n=2), [[0, 1]], "queue")
 
 
 class TestNPass:
@@ -176,64 +207,61 @@ class TestPlatoonClearTime:
 
 
 class TestGreenDuration:
-    def _counts(self, worst: int) -> list[MovementCounts]:
+    def _counts(self, worst: int) -> MovementCounts:
         # two movements, one of them demanding `worst` crossings
-        return [
-            MovementCounts(worst, 0, max(worst, 1)),
-            MovementCounts(0, 0, 40),
-        ]
+        return MovementCounts(vec(worst, 0), vec(0, 0), vec(max(worst, 1), 40))
 
     def test_heavy_queue_rounded_up(self):
-        assert green_duration(self._counts(20), t_min=10, t_max=20) == 17
+        assert green_duration(self._counts(20), [0, 1], t_min=10, t_max=20) == 17
 
     def test_light_queue_clamped_up(self):
-        assert green_duration(self._counts(1), t_min=10, t_max=20) == 10
+        assert green_duration(self._counts(1), [0, 1], t_min=10, t_max=20) == 10
 
     def test_huge_queue_clamped_down(self):
-        assert green_duration(self._counts(30), t_min=10, t_max=20) == 20
+        assert green_duration(self._counts(30), [0, 1], t_min=10, t_max=20) == 20
 
     def test_no_demand_gets_minimum(self):
-        assert green_duration([], t_min=10, t_max=20) == 10
+        assert green_duration(self._counts(30), [], t_min=10, t_max=20) == 10
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
-            green_duration([], t_min=20, t_max=10)
+            green_duration(self._counts(0), [], t_min=20, t_max=10)
 
     @settings(max_examples=200)
     @given(worst=st.integers(0, 300))
     def test_always_within_bounds(self, worst):
-        assert 10 <= green_duration(self._counts(worst), t_min=10, t_max=20) <= 20
+        assert 10 <= green_duration(self._counts(worst), [0, 1], t_min=10, t_max=20) <= 20
 
 
 class TestReward:
     def test_all_zero(self):
-        counts = [MovementCounts(0, 0, 40)] * 12
+        counts = uniform(0, 0, 40)
         for kind in ("prcol", "pressure", "queue"):
             assert reward(counts, kind) == 0.0
 
     def test_prcol_reward(self):
-        counts = [MovementCounts(10, 20, 40)] * 12
+        counts = uniform(10, 20, 40)
         assert reward(counts, "prcol") == pytest.approx(-60.0)
 
     def test_pressure_reward_absolute(self):
-        counts = [MovementCounts(10, 2, 40)] * 12
+        counts = uniform(10, 2, 40)
         assert reward(counts, "pressure") == pytest.approx(-96.0)
         # outgoing-heavy sums are negative; the absolute convention flips them
-        heavy_out = [MovementCounts(0, 5, 40)] * 12
+        heavy_out = uniform(0, 5, 40)
         assert reward(heavy_out, "pressure") == pytest.approx(-60.0)
 
     def test_queue_reward(self):
-        counts = [MovementCounts(3, 7, 40)] * 12
+        counts = uniform(3, 7, 40)
         assert reward(counts, "queue") == pytest.approx(-36.0)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            reward([], "delay")
+            reward(uniform(0, 0, 40), "delay")
 
     def test_saturated_outgoing_divergence(self):
         # full outgoing lanes: the spillback-aware reward goes silent while
         # the pressure reward still pushes
-        counts = [MovementCounts(10, 40, 40)] * 12
+        counts = uniform(10, 40, 40)
         assert reward(counts, "prcol") == 0.0
         assert reward(counts, "pressure") == pytest.approx(-360.0)
 
@@ -253,11 +281,10 @@ class TestArgmaxDegeneracy:
         # incoming demand, so all three selection rules agree
         rng = np.random.default_rng(3)
         for _ in range(200):
-            counts = {
-                f"m{i}": MovementCounts(int(rng.integers(0, 30)), 0, 40) for i in range(8)
-            }
-            phases = [(f"m{2*k}", f"m{2*k+1}") for k in range(4)]
-            prcol_scores = [phase_score(counts, p, "prcol") for p in phases]
-            pressure_scores = [phase_score(counts, p, "pressure") for p in phases]
-            demand = [counts[a].n_in + counts[b].n_in for a, b in phases]
+            n_in = np.array([int(rng.integers(0, 30)) for _ in range(8)])
+            counts = MovementCounts(n_in, np.zeros(8, dtype=int), np.full(8, 40))
+            phases = [(2 * k, 2 * k + 1) for k in range(4)]
+            prcol_scores = phase_score(counts, phases, "prcol")
+            pressure_scores = phase_score(counts, phases, "pressure")
+            demand = [counts.n_in[a] + counts.n_in[b] for a, b in phases]
             assert int(np.argmax(prcol_scores)) == int(np.argmax(pressure_scores)) == int(np.argmax(demand))
