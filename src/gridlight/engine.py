@@ -26,6 +26,21 @@ The model is a point queue with physical extent and kinematic travel:
   still anchors their travel time.  Vehicles leave the network at the end
   of boundary exit lanes.
 
+A tick skips work that cannot change anything, and each skip is exact:
+
+* Settled queues.  A lane's leading vehicles that stand exactly at their
+  limit (the stop line, or one headway behind the vehicle ahead) are not
+  advanced.  With speed 0 the update ``min(pos + min(0 + a, vmax), limit)``
+  returns ``limit``, which is ``pos``, and the speed is written back as 0.
+  A pop from the lane head resets the prefix.
+* Idle movements.  Discharge visits only open movements whose source lane
+  holds a vehicle, read from the lane-occupancy vector that every append
+  and pop keeps current; a movement on an empty lane would return at once.
+  A lane first filled during the pass joins it when its movement comes
+  later in the pass order, as a pass over every movement would find it.
+* Undue signals.  Each signal's next decision tick is kept in one array,
+  set when its green is granted, so callers ask only the due signals.
+
 A world is mutated by exactly one caller; independent worlds may run
 concurrently.  Identical (network, schedule, decisions) produce bit
 identical histories.
@@ -34,8 +49,10 @@ identical histories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from collections import deque
+from dataclasses import dataclass, field, replace
+from heapq import heappop, heappush
+from itertools import islice
 from typing import Iterable, Optional
 
 import numpy as np
@@ -109,13 +126,24 @@ class SignalState:
 
 
 class _LaneState:
-    __slots__ = ("lane", "vehicles", "queue_len", "is_exit")
+    """One lane's vehicles, front first, and what the tick loops keep about them.
 
-    def __init__(self, lane, is_exit: bool):
+    ``settled`` counts the leading vehicles that stand exactly at their
+    limit (the stop line, or one headway behind the vehicle ahead); the
+    advance starts behind them.  ``clear`` is the platoon clearance-time
+    table of the lane's speed, shared by every lane of that speed.
+    """
+
+    __slots__ = ("lane", "vehicles", "queue_len", "settled", "is_exit", "index", "clear")
+
+    def __init__(self, lane, is_exit: bool, index: int, clear: tuple[KinematicParams, list[float]]):
         self.lane = lane
         self.vehicles: deque[Vehicle] = deque()
         self.queue_len = 0
+        self.settled = 0
         self.is_exit = is_exit
+        self.index = index
+        self.clear = clear
 
 
 class _Service:
@@ -185,6 +213,8 @@ class World:
             problems = validate(net)
             if problems:
                 raise ValueError(f"invalid network: {problems[0]} (+{len(problems) - 1} more)")
+        if yellow < 1:
+            raise ValueError(f"yellow must be >= 1 s, got {yellow}")
         if obs_counts not in ("occupancy", "queued"):
             raise ValueError(f"obs_counts must be 'occupancy' or 'queued', got {obs_counts!r}")
         self.net = net
@@ -194,15 +224,28 @@ class World:
         self.time = 0
 
         exit_lanes = set(net.boundary_exits)
-        self.lanes: dict[str, _LaneState] = {
-            lane_id: _LaneState(lane, lane_id in exit_lanes) for lane_id, lane in net.lanes.items()
-        }
+        # platoon clearance times per lane speed, extended on demand
+        clear_tables: dict[float, tuple[KinematicParams, list[float]]] = {}
+        self.lanes: dict[str, _LaneState] = {}
+        for index, (lane_id, lane) in enumerate(net.lanes.items()):
+            clear = clear_tables.get(lane.max_speed)
+            if clear is None:
+                kin = kinematics
+                if lane.max_speed != kinematics.max_speed:
+                    kin = replace(kinematics, max_speed=lane.max_speed)
+                clear = clear_tables[lane.max_speed] = (kin, [0.0])
+            self.lanes[lane_id] = _LaneState(lane, lane_id in exit_lanes, index, clear)
         self._lane_list = list(self.lanes.values())
-        self._lane_deques = [ls.vehicles for ls in self._lane_list]
         self.signals: dict[str, SignalState] = {i.id: SignalState() for i in net.intersections}
+        self._signal_index = {inter.id: r for r, inter in enumerate(net.intersections)}
+        #: tick at which each signal's green runs out, in net.intersections order
+        self._due = np.zeros(len(net.intersections), np.int64)
 
-        # counts are read from one lane-occupancy vector through index tables
-        self._occupancy: Optional[np.ndarray] = None
+        # counts are read from one lane-occupancy vector through index tables;
+        # it is kept at every append to and pop from a lane
+        self._occupancy = np.zeros(len(net.lanes), np.int64)
+        self._occupancy_view = self._occupancy.view()
+        self._occupancy_view.flags.writeable = False
         in_idx, out_idx, n_max = movement_tables(net)
         self._tables = {
             inter.id: (in_idx[r], out_idx[r], n_max[r]) for r, inter in enumerate(net.intersections)
@@ -214,19 +257,32 @@ class World:
         small = all(lane.capacity <= np.iinfo(np.int16).max for lane in net.lanes.values())
         self._telemetry_dtype = np.int16 if small else np.int32
 
-        # canonical, list-based movement bundles per intersection
+        # canonical movement bundles per intersection
         self._phase_movements: dict[str, list[list[Movement]]] = {}
-        self._right_movements: dict[str, list[Movement]] = {}
         self.services: dict[str, _Service] = {}
         for inter in net.intersections:
             by_id = {m.id: m for m in inter.movements}
             self._phase_movements[inter.id] = [
                 [by_id[mid] for mid in phase.movements] for phase in inter.phases
             ]
-            rights = [m for m in inter.movements if m.turn is Turn.RIGHT]
-            self._right_movements[inter.id] = rights
             for m in inter.movements:
                 self.services[m.id] = _Service(math.inf if m.turn is Turn.RIGHT else 0.0)
+
+        # Discharge slots, in the order a tick visits them: per intersection
+        # the green phase's movements, then the four right turns.  A slot
+        # holds (service, source lane state, movement id, outgoing lane id).
+        # Only the phase slots change, when that intersection's signal does.
+        self._slot_width = self.phase_columns.shape[1] + 4
+        self._slots: list[tuple] = []
+        for inter in net.intersections:
+            rights = [m for m in inter.movements if m.turn is Turn.RIGHT]
+            self._slots += [self._slot(m) for m in self._phase_movements[inter.id][0] + rights]
+        self._slot_lane = np.array([slot[1].index for slot in self._slots], np.int64)
+        self._slot_active = np.ones(len(self._slots), bool)
+        #: the active slot each lane feeds, or -1
+        self._lane_slot = [-1] * len(net.lanes)
+        for s, slot in enumerate(self._slots):
+            self._lane_slot[slot[1].index] = s
 
         # spawn schedule and entry buffers
         self._events = sorted(events, key=lambda e: e.time)
@@ -250,19 +306,18 @@ class World:
     def lane_occupancy(self) -> np.ndarray:
         """Vehicles on every lane, in ``net.lanes`` order (entry buffers excluded).
 
-        Computed at most once per tick and shared by every reader; treat
-        it as read-only.
+        Returns the live vector the world keeps up to date at every append
+        to and pop from a lane, as a read-only view: it changes as the
+        world steps, so copy it to keep a snapshot.
         """
-        if self._occupancy is None:
-            self._occupancy = np.fromiter(map(len, self._lane_deques), np.int64, len(self._lane_deques))
-        return self._occupancy
+        return self._occupancy_view
 
     def incoming_occupancy(self, intersection_id: str) -> np.ndarray:
         """Occupancy of the intersection's 12 incoming lanes, canonical order."""
         return self.lane_occupancy()[self._tables[intersection_id][0]]
 
     def on_network_count(self) -> int:
-        return sum(len(ls.vehicles) for ls in self.lanes.values())
+        return int(self._occupancy.sum())
 
     def buffered_count(self) -> int:
         return sum(len(b) for b in self._buffers.values())
@@ -312,10 +367,12 @@ class World:
             raise RuntimeError(
                 f"decision for {intersection_id} requested before its green elapsed"
             )
+        r = self._signal_index[intersection_id]
         granted = self._phase_movements[intersection_id][phase]
         budgets = n_pass(self.movement_counts(intersection_id))[self.phase_columns[phase]].tolist()
         if phase == sig.current_phase:
             sig.time_remaining = green_duration
+            self._due[r] = self.time + green_duration
             for m, budget in zip(granted, budgets):
                 self.services[m.id].budget = float(budget)
         else:
@@ -323,13 +380,18 @@ class World:
             sig.time_remaining = self.yellow
             sig.next_phase = phase
             sig.pending_green = green_duration
+            self._due[r] = self.time + self.yellow + green_duration
+            self._set_phase_slots(r, None)
             for m, budget in zip(granted, budgets):
                 self.services[m.id].pending_budget = float(budget)
         return sum(budgets)
 
     def needs_decision(self, intersection_id: str) -> bool:
-        sig = self.signals[intersection_id]
-        return sig.mode == GREEN and sig.time_remaining == 0
+        return bool(self._due[self._signal_index[intersection_id]] <= self.time)
+
+    def due_signals(self) -> np.ndarray:
+        """Positions in ``net.intersections`` of the signals whose green has run out."""
+        return np.flatnonzero(self._due <= self.time)
 
     # ------------------------------------------------------------------- step
 
@@ -347,11 +409,10 @@ class World:
         exited = self._advance_all()
         discharged = self._discharge_all()
         self._update_signals()
-        self._occupancy = None
         telemetry = StepTelemetry(time=self.time, entered=entered, exited=exited, discharged=discharged)
         if collect:
             signals = self.signals.values()
-            telemetry.occupancy = self.lane_occupancy().astype(self._telemetry_dtype)
+            telemetry.occupancy = self._occupancy.astype(self._telemetry_dtype)
             telemetry.phases = np.fromiter((s.current_phase for s in signals), np.int8, len(signals))
             telemetry.yellow = np.fromiter((s.mode == YELLOW for s in signals), bool, len(signals))
         self.time += 1
@@ -393,6 +454,7 @@ class World:
             if not buf:
                 continue
             ls = self.lanes[lane_id]
+            placed = len(ls.vehicles)
             while buf and self._can_enter(ls):
                 veh = buf.popleft()
                 veh.status = MOVING
@@ -400,6 +462,7 @@ class World:
                 veh.pos = 0.0
                 veh.speed = ls.lane.max_speed
                 ls.vehicles.append(veh)
+            self._occupancy[ls.index] += len(ls.vehicles) - placed
         return entered
 
     def _can_enter(self, ls: _LaneState) -> bool:
@@ -439,7 +502,7 @@ class World:
         self.vehicles.append(veh)
         self.entered_total += 1
         ls.vehicles.append(veh)
-        self._occupancy = None
+        self._occupancy[ls.index] += 1
         return veh
 
     # ---------------------------------------------------------------- advance
@@ -448,18 +511,26 @@ class World:
         exited = 0
         headway = self.k.headway
         accel = self.k.accel
-        for ls in self.lanes.values():
+        for ls in self._lane_list:
             vehicles = ls.vehicles
-            if not vehicles:
-                ls.queue_len = 0
+            settled = ls.settled
+            if settled == len(vehicles):
+                ls.queue_len = settled
                 continue
             vmax = ls.lane.max_speed
             stop = ls.lane.length
-            prev_pos: Optional[float] = None
-            prev_queued = False
-            qlen = 0
+            # the settled prefix would recompute to the same bits: start behind it
+            if settled:
+                prev_pos: Optional[float] = vehicles[settled - 1].pos
+                prev_queued = True
+                moving = islice(vehicles, settled, None)
+            else:
+                prev_pos = None
+                prev_queued = False
+                moving = vehicles
+            qlen = settled
             n_exit = 0
-            for veh in vehicles:
+            for veh in moving:
                 speed = veh.speed + accel
                 if speed > vmax:
                     speed = vmax
@@ -486,52 +557,85 @@ class World:
                     veh.status = QUEUED
                     veh.speed = 0.0
                     qlen += 1
+                    # the prefix grows while every vehicle lands exactly on its limit
+                    if settled == qlen - 1 and new_pos == limit:
+                        settled = qlen
                 else:
                     veh.status = MOVING
                 prev_pos = new_pos
                 prev_queued = is_queued
-            for _ in range(n_exit):
-                vehicles.popleft()
-            exited += n_exit
-            self.exited_total += n_exit
+            if n_exit:
+                for _ in range(n_exit):
+                    vehicles.popleft()
+                self._occupancy[ls.index] -= n_exit
+                exited += n_exit
+                self.exited_total += n_exit
+            ls.settled = settled
             ls.queue_len = qlen
         return exited
 
     # -------------------------------------------------------------- discharge
 
+    def _slot(self, m: Movement) -> tuple:
+        return (self.services[m.id], self.lanes[m.in_lane], m.id, m.out_lane)
+
+    def _set_phase_slots(self, r: int, phase: Optional[int]) -> None:
+        """Point intersection ``r``'s phase slots at ``phase``, or close them (yellow)."""
+        base = r * self._slot_width
+        end = base + self.phase_columns.shape[1]
+        for s in range(base, end):
+            self._lane_slot[self._slots[s][1].index] = -1
+        self._slot_active[base:end] = phase is not None
+        if phase is None:
+            return
+        movements = self._phase_movements[self.net.intersections[r].id][phase]
+        for s, m in enumerate(movements, base):
+            slot = self._slots[s] = self._slot(m)
+            self._slot_lane[s] = slot[1].index
+            self._lane_slot[slot[1].index] = s
+
     def _discharge_all(self) -> dict[str, int]:
+        """Discharge every open movement whose source lane holds a vehicle.
+
+        Slots are visited in ascending order, as a pass over every
+        intersection's open movements would.  A lane that was empty when the
+        pass began can receive a vehicle from an earlier slot; its own slot
+        joins the pass if it is still ahead.
+        """
         discharged: dict[str, int] = {}
-        for inter in self.net.intersections:
-            sig = self.signals[inter.id]
-            if sig.mode == GREEN:
-                for m in self._phase_movements[inter.id][sig.current_phase]:
-                    self._discharge_movement(m, discharged)
-            for m in self._right_movements[inter.id]:
-                self._discharge_movement(m, discharged)
+        lane_slot = self._lane_slot
+        filled: list[int] = []
+        # ascending, so already a heap
+        todo = np.flatnonzero(self._slot_active & (self._occupancy[self._slot_lane] > 0)).tolist()
+        while todo:
+            s = heappop(todo)
+            self._discharge_movement(*self._slots[s], discharged, filled)
+            for lane in filled:
+                if lane_slot[lane] > s:
+                    heappush(todo, lane_slot[lane])
+            filled.clear()
         return discharged
 
-    def _discharge_movement(self, m: Movement, acc: dict[str, int]) -> None:
-        src = self.lanes[m.in_lane]
-        if not src.vehicles:
-            return
-        svc = self.services[m.id]
+    def _discharge_movement(
+        self, svc: _Service, src: _LaneState, mid: str, out_lane: str, acc: dict[str, int], filled: list[int]
+    ) -> None:
+        """Cross vehicles from ``src``; note in ``filled`` each lane this made non-empty."""
         if svc.budget <= 0:
             return
         k = self.k
+        kin, clear_times = src.clear
         vmax = src.lane.max_speed
-        kin = (
-            self.k
-            if vmax == self.k.max_speed
-            else KinematicParams(k.accel, vmax, k.vehicle_length, k.min_gap)
-        )
         headway = k.headway
         stop = src.lane.length
         t_end = self.time + 1
         elapsed_end = t_end - svc.clock_start
+        occupancy = self._occupancy
         count = 0
         while svc.budget > 0 and src.vehicles:
             j = svc.crossed + 1
-            t_j = platoon_clear_time(j, kin)
+            while len(clear_times) <= j:
+                clear_times.append(platoon_clear_time(len(clear_times), kin))
+            t_j = clear_times[j]
             if t_j > elapsed_end + _EPS:
                 break
             head = src.vehicles[0]
@@ -541,7 +645,7 @@ class World:
             if head.route_idx + 1 < len(head.route):
                 dest_id = head.route[head.route_idx + 1].in_lane
             else:
-                dest_id = m.out_lane
+                dest_id = out_lane
             dest = self.lanes[dest_id]
             if len(dest.vehicles) >= dest.lane.capacity:
                 break
@@ -557,11 +661,14 @@ class World:
                     break
                 if entry_pos > rear_cap:
                     entry_pos = rear_cap
+            else:
+                filled.append(dest.index)
             if entry_pos < 0.0:
                 entry_pos = 0.0
             elif entry_pos > dest.lane.length:
                 entry_pos = dest.lane.length
             src.vehicles.popleft()
+            src.settled = 0
             if src.queue_len > 0:
                 src.queue_len -= 1
             if head.route_idx < len(head.route):
@@ -571,18 +678,20 @@ class World:
             head.speed = v_cross
             head.status = MOVING
             dest.vehicles.append(head)
+            occupancy[dest.index] += 1
             svc.crossed += 1
             svc.cum_crossed += 1
             if svc.budget != math.inf:
                 svc.budget -= 1.0
             count += 1
         if count:
-            acc[m.id] = acc.get(m.id, 0) + count
+            occupancy[src.index] -= count
+            acc[mid] = acc.get(mid, 0) + count
 
     # ---------------------------------------------------------------- signals
 
     def _update_signals(self) -> None:
-        for inter_id, sig in self.signals.items():
+        for r, (inter_id, sig) in enumerate(self.signals.items()):
             if sig.mode == YELLOW:
                 sig.time_remaining -= 1
                 if sig.time_remaining <= 0:
@@ -591,6 +700,7 @@ class World:
                     sig.next_phase = None
                     sig.time_remaining = sig.pending_green
                     sig.pending_green = 0
+                    self._set_phase_slots(r, sig.current_phase)
                     for m in self._phase_movements[inter_id][sig.current_phase]:
                         svc = self.services[m.id]
                         svc.clock_start = self.time + 1

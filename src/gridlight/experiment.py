@@ -383,11 +383,11 @@ def run_episode(
     def interval_crossings(rec: DecisionRecord) -> int:
         return sum(world.services[mid].cum_crossed for mid in rec.phase_movement_ids)
 
+    intersections = net.intersections
     for _ in range(config.horizon):
-        for inter in net.intersections:
+        for r in world.due_signals().tolist():
+            inter = intersections[r]
             iid = inter.id
-            if not world.needs_decision(iid):
-                continue
             obs = world.observe(iid) * obs_scale
             if iid in pending:
                 s_prev, a_prev = pending.pop(iid)
@@ -549,6 +549,8 @@ def train(
     best parameters by travel time — of the periodic greedy evaluations
     when ``eval_every`` is set, of the training episodes otherwise — and
     finishes with greedy evaluations of both the final and best parameters.
+    Raises ``RuntimeError`` naming the episode when a training loss or, at
+    an episode's end, a weight is not finite.
     """
     if config.controller.kind != "dqn":
         raise ValueError("train() needs a dqn controller config")
@@ -575,9 +577,15 @@ def train(
     for ep in range(config.episodes):
         eps = epsilon(sched, ep)
         controller = DQNController(net, config.controller, action_rng, eps, scenario.kinematics)
-        result = run_episode(
-            config, controller, scenario=scenario, learner_ctx=ctx, seed=seed, record=False
-        )
+        # a diverging network overflows; the check below reports it once, by episode
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = run_episode(
+                config, controller, scenario=scenario, learner_ctx=ctx, seed=seed, record=False
+            )
+        if not all(map(math.isfinite, result.losses)):
+            raise RuntimeError(f"training diverged: non-finite loss in episode {ep} (seed {seed})")
+        if not all(np.isfinite(a).all() for a in (*net.weights, *net.biases)):
+            raise RuntimeError(f"training diverged: non-finite weights after episode {ep} (seed {seed})")
         row = {
             "episode": ep,
             "epsilon": eps,

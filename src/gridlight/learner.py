@@ -15,6 +15,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .engine import OBS_SIZE
+
 __all__ = [
     "QNetwork",
     "Transition",
@@ -254,13 +256,48 @@ def save_checkpoint(net: QNetwork, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> QNetwork:
+    """Restore a network written by :func:`save_checkpoint`, bit-exactly.
+
+    Rejects with a one-line ``ValueError`` a file whose version is unknown,
+    whose layer sizes are not at least two positive integers running from
+    ``OBS_SIZE`` inputs to 4 outputs, whose weight or bias arrays are
+    missing or of the wrong shape, or whose parameters are not finite.
+    """
     with np.load(path) as data:
-        version = int(data["version"])
-        if version != _CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        sizes = tuple(int(n) for n in data["layer_sizes"])
-        net = QNetwork.__new__(QNetwork)
-        net.layer_sizes = sizes
-        net.weights = [data[f"w{i}"].astype(float) for i in range(len(sizes) - 1)]
-        net.biases = [data[f"b{i}"].astype(float) for i in range(len(sizes) - 1)]
+
+        def array(key: str) -> np.ndarray:
+            if key not in data.files:
+                raise ValueError(f"checkpoint {path}: missing {key}")
+            return data[key]
+
+        version = array("version")
+        if version.shape != () or version.dtype.kind not in "iu" or int(version) != _CHECKPOINT_VERSION:
+            raise ValueError(f"checkpoint {path}: unsupported version {version.tolist()!r}")
+        raw = array("layer_sizes")
+        if (
+            raw.ndim != 1
+            or raw.dtype.kind not in "iu"
+            or len(raw) < 2
+            or (raw < 1).any()
+            or raw[0] != OBS_SIZE
+            or raw[-1] != 4
+        ):
+            raise ValueError(
+                f"checkpoint {path}: architecture {raw.tolist()!r} must be at least two positive "
+                f"layer sizes from {OBS_SIZE} inputs to 4 outputs"
+            )
+        sizes = tuple(int(n) for n in raw)
+        params: dict[str, np.ndarray] = {}
+        for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+            for key, shape in ((f"w{i}", (fan_out, fan_in)), (f"b{i}", (fan_out,))):
+                values = array(key)
+                if values.shape != shape:
+                    raise ValueError(f"checkpoint {path}: {key} has shape {values.shape}, expected {shape}")
+                if values.dtype.kind not in "fiu" or not np.isfinite(values).all():
+                    raise ValueError(f"checkpoint {path}: {key} holds non-finite or non-numeric values")
+                params[key] = values.astype(float)
+    net = QNetwork.__new__(QNetwork)
+    net.layer_sizes = sizes
+    net.weights = [params[f"w{i}"] for i in range(len(sizes) - 1)]
+    net.biases = [params[f"b{i}"] for i in range(len(sizes) - 1)]
     return net

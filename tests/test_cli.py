@@ -1,13 +1,19 @@
 """CLI tests: subcommand wiring, output files, reproducibility, exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from gridlight.cli import main
 from gridlight.control import ControllerConfig
 from gridlight.experiment import ExperimentConfig
 from gridlight.flows import load_flow_file, save_flow_file, syn_light_flows
+from gridlight.learner import QNetwork, save_checkpoint
 from gridlight.network import build_grid
 from gridlight.roadnet import save_roadnet
 
@@ -210,6 +216,38 @@ class TestEval:
         config_path = tmp_path / "config.json"
         write_config(config_path, horizon=300)
         assert main(["eval", "--config", str(config_path), "--checkpoint", "x.npz"]) == 1
+
+
+    def test_corrupt_checkpoint_is_one_line(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        write_config(config_path, horizon=300, controller=ControllerConfig(kind="dqn"))
+        net = QNetwork(rng=np.random.default_rng(0))
+        net.weights[0][0, 0] = np.nan
+        ckpt = tmp_path / "nan.npz"
+        save_checkpoint(net, str(ckpt))
+        assert main(["eval", "--config", str(config_path), "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "w0" in err, err
+
+
+class TestTrainCommand:
+    def test_numeric_fault_is_one_line(self, tmp_path):
+        # run as a process: numpy's overflow warnings would reach its stderr
+        root = pathlib.Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        config_path = tmp_path / "config.json"
+        write_config(
+            config_path, horizon=600, controller=ControllerConfig(kind="dqn"), episodes=2, seeds=(0,), lr=1e6
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "gridlight.cli", "train", "--config", str(config_path), "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 1
+        assert len(done.stderr.splitlines()) == 1, done.stderr
+        assert "episode 0" in done.stderr
 
 
 class TestCaseStudyCommand:

@@ -6,10 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridlight.engine import EXITED, GREEN, QUEUED, YELLOW, World
 from gridlight.flows import SpawnEvent, gen_syn_light
-from gridlight.network import build_grid
+from gridlight.network import build_grid, resolve_route
 from gridlight.signalmath import DEFAULT_KINEMATICS, platoon_clear_time
 
 
@@ -122,6 +124,64 @@ class TestPlatoonDischarge:
             world.step()
             crossings.append(svc.cum_crossed)
         assert crossings == [0, 1, 1, 1]
+
+
+class TestSameTickCrossing:
+    """A vehicle that lands on an empty lane during a discharge pass.
+
+    Right turns never reset their platoon count, so past 40 crossings the
+    slot test admits a head anywhere on its lane.  A vehicle crossing onto
+    such a lane can then cross again in the same tick, but only at an
+    intersection the pass has not visited yet.  The positions were recorded
+    from the per-movement discharge loop that visits every movement.
+    """
+
+    def test_discharge_in_pass_order(self):
+        net = build_grid(1, 2, 300, 300)
+        a, b = net.intersections  # the pass visits i_0_0 before i_0_1
+        world = World(net)
+        road = lambda lane: net.road_of_lane(lane).id
+
+        def prime(m):
+            lane = world.lanes[m.in_lane]
+            while world.services[m.id].crossed <= 40:
+                if not lane.vehicles or lane.vehicles[-1].pos >= 60:
+                    world.place_vehicle(m.in_lane, pos=0.0, speed=0.0)
+                world.step()
+            while lane.vehicles:
+                world.step()
+
+        later_right = b.movements[2]  # W right at i_0_1
+        earlier_right = a.movements[5]  # E right at i_0_0
+        prime(later_right)
+        prime(earlier_right)
+        assert world.time == 606
+        east_in = a.movements[1].in_lane  # W straight at i_0_0
+        west_in = b.movements[4].in_lane  # E straight at i_0_1
+        east = world.place_vehicle(
+            east_in, pos=300.0, route_roads=(road(east_in), road(later_right.in_lane), road(later_right.out_lane))
+        )
+        west = world.place_vehicle(
+            west_in, pos=300.0, route_roads=(road(west_in), road(earlier_right.in_lane), road(earlier_right.out_lane))
+        )
+        world.step()
+        world.apply_decision(a.id, 0, 10)
+        world.apply_decision(b.id, 0, 10)
+
+        tel = world.step()
+        assert tel.time == 607
+        assert sorted(tel.discharged.items()) == [
+            ("i_0_0:W:straight", 1), ("i_0_1:E:straight", 1), ("i_0_1:W:right", 1)
+        ]
+        assert (east.lane_id, east.pos, east.speed) == (later_right.out_lane, 11.11111111111111, 11.11111111111111)
+        assert (west.lane_id, west.pos, west.speed) == (earlier_right.in_lane, 4.47213595499958, 4.47213595499958)
+
+        tel = world.step()
+        assert sorted(tel.discharged.items()) == [("i_0_0:E:right", 1)]
+        assert (east.pos, east.speed) == (22.22222222222222, 11.11111111111111)
+        assert (west.lane_id, west.pos, west.speed) == (earlier_right.out_lane, 11.11111111111111, 11.11111111111111)
+        assert world.services[later_right.id].cum_crossed == 42
+        assert world.services[earlier_right.id].cum_crossed == 42
 
 
 class TestSignals:
@@ -351,6 +411,84 @@ class TestInvariantsFuzz:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_demand_and_signals(self, seed):
         self._run_fuzzed_episode(seed)
+
+
+class TestSkipInvariants:
+    """What a tick skips is exactly what it would have recomputed.
+
+    A twin world has its settled prefixes cleared before every step, so it
+    advances every vehicle; both worlds must stay bit-equal.
+    """
+
+    @staticmethod
+    def _random_events(net, rng, horizon):
+        junctions = {inter.id for inter in net.intersections}
+        events = []
+        for road_id, _ in net.entry_roads:
+            interval = int(rng.integers(1, 7))
+            for t in range(0, horizon, interval):
+                route = [road_id]
+                road = net.roads[road_id]
+                while road.end in junctions:
+                    options = [m for m in net.intersection(road.end).movements if m.in_lane in road.lane_ids]
+                    m = options[int(rng.integers(len(options)))]
+                    road = net.road_of_lane(m.out_lane)
+                    route.append(road.id)
+                entry_lane, _ = resolve_route(net, route)
+                events.append(SpawnEvent(t, tuple(route), entry_lane))
+        events.sort(key=lambda e: e.time)
+        return events
+
+    def test_queued_short_of_the_stop_line_keeps_moving(self):
+        # within the 1e-6 queue tolerance of the stop line, but not on it:
+        # queued, yet the next tick still closes the gap
+        world = single()
+        lane = west_straight(world.net).in_lane
+        veh = world.place_vehicle(lane, pos=300.0 - world.k.accel - 5e-7, speed=0.0)
+        world.step()
+        assert veh.status == QUEUED and veh.pos < 300.0
+        world.step()
+        assert veh.pos == 300.0 and veh.speed == 0.0
+
+    @staticmethod
+    def _state(world):
+        return [[(v.vid, v.pos, v.speed, v.status) for v in ls.vehicles] for ls in world.lanes.values()]
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from([(1, 1), (1, 2), (2, 2)]),
+        length=st.sampled_from([60.0, 90.0, 150.0]),
+    )
+    def test_skips_match_full_recompute(self, seed, shape, length):
+        rng = np.random.default_rng(seed)
+        horizon = 250
+        net = build_grid(*shape, length, length)
+        events = self._random_events(net, rng, horizon)
+        world, twin = World(net, events), World(net, events)
+        headway = world.k.headway
+        for _ in range(horizon):
+            for inter in net.intersections:
+                if world.needs_decision(inter.id):
+                    phase, green = int(rng.integers(4)), int(rng.integers(1, 21))
+                    world.apply_decision(inter.id, phase, green)
+                    twin.apply_decision(inter.id, phase, green)
+            for ls in twin.lanes.values():
+                ls.settled = 0
+            tel, twin_tel = world.step(collect=False), twin.step(collect=False)
+
+            assert tel.discharged == twin_tel.discharged
+            assert self._state(world) == self._state(twin)
+            assert [ls.queue_len for ls in world.lanes.values()] == [ls.queue_len for ls in twin.lanes.values()]
+            assert world.lane_occupancy().tolist() == [len(ls.vehicles) for ls in world.lanes.values()]
+            for ls in world.lanes.values():
+                limit = ls.lane.length
+                for veh in list(ls.vehicles)[: ls.settled]:
+                    assert veh.status == QUEUED and veh.speed == 0.0 and veh.pos == limit
+                    limit = veh.pos - headway
+            due = [world.needs_decision(inter.id) for inter in net.intersections]
+            assert due == [s.mode == GREEN and s.time_remaining == 0 for s in world.signals.values()]
+            assert world.due_signals().tolist() == [r for r, d in enumerate(due) if d]
 
 
 class TestOccupancyVector:

@@ -263,6 +263,13 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(ExperimentConfig(), seed=0)
 
+    def test_diverging_loss_stops_at_its_episode(self):
+        cfg = ExperimentConfig(
+            horizon=600, controller=ControllerConfig(kind="dqn"), episodes=2, seeds=(0,), lr=1e6
+        )
+        with pytest.raises(RuntimeError, match="non-finite loss in episode 0"):
+            train(cfg, seed=0)
+
     def test_final_checkpoint_reproduces_logged_eval(self, tmp_path):
         cfg = ExperimentConfig(
             horizon=400, controller=ControllerConfig(kind="dqn"), episodes=2, seeds=(0,)

@@ -359,6 +359,38 @@ class TestCheckpoints:
         for a, b in zip(net.biases, twin.biases):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "edit,named",
+        [
+            (lambda a: a.update(layer_sizes=np.array([16])), "architecture"),
+            (lambda a: a.update(layer_sizes=np.array([8, 32, 32, 4])), "architecture"),
+            (lambda a: a.update(layer_sizes=np.array([16, 32, 32, 3])), "architecture"),
+            (lambda a: a.update(layer_sizes=np.array([16, 0, 32, 4])), "architecture"),
+            (lambda a: a.update(layer_sizes=np.array([16.0, 32.0, 32.0, 4.0])), "architecture"),
+            (lambda a: a.pop("w1"), "missing w1"),
+            (lambda a: a.pop("b2"), "missing b2"),
+            (lambda a: a.update(w0=a["w0"][:, :15]), "w0 has shape"),
+            (lambda a: a.update(b1=np.zeros(31)), "b1 has shape"),
+            (lambda a: a["w2"].__setitem__((0, 0), np.nan), "w2"),
+            (lambda a: a["b0"].__setitem__(3, np.inf), "b0"),
+        ],
+        ids=[
+            "one-layer", "wrong-input", "wrong-output", "zero-width", "float-sizes",
+            "missing-weight", "missing-bias", "weight-shape", "bias-shape", "nan-weight", "inf-bias",
+        ],
+    )
+    def test_corrupt_checkpoint_is_rejected(self, tmp_path, edit, named):
+        net = QNetwork(rng=np.random.default_rng(23))
+        arrays = {"version": np.array(1), "layer_sizes": np.array(net.layer_sizes)}
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            arrays[f"w{i}"], arrays[f"b{i}"] = w.copy(), b.copy()
+        edit(arrays)
+        path = str(tmp_path / "corrupt.npz")
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=named) as err:
+            load_checkpoint(path)
+        assert len(str(err.value).splitlines()) == 1
+
     def test_copy_is_independent(self):
         net = QNetwork(rng=np.random.default_rng(22))
         twin = net.copy()
