@@ -128,19 +128,17 @@ class SignalState:
 class _LaneState:
     """One lane's vehicles, front first, and what the tick loops keep about them.
 
-    ``settled`` counts the leading vehicles that stand exactly at their
-    limit (the stop line, or one headway behind the vehicle ahead); the
-    advance starts behind them.  ``clear`` is the platoon clearance-time
-    table of the lane's speed, shared by every lane of that speed.
+    ``index`` is the lane's position in ``net.lanes``; ``clear`` is the
+    platoon clearance-time table of the lane's speed, shared by every lane
+    of that speed.
     """
 
-    __slots__ = ("lane", "vehicles", "queue_len", "settled", "is_exit", "index", "clear")
+    __slots__ = ("lane", "vehicles", "queue_len", "is_exit", "index", "clear")
 
     def __init__(self, lane, is_exit: bool, index: int, clear: tuple[KinematicParams, list[float]]):
         self.lane = lane
         self.vehicles: deque[Vehicle] = deque()
         self.queue_len = 0
-        self.settled = 0
         self.is_exit = is_exit
         self.index = index
         self.clear = clear
@@ -246,6 +244,10 @@ class World:
         self._occupancy = np.zeros(len(net.lanes), np.int64)
         self._occupancy_view = self._occupancy.view()
         self._occupancy_view.flags.writeable = False
+        #: per lane, the leading vehicles that stand exactly at their limit (the
+        #: stop line, or one headway behind the vehicle ahead); a lane whose
+        #: vehicles are all settled is not advanced
+        self._settled = np.zeros(len(net.lanes), np.int64)
         in_idx, out_idx, n_max = movement_tables(net)
         self._tables = {
             inter.id: (in_idx[r], out_idx[r], n_max[r]) for r, inter in enumerate(net.intersections)
@@ -254,7 +256,7 @@ class World:
         self.phase_columns = np.array(
             [[movement_column(a, t) for a, t in pair] for pair in standard_phase_table()]
         )
-        small = all(lane.capacity <= np.iinfo(np.int16).max for lane in net.lanes.values())
+        small = max(lane.capacity for lane in net.lanes.values()) <= np.iinfo(np.int16).max
         self._telemetry_dtype = np.int16 if small else np.int32
 
         # canonical movement bundles per intersection
@@ -271,12 +273,18 @@ class World:
         # Discharge slots, in the order a tick visits them: per intersection
         # the green phase's movements, then the four right turns.  A slot
         # holds (service, source lane state, movement id, outgoing lane id).
-        # Only the phase slots change, when that intersection's signal does.
+        # Only the phase slots change, when that intersection's signal does;
+        # each phase's slots and their source lanes are listed up front.
         self._slot_width = self.phase_columns.shape[1] + 4
+        self._phase_slots: list[list[tuple[list[tuple], list[int]]]] = []
         self._slots: list[tuple] = []
         for inter in net.intersections:
-            rights = [m for m in inter.movements if m.turn is Turn.RIGHT]
-            self._slots += [self._slot(m) for m in self._phase_movements[inter.id][0] + rights]
+            by_phase = []
+            for movements in self._phase_movements[inter.id]:
+                slots = [self._slot(m) for m in movements]
+                by_phase.append((slots, [slot[1].index for slot in slots]))
+            self._phase_slots.append(by_phase)
+            self._slots += by_phase[0][0] + [self._slot(m) for m in inter.movements if m.turn is Turn.RIGHT]
         self._slot_lane = np.array([slot[1].index for slot in self._slots], np.int64)
         self._slot_active = np.ones(len(self._slots), bool)
         #: the active slot each lane feeds, or -1
@@ -462,7 +470,8 @@ class World:
                 veh.pos = 0.0
                 veh.speed = ls.lane.max_speed
                 ls.vehicles.append(veh)
-            self._occupancy[ls.index] += len(ls.vehicles) - placed
+            if len(ls.vehicles) > placed:
+                self._occupancy[ls.index] += len(ls.vehicles) - placed
         return entered
 
     def _can_enter(self, ls: _LaneState) -> bool:
@@ -511,12 +520,13 @@ class World:
         exited = 0
         headway = self.k.headway
         accel = self.k.accel
-        for ls in self._lane_list:
+        lanes = self._lane_list
+        settled_counts = self._settled
+        for index in np.flatnonzero(settled_counts < self._occupancy).tolist():
+            ls = lanes[index]
             vehicles = ls.vehicles
-            settled = ls.settled
-            if settled == len(vehicles):
-                ls.queue_len = settled
-                continue
+            settled = int(settled_counts[index])
+            is_exit = ls.is_exit
             vmax = ls.lane.max_speed
             stop = ls.lane.length
             # the settled prefix would recompute to the same bits: start behind it
@@ -536,21 +546,21 @@ class World:
                     speed = vmax
                 new_pos = veh.pos + speed
                 if prev_pos is None:
-                    limit = math.inf if ls.is_exit else stop
+                    limit = math.inf if is_exit else stop
                 else:
                     limit = prev_pos - headway
                 if new_pos > limit:
                     new_pos = limit
                 veh.speed = new_pos - veh.pos
                 veh.pos = new_pos
-                if ls.is_exit and new_pos >= stop - _EPS and prev_pos is None:
+                if is_exit and new_pos >= stop - _EPS and prev_pos is None:
                     veh.status = EXITED
                     veh.exited_at = self.time + 1
                     n_exit += 1
                     # leave prev_pos None: the follower is now unconstrained
                     continue
                 if prev_pos is None:
-                    is_queued = not ls.is_exit and new_pos >= stop - 1e-6
+                    is_queued = not is_exit and new_pos >= stop - 1e-6
                 else:
                     is_queued = prev_queued and new_pos >= prev_pos - headway - 1e-6
                 if is_queued:
@@ -567,10 +577,10 @@ class World:
             if n_exit:
                 for _ in range(n_exit):
                     vehicles.popleft()
-                self._occupancy[ls.index] -= n_exit
+                self._occupancy[index] -= n_exit
                 exited += n_exit
                 self.exited_total += n_exit
-            ls.settled = settled
+            settled_counts[index] = settled
             ls.queue_len = qlen
         return exited
 
@@ -583,16 +593,17 @@ class World:
         """Point intersection ``r``'s phase slots at ``phase``, or close them (yellow)."""
         base = r * self._slot_width
         end = base + self.phase_columns.shape[1]
+        lane_slot = self._lane_slot
         for s in range(base, end):
-            self._lane_slot[self._slots[s][1].index] = -1
+            lane_slot[self._slots[s][1].index] = -1
         self._slot_active[base:end] = phase is not None
         if phase is None:
             return
-        movements = self._phase_movements[self.net.intersections[r].id][phase]
-        for s, m in enumerate(movements, base):
-            slot = self._slots[s] = self._slot(m)
-            self._slot_lane[s] = slot[1].index
-            self._lane_slot[slot[1].index] = s
+        slots, lanes = self._phase_slots[r][phase]
+        self._slots[base:end] = slots
+        self._slot_lane[base:end] = lanes
+        for s, lane in enumerate(lanes, base):
+            lane_slot[lane] = s
 
     def _discharge_all(self) -> dict[str, int]:
         """Discharge every open movement whose source lane holds a vehicle.
@@ -609,7 +620,10 @@ class World:
         todo = np.flatnonzero(self._slot_active & (self._occupancy[self._slot_lane] > 0)).tolist()
         while todo:
             s = heappop(todo)
-            self._discharge_movement(*self._slots[s], discharged, filled)
+            svc, src, mid, out_lane = self._slots[s]
+            if svc.budget <= 0:
+                continue
+            self._discharge_movement(svc, src, mid, out_lane, discharged, filled)
             for lane in filled:
                 if lane_slot[lane] > s:
                     heappush(todo, lane_slot[lane])
@@ -620,8 +634,6 @@ class World:
         self, svc: _Service, src: _LaneState, mid: str, out_lane: str, acc: dict[str, int], filled: list[int]
     ) -> None:
         """Cross vehicles from ``src``; note in ``filled`` each lane this made non-empty."""
-        if svc.budget <= 0:
-            return
         k = self.k
         kin, clear_times = src.clear
         vmax = src.lane.max_speed
@@ -668,7 +680,6 @@ class World:
             elif entry_pos > dest.lane.length:
                 entry_pos = dest.lane.length
             src.vehicles.popleft()
-            src.settled = 0
             if src.queue_len > 0:
                 src.queue_len -= 1
             if head.route_idx < len(head.route):
@@ -686,12 +697,13 @@ class World:
             count += 1
         if count:
             occupancy[src.index] -= count
+            self._settled[src.index] = 0
             acc[mid] = acc.get(mid, 0) + count
 
     # ---------------------------------------------------------------- signals
 
     def _update_signals(self) -> None:
-        for r, (inter_id, sig) in enumerate(self.signals.items()):
+        for r, sig in enumerate(self.signals.values()):
             if sig.mode == YELLOW:
                 sig.time_remaining -= 1
                 if sig.time_remaining <= 0:
@@ -701,7 +713,7 @@ class World:
                     sig.time_remaining = sig.pending_green
                     sig.pending_green = 0
                     self._set_phase_slots(r, sig.current_phase)
-                    for m in self._phase_movements[inter_id][sig.current_phase]:
+                    for m in self._phase_movements[self.net.intersections[r].id][sig.current_phase]:
                         svc = self.services[m.id]
                         svc.clock_start = self.time + 1
                         svc.crossed = 0
