@@ -259,16 +259,11 @@ class World:
         small = max(lane.capacity for lane in net.lanes.values()) <= np.iinfo(np.int16).max
         self._telemetry_dtype = np.int16 if small else np.int32
 
-        # canonical movement bundles per intersection
-        self._phase_movements: dict[str, list[list[Movement]]] = {}
-        self.services: dict[str, _Service] = {}
-        for inter in net.intersections:
-            by_id = {m.id: m for m in inter.movements}
-            self._phase_movements[inter.id] = [
-                [by_id[mid] for mid in phase.movements] for phase in inter.phases
-            ]
-            for m in inter.movements:
-                self.services[m.id] = _Service(math.inf if m.turn is Turn.RIGHT else 0.0)
+        self.services: dict[str, _Service] = {
+            m.id: _Service(math.inf if m.turn is Turn.RIGHT else 0.0)
+            for inter in net.intersections
+            for m in inter.movements
+        }
 
         # Discharge slots, in the order a tick visits them: per intersection
         # the green phase's movements, then the four right turns.  A slot
@@ -279,9 +274,10 @@ class World:
         self._phase_slots: list[list[tuple[list[tuple], list[int]]]] = []
         self._slots: list[tuple] = []
         for inter in net.intersections:
+            by_id = {m.id: m for m in inter.movements}
             by_phase = []
-            for movements in self._phase_movements[inter.id]:
-                slots = [self._slot(m) for m in movements]
+            for phase in inter.phases:
+                slots = [self._slot(by_id[mid]) for mid in phase.movements]
                 by_phase.append((slots, [slot[1].index for slot in slots]))
             self._phase_slots.append(by_phase)
             self._slots += by_phase[0][0] + [self._slot(m) for m in inter.movements if m.turn is Turn.RIGHT]
@@ -376,13 +372,13 @@ class World:
                 f"decision for {intersection_id} requested before its green elapsed"
             )
         r = self._signal_index[intersection_id]
-        granted = self._phase_movements[intersection_id][phase]
+        granted, _ = self._phase_slots[r][phase]
         budgets = n_pass(self.movement_counts(intersection_id))[self.phase_columns[phase]].tolist()
         if phase == sig.current_phase:
             sig.time_remaining = green_duration
             self._due[r] = self.time + green_duration
-            for m, budget in zip(granted, budgets):
-                self.services[m.id].budget = float(budget)
+            for (svc, *_), budget in zip(granted, budgets):
+                svc.budget = float(budget)
         else:
             sig.mode = YELLOW
             sig.time_remaining = self.yellow
@@ -390,8 +386,8 @@ class World:
             sig.pending_green = green_duration
             self._due[r] = self.time + self.yellow + green_duration
             self._set_phase_slots(r, None)
-            for m, budget in zip(granted, budgets):
-                self.services[m.id].pending_budget = float(budget)
+            for (svc, *_), budget in zip(granted, budgets):
+                svc.pending_budget = float(budget)
         return sum(budgets)
 
     def needs_decision(self, intersection_id: str) -> bool:
@@ -522,10 +518,11 @@ class World:
         accel = self.k.accel
         lanes = self._lane_list
         settled_counts = self._settled
-        for index in np.flatnonzero(settled_counts < self._occupancy).tolist():
+        unsettled = np.flatnonzero(settled_counts < self._occupancy)
+        for index, start in zip(unsettled.tolist(), settled_counts[unsettled].tolist()):
             ls = lanes[index]
             vehicles = ls.vehicles
-            settled = int(settled_counts[index])
+            settled = start
             is_exit = ls.is_exit
             vmax = ls.lane.max_speed
             stop = ls.lane.length
@@ -580,7 +577,8 @@ class World:
                 self._occupancy[index] -= n_exit
                 exited += n_exit
                 self.exited_total += n_exit
-            settled_counts[index] = settled
+            if settled != start:
+                settled_counts[index] = settled
             ls.queue_len = qlen
         return exited
 
@@ -713,8 +711,8 @@ class World:
                     sig.time_remaining = sig.pending_green
                     sig.pending_green = 0
                     self._set_phase_slots(r, sig.current_phase)
-                    for m in self._phase_movements[self.net.intersections[r].id][sig.current_phase]:
-                        svc = self.services[m.id]
+                    granted, _ = self._phase_slots[r][sig.current_phase]
+                    for svc, *_ in granted:
                         svc.clock_start = self.time + 1
                         svc.crossed = 0
                         svc.budget = svc.pending_budget
