@@ -143,13 +143,16 @@ class TestSameTickCrossing:
         road = lambda lane: net.road_of_lane(lane).id
 
         def prime(m):
+            """Feed the right turn until it has crossed 41 vehicles, then let its lane empty."""
             lane = world.lanes[m.in_lane]
-            while world.services[m.id].crossed <= 40:
-                if not lane.vehicles or lane.vehicles[-1].pos >= 60:
+            for _ in range(600):
+                primed = world.services[m.id].crossed > 40
+                if primed and not lane.vehicles:
+                    return
+                if not primed and (not lane.vehicles or lane.vehicles[-1].pos >= 60):
                     world.place_vehicle(m.in_lane, pos=0.0, speed=0.0)
                 world.step()
-            while lane.vehicles:
-                world.step()
+            pytest.fail(f"{m.id} was not primed within 600 ticks")
 
         later_right = b.movements[2]  # W right at i_0_1
         earlier_right = a.movements[5]  # E right at i_0_0
@@ -248,6 +251,20 @@ class TestSignals:
             assert straight.id not in tel.discharged
         assert world.services[straight.id].cum_crossed == 0
         assert world.services[right.id].cum_crossed == 1  # right turns keep flowing
+
+    def test_yellow_stops_a_green_with_budget_left(self):
+        world = single()
+        straight = west_straight(world.net)
+        queue_up(world, straight.in_lane, 10)
+        world.apply_decision("i_0_0", 0, 3)
+        for _ in range(3):
+            world.step()
+        crossed = world.services[straight.id].cum_crossed
+        assert 0 < crossed < 10 and world.services[straight.id].budget > 0
+        world.apply_decision("i_0_0", 1, 10)  # switch -> 5 s yellow
+        for _ in range(5):
+            world.step()
+        assert world.services[straight.id].cum_crossed == crossed
 
 
 class TestObservation:
@@ -475,9 +492,15 @@ class TestSkipInvariants:
                     world.apply_decision(inter.id, phase, green)
                     twin.apply_decision(inter.id, phase, green)
             twin._settled[:] = 0
+            open_movements = {
+                mid
+                for inter, sig in zip(net.intersections, world.signals.values())
+                for mid in (*inter.always_green, *(inter.phases[sig.current_phase].movements if sig.mode == GREEN else ()))
+            }
             tel, twin_tel = world.step(collect=False), twin.step(collect=False)
 
             assert tel.discharged == twin_tel.discharged
+            assert set(tel.discharged) <= open_movements
             assert self._state(world) == self._state(twin)
             assert [ls.queue_len for ls in world.lanes.values()] == [ls.queue_len for ls in twin.lanes.values()]
             assert world.lane_occupancy().tolist() == [len(ls.vehicles) for ls in world.lanes.values()]
