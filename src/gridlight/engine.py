@@ -30,9 +30,10 @@ A tick skips work that cannot change anything, and each skip is exact:
 
 * Settled queues.  A lane's leading vehicles that stand exactly at their
   limit (the stop line, or one headway behind the vehicle ahead) are not
-  advanced.  With speed 0 the update ``min(pos + min(0 + a, vmax), limit)``
-  returns ``limit``, which is ``pos``, and the speed is written back as 0.
-  A pop from the lane head resets the prefix.
+  advanced, nor is a lane whose vehicles all stand so.  With speed 0 the
+  update ``min(pos + min(0 + a, vmax), limit)`` returns ``limit``, which
+  is ``pos``, and the speed is written back as 0.  A pop from the lane
+  head resets the prefix.
 * Idle movements.  Discharge visits only open movements whose source lane
   holds a vehicle, read from the lane-occupancy vector that every append
   and pop keeps current; a movement on an empty lane would return at once.
@@ -518,6 +519,7 @@ class World:
         accel = self.k.accel
         lanes = self._lane_list
         settled_counts = self._settled
+        # a skipped lane's queue_len still holds: it is empty (0) or all settled
         unsettled = np.flatnonzero(settled_counts < self._occupancy)
         for index, start in zip(unsettled.tolist(), settled_counts[unsettled].tolist()):
             ls = lanes[index]
