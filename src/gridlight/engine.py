@@ -40,7 +40,14 @@ A tick skips work that cannot change anything, and each skip is exact:
   A lane first filled during the pass joins it when its movement comes
   later in the pass order, as a pass over every movement would find it.
 * Undue signals.  Each signal's next decision tick is kept in one array,
-  set when its green is granted, so callers ask only the due signals.
+  set when its green is granted, so callers ask only the due signals.  A
+  tick's signal update touches only the signals whose yellow ends in it.
+
+Discharge slots are fixed when the world is built: per intersection, the
+movements of phases 0-3 in phase order, then the four right turns.  One
+open mask admits the right turns always and a phase's movements while it
+shows green, so ascending open slots visit each intersection's green
+phase, then its right turns, in network order.
 
 A world is mutated by exactly one caller; independent worlds may run
 concurrently.  Identical (network, schedule, decisions) produce bit
@@ -117,13 +124,16 @@ class Vehicle:
 
 @dataclass
 class SignalState:
-    """Signal head of one intersection."""
+    """Signal head of one intersection.
+
+    ``next_phase`` is the phase a yellow leads to.  The world keeps when the
+    green runs out (:meth:`World.needs_decision`) and files each yellow's
+    end under its tick, so a tick updates only the signals whose yellow ends.
+    """
 
     current_phase: int = 0
     mode: str = GREEN
-    time_remaining: int = 0
     next_phase: Optional[int] = None
-    pending_green: int = 0
 
 
 class _LaneState:
@@ -146,15 +156,17 @@ class _LaneState:
 
 
 class _Service:
-    """Per-movement discharge bookkeeping (platoon clock, budget, totals)."""
+    """One movement's discharge record: its lanes, platoon clock, budget and totals."""
 
-    __slots__ = ("clock_start", "crossed", "budget", "pending_budget", "cum_crossed")
+    __slots__ = ("mid", "src", "out_lane", "clock_start", "crossed", "budget", "cum_crossed")
 
-    def __init__(self, budget: float):
+    def __init__(self, mid: str, src: _LaneState, out_lane: str, budget: float):
+        self.mid = mid
+        self.src = src
+        self.out_lane = out_lane
         self.clock_start = 0
         self.crossed = 0
         self.budget = budget
-        self.pending_budget = 0.0
         self.cum_crossed = 0
 
 
@@ -239,6 +251,8 @@ class World:
         self._signal_index = {inter.id: r for r, inter in enumerate(net.intersections)}
         #: tick at which each signal's green runs out, in net.intersections order
         self._due = np.zeros(len(net.intersections), np.int64)
+        #: tick whose signal update ends a yellow -> (row, signal) of each such yellow
+        self._yellow_ends: dict[int, list[tuple[int, SignalState]]] = {}
 
         # counts are read from one lane-occupancy vector through index tables;
         # it is kept at every append to and pop from a lane
@@ -249,10 +263,7 @@ class World:
         #: stop line, or one headway behind the vehicle ahead); a lane whose
         #: vehicles are all settled is not advanced
         self._settled = np.zeros(len(net.lanes), np.int64)
-        in_idx, out_idx, n_max = movement_tables(net)
-        self._tables = {
-            inter.id: (in_idx[r], out_idx[r], n_max[r]) for r, inter in enumerate(net.intersections)
-        }
+        self._in_idx, self._out_idx, self._n_max = movement_tables(net)
         #: row k: positions in the canonical movement order of the movements phase k serves
         self.phase_columns = np.array(
             [[movement_column(a, t) for a, t in pair] for pair in standard_phase_table()]
@@ -261,33 +272,28 @@ class World:
         self._telemetry_dtype = np.int16 if small else np.int32
 
         self.services: dict[str, _Service] = {
-            m.id: _Service(math.inf if m.turn is Turn.RIGHT else 0.0)
+            m.id: _Service(m.id, self.lanes[m.in_lane], m.out_lane, math.inf if m.turn is Turn.RIGHT else 0.0)
             for inter in net.intersections
             for m in inter.movements
         }
 
-        # Discharge slots, in the order a tick visits them: per intersection
-        # the green phase's movements, then the four right turns.  A slot
-        # holds (service, source lane state, movement id, outgoing lane id).
-        # Only the phase slots change, when that intersection's signal does;
-        # each phase's slots and their source lanes are listed up front.
-        self._slot_width = self.phase_columns.shape[1] + 4
-        self._phase_slots: list[list[tuple[list[tuple], list[int]]]] = []
-        self._slots: list[tuple] = []
+        # Discharge slots, 12 per intersection: phase k's movements at
+        # [k * width, (k + 1) * width), then the four right turns.
+        self._phase_width = width = self.phase_columns.shape[1]
+        self._slots: list[_Service] = []
+        phase_columns = self.phase_columns.ravel().tolist()
         for inter in net.intersections:
-            by_id = {m.id: m for m in inter.movements}
-            by_phase = []
-            for phase in inter.phases:
-                slots = [self._slot(by_id[mid]) for mid in phase.movements]
-                by_phase.append((slots, [slot[1].index for slot in slots]))
-            self._phase_slots.append(by_phase)
-            self._slots += by_phase[0][0] + [self._slot(m) for m in inter.movements if m.turn is Turn.RIGHT]
-        self._slot_lane = np.array([slot[1].index for slot in self._slots], np.int64)
-        self._slot_active = np.ones(len(self._slots), bool)
-        #: the active slot each lane feeds, or -1
+            columns = phase_columns + [j for j, m in enumerate(inter.movements) if m.turn is Turn.RIGHT]
+            self._slots += [self.services[inter.movements[c].id] for c in columns]
+        slot_lanes = [svc.src.index for svc in self._slots]
+        self._slot_lane = np.array(slot_lanes, np.int64).reshape(len(net.intersections), -1)
+        #: which slots may discharge: the right turns, and the green phase's movements
+        self._open = np.ones(self._slot_lane.shape, bool)
+        self._open[:, width : self.phase_columns.size] = False
+        #: the slot each lane feeds, or -1
         self._lane_slot = [-1] * len(net.lanes)
-        for s, slot in enumerate(self._slots):
-            self._lane_slot[slot[1].index] = s
+        for s, svc in enumerate(self._slots):
+            self._lane_slot[svc.src.index] = s
 
         # spawn schedule and entry buffers
         self._events = sorted(events, key=lambda e: e.time)
@@ -319,7 +325,7 @@ class World:
 
     def incoming_occupancy(self, intersection_id: str) -> np.ndarray:
         """Occupancy of the intersection's 12 incoming lanes, canonical order."""
-        return self.lane_occupancy()[self._tables[intersection_id][0]]
+        return self.lane_occupancy()[self._in_idx[self._signal_index[intersection_id]]]
 
     def on_network_count(self) -> int:
         return int(self._occupancy.sum())
@@ -333,9 +339,9 @@ class World:
         Each field is a 12-vector in canonical (W, E, N, S) x (left,
         straight, right) order.
         """
-        in_idx, out_idx, n_max = self._tables[intersection_id]
+        r = self._signal_index[intersection_id]
         occupancy = self.lane_occupancy()
-        return MovementCounts(occupancy[in_idx], occupancy[out_idx], n_max)
+        return MovementCounts(occupancy[self._in_idx[r]], occupancy[self._out_idx[r]], self._n_max[r])
 
     def observe(self, intersection_id: str) -> np.ndarray:
         """16-entry state vector: 12 incoming-lane counts + phase one-hot.
@@ -346,7 +352,8 @@ class World:
         """
         out = np.zeros(OBS_SIZE)
         if self.obs_counts == "queued":
-            out[:12] = [self._lane_list[k].queue_len for k in self._tables[intersection_id][0]]
+            r = self._signal_index[intersection_id]
+            out[:12] = [self._lane_list[k].queue_len for k in self._in_idx[r].tolist()]
         else:
             out[:12] = self.incoming_occupancy(intersection_id)
         out[12 + self.signals[intersection_id].current_phase] = 1.0
@@ -358,37 +365,35 @@ class World:
         """Grant ``green_duration`` seconds of green to ``phase``.
 
         Same phase: the running green is extended, no yellow.  Different
-        phase: a yellow interval is inserted first.  Either way each granted
-        movement's discharge budget becomes its current ``n_pass``.  Only
-        legal once the running green has expired.  Returns the total budget
-        granted, the sum of those ``n_pass`` values.
+        phase: a yellow interval is inserted first, and the new phase's slots
+        open when it ends.  Either way each granted movement's discharge
+        budget becomes its current ``n_pass`` at once; a switched-to phase
+        cannot spend it before its yellow ends.  Only legal once the running
+        green has expired.  Returns the total budget granted, the sum of
+        those ``n_pass`` values.
         """
         if phase not in (0, 1, 2, 3):
             raise ValueError(f"phase must be 0..3, got {phase}")
         if green_duration < 1:
             raise ValueError("green duration must be >= 1 s")
-        sig = self.signals[intersection_id]
-        if sig.mode != GREEN or sig.time_remaining != 0:
+        r = self._signal_index[intersection_id]
+        if self._due[r] > self.time:
             raise RuntimeError(
                 f"decision for {intersection_id} requested before its green elapsed"
             )
-        r = self._signal_index[intersection_id]
-        granted, _ = self._phase_slots[r][phase]
         budgets = n_pass(self.movement_counts(intersection_id))[self.phase_columns[phase]].tolist()
+        for svc, budget in zip(self._granted(r, phase), budgets):
+            svc.budget = float(budget)
+        sig = self.signals[intersection_id]
         if phase == sig.current_phase:
-            sig.time_remaining = green_duration
             self._due[r] = self.time + green_duration
-            for (svc, *_), budget in zip(granted, budgets):
-                svc.budget = float(budget)
         else:
             sig.mode = YELLOW
-            sig.time_remaining = self.yellow
             sig.next_phase = phase
-            sig.pending_green = green_duration
             self._due[r] = self.time + self.yellow + green_duration
-            self._set_phase_slots(r, None)
-            for (svc, *_), budget in zip(granted, budgets):
-                svc.pending_budget = float(budget)
+            self._open[r, : self.phase_columns.size] = False
+            # the yellow shows for ticks time .. time + yellow - 1
+            self._yellow_ends.setdefault(self.time + self.yellow - 1, []).append((r, sig))
         return sum(budgets)
 
     def needs_decision(self, intersection_id: str) -> bool:
@@ -586,24 +591,10 @@ class World:
 
     # -------------------------------------------------------------- discharge
 
-    def _slot(self, m: Movement) -> tuple:
-        return (self.services[m.id], self.lanes[m.in_lane], m.id, m.out_lane)
-
-    def _set_phase_slots(self, r: int, phase: Optional[int]) -> None:
-        """Point intersection ``r``'s phase slots at ``phase``, or close them (yellow)."""
-        base = r * self._slot_width
-        end = base + self.phase_columns.shape[1]
-        lane_slot = self._lane_slot
-        for s in range(base, end):
-            lane_slot[self._slots[s][1].index] = -1
-        self._slot_active[base:end] = phase is not None
-        if phase is None:
-            return
-        slots, lanes = self._phase_slots[r][phase]
-        self._slots[base:end] = slots
-        self._slot_lane[base:end] = lanes
-        for s, lane in enumerate(lanes, base):
-            lane_slot[lane] = s
+    def _granted(self, r: int, phase: int) -> list[_Service]:
+        """The services of intersection ``r``'s phase ``phase``, in phase order."""
+        base = r * self._slot_lane.shape[1] + phase * self._phase_width
+        return self._slots[base : base + self._phase_width]
 
     def _discharge_all(self) -> dict[str, int]:
         """Discharge every open movement whose source lane holds a vehicle.
@@ -611,29 +602,30 @@ class World:
         Slots are visited in ascending order, as a pass over every
         intersection's open movements would.  A lane that was empty when the
         pass began can receive a vehicle from an earlier slot; its own slot
-        joins the pass if it is still ahead.
+        joins the pass if it is still ahead and open.
         """
         discharged: dict[str, int] = {}
         lane_slot = self._lane_slot
+        is_open = self._open.ravel()
         filled: list[int] = []
         # ascending, so already a heap
-        todo = np.flatnonzero(self._slot_active & (self._occupancy[self._slot_lane] > 0)).tolist()
+        todo = np.flatnonzero(self._open & (self._occupancy[self._slot_lane] > 0)).tolist()
         while todo:
             s = heappop(todo)
-            svc, src, mid, out_lane = self._slots[s]
+            svc = self._slots[s]
             if svc.budget <= 0:
                 continue
-            self._discharge_movement(svc, src, mid, out_lane, discharged, filled)
+            self._discharge_movement(svc, discharged, filled)
             for lane in filled:
-                if lane_slot[lane] > s:
-                    heappush(todo, lane_slot[lane])
+                t = lane_slot[lane]
+                if t > s and is_open[t]:
+                    heappush(todo, t)
             filled.clear()
         return discharged
 
-    def _discharge_movement(
-        self, svc: _Service, src: _LaneState, mid: str, out_lane: str, acc: dict[str, int], filled: list[int]
-    ) -> None:
-        """Cross vehicles from ``src``; note in ``filled`` each lane this made non-empty."""
+    def _discharge_movement(self, svc: _Service, acc: dict[str, int], filled: list[int]) -> None:
+        """Cross vehicles through ``svc``; note in ``filled`` each lane this made non-empty."""
+        src = svc.src
         k = self.k
         kin, clear_times = src.clear
         vmax = src.lane.max_speed
@@ -657,7 +649,7 @@ class World:
             if head.route_idx + 1 < len(head.route):
                 dest_id = head.route[head.route_idx + 1].in_lane
             else:
-                dest_id = out_lane
+                dest_id = svc.out_lane
             dest = self.lanes[dest_id]
             if len(dest.vehicles) >= dest.lane.capacity:
                 break
@@ -698,29 +690,22 @@ class World:
         if count:
             occupancy[src.index] -= count
             self._settled[src.index] = 0
-            acc[mid] = acc.get(mid, 0) + count
+            acc[svc.mid] = acc.get(svc.mid, 0) + count
 
     # ---------------------------------------------------------------- signals
 
     def _update_signals(self) -> None:
-        for r, sig in enumerate(self.signals.values()):
-            if sig.mode == YELLOW:
-                sig.time_remaining -= 1
-                if sig.time_remaining <= 0:
-                    sig.mode = GREEN
-                    sig.current_phase = sig.next_phase  # type: ignore[assignment]
-                    sig.next_phase = None
-                    sig.time_remaining = sig.pending_green
-                    sig.pending_green = 0
-                    self._set_phase_slots(r, sig.current_phase)
-                    granted, _ = self._phase_slots[r][sig.current_phase]
-                    for svc, *_ in granted:
-                        svc.clock_start = self.time + 1
-                        svc.crossed = 0
-                        svc.budget = svc.pending_budget
-                        svc.pending_budget = 0.0
-            elif sig.time_remaining > 0:
-                sig.time_remaining -= 1
+        """End the yellows that end in this tick; their greens start at the next."""
+        for r, sig in self._yellow_ends.pop(self.time, ()):
+            phase = sig.next_phase
+            sig.mode = GREEN
+            sig.current_phase = phase  # type: ignore[assignment]
+            sig.next_phase = None
+            start = phase * self._phase_width
+            self._open[r, start : start + self._phase_width] = True
+            for svc in self._granted(r, phase):
+                svc.clock_start = self.time + 1
+                svc.crossed = 0
 
     # ------------------------------------------------------------ accounting
 

@@ -19,6 +19,7 @@ byte-identical metrics and telemetry files.
 from __future__ import annotations
 
 import concurrent.futures
+import csv
 import dataclasses
 import hashlib
 import json
@@ -378,10 +379,11 @@ def run_episode(
     decisions: list[DecisionRecord] = []
     losses: list[float] = []
     pending: dict[str, tuple[np.ndarray, int]] = {}
-    open_records: dict[str, tuple[DecisionRecord, int]] = {}
+    # per intersection: its last decision, the movements it granted and their crossings then
+    open_records: dict[str, tuple[DecisionRecord, tuple[str, ...], int]] = {}
 
-    def interval_crossings(rec: DecisionRecord) -> int:
-        return sum(world.services[mid].cum_crossed for mid in rec.phase_movement_ids)
+    def crossings(movement_ids: tuple[str, ...]) -> int:
+        return sum(world.services[mid].cum_crossed for mid in movement_ids)
 
     intersections = net.intersections
     for _ in range(config.horizon):
@@ -405,8 +407,8 @@ def run_episode(
                         sync_target(learner_ctx.net, learner_ctx.target)
 
             if record and iid in open_records:
-                rec, base = open_records.pop(iid)
-                rec.actual_discharged = interval_crossings(rec) - base
+                rec, granted, base = open_records.pop(iid)
+                rec.actual_discharged = crossings(granted) - base
 
             decision = controller.decide(world, iid, obs)
             ideal_npass = world.apply_decision(iid, decision.phase, decision.green_duration)
@@ -422,16 +424,15 @@ def run_episode(
                     switched=world.signals[iid].mode == YELLOW,
                     counts=tuple(world.incoming_occupancy(iid).tolist()),
                     ideal_npass=ideal_npass,
-                    phase_movement_ids=granted,
                 )
                 decisions.append(rec)
-                open_records[iid] = (rec, interval_crossings(rec))
+                open_records[iid] = (rec, granted, crossings(granted))
         tel = world.step(collect=record)
         if steps is not None:
             steps.append(tel)
 
-    for iid, (rec, base) in open_records.items():
-        rec.actual_discharged = interval_crossings(rec) - base
+    for rec, granted, base in open_records.values():
+        rec.actual_discharged = crossings(granted) - base
     for iid, (s_prev, a_prev) in pending.items():
         r = reward(world.movement_counts(iid), reward_kind)
         s_now = world.observe(iid) * obs_scale
@@ -732,25 +733,20 @@ class CaseStudy:
 
 def write_case_study(out_dir: str, records: Sequence[DecisionRecord]) -> CaseStudy:
     """Write case_study.csv (per decision) and case_study_summary.json."""
-    study = case_study(records)
+    study, per_record = _case_study(records)
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "case_study.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            "time,intersection,phase,green_duration,"
-            "phase_count_0,phase_count_1,phase_count_2,phase_count_3,"
-            "chosen_is_max,ideal_npass,actual_discharged\n"
+    with open(os.path.join(out_dir, "case_study.csv"), "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(
+            ["time", "intersection", "phase", "green_duration"]
+            + [f"phase_count_{k}" for k in range(4)]
+            + ["chosen_is_max", "ideal_npass", "actual_discharged"]
         )
-        for rec in records:
-            per_phase = rec.phase_mean_counts()
-            top = max(per_phase)
-            top_phases = [k for k in range(4) if per_phase[k] == top]
-            chosen_is_max = "" if len(top_phases) > 1 else int(top_phases[0] == rec.phase)
+        for rec, (per_phase, chosen_is_max) in zip(records, per_record):
             actual = "" if rec.actual_discharged is None else rec.actual_discharged
-            fh.write(
-                f"{rec.time},{rec.intersection},{rec.phase},{rec.green_duration},"
-                f"{per_phase[0]},{per_phase[1]},{per_phase[2]},{per_phase[3]},"
-                f"{chosen_is_max},{rec.ideal_npass},{actual}\n"
+            writer.writerow(
+                [rec.time, rec.intersection, rec.phase, rec.green_duration, *per_phase]
+                + [chosen_is_max, rec.ideal_npass, actual]
             )
     write_metrics_json(os.path.join(out_dir, "case_study_summary.json"), study.to_dict())
     return study
@@ -764,11 +760,18 @@ def case_study(records: Sequence[DecisionRecord]) -> CaseStudy:
     controller).  The duration table aggregates, per green duration, the
     promised (n_pass) and delivered discharge of the granted phase.
     """
+    return _case_study(records)[0]
+
+
+def _case_study(records: Sequence[DecisionRecord]) -> tuple[CaseStudy, list[tuple[tuple[float, ...], int | str]]]:
+    """The case study, and per record its phase mean counts and ``chosen_is_max``
+    cell: 1 or 0 when the maximum is unique, empty on a tie."""
     choice_counts = [0, 0, 0, 0]
     mean_sums = [0.0, 0.0, 0.0, 0.0]
     unique_max = 0
     max_chosen = 0
     durations: dict[int, dict] = {}
+    per_record = []
     for rec in records:
         choice_counts[rec.phase] += 1
         per_phase = rec.phase_mean_counts()
@@ -776,10 +779,12 @@ def case_study(records: Sequence[DecisionRecord]) -> CaseStudy:
             mean_sums[k] += per_phase[k]
         top = max(per_phase)
         top_phases = [k for k in range(4) if per_phase[k] == top]
+        chosen_is_max = ""
         if len(top_phases) == 1:
             unique_max += 1
-            if top_phases[0] == rec.phase:
-                max_chosen += 1
+            chosen_is_max = int(top_phases[0] == rec.phase)
+            max_chosen += chosen_is_max
+        per_record.append((per_phase, chosen_is_max))
         if rec.actual_discharged is not None:
             slot = durations.setdefault(
                 rec.green_duration,
@@ -802,4 +807,4 @@ def case_study(records: Sequence[DecisionRecord]) -> CaseStudy:
         max_phase_chosen=max_chosen,
         max_choice_frequency=(max_chosen / unique_max) if unique_max else 0.0,
         duration_table=durations,
-    )
+    ), per_record

@@ -26,7 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -71,7 +71,6 @@ class DecisionRecord:
     counts: tuple[int, ...]  # 12 incoming-lane occupancies at the boundary
     ideal_npass: int
     actual_discharged: Optional[int] = None
-    phase_movement_ids: tuple[str, ...] = field(default=(), repr=False)
 
     def phase_mean_counts(self) -> tuple[float, float, float, float]:
         """Mean incoming count per phase, pairing the opposing approaches.
@@ -158,6 +157,8 @@ def write_decisions_csv(path: str, records: Iterable[DecisionRecord]) -> None:
 
 
 def read_decisions_csv(path: str) -> list[DecisionRecord]:
+    """Read a decisions file; a malformed row raises a one-line ``ValueError``
+    naming it, counted as a line of the file."""
     records: list[DecisionRecord] = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -165,19 +166,27 @@ def read_decisions_csv(path: str) -> list[DecisionRecord]:
         if header is None or tuple(header) != DECISIONS_HEADER:
             raise ValueError(f"{path}: not a decisions CSV (unexpected header)")
         for row in reader:
-            records.append(
-                DecisionRecord(
-                    time=int(row[0]),
-                    intersection=row[1],
-                    phase=int(row[2]),
-                    green_duration=int(row[3]),
-                    switched=bool(int(row[4])),
-                    counts=tuple(int(v) for v in row[7:19]),
-                    ideal_npass=int(row[5]),
-                    actual_discharged=None if row[6] == "" else int(row[6]),
-                )
-            )
+            try:
+                records.append(_decision_record(row))
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {reader.line_num}: {exc}") from None
     return records
+
+
+def _decision_record(row: list[str]) -> DecisionRecord:
+    if len(row) != len(DECISIONS_HEADER):
+        raise ValueError(f"{len(row)} fields, expected {len(DECISIONS_HEADER)}")
+    time, phase, green, switched, ideal, *counts = map(int, row[:1] + row[2:6] + row[7:])
+    actual = None if row[6] == "" else int(row[6])
+    if not 0 <= phase <= 3:
+        raise ValueError(f"phase {phase} is outside 0-3")
+    if green < 1:
+        raise ValueError(f"green_duration {green} is below 1")
+    if switched not in (0, 1):
+        raise ValueError(f"switched {switched} is not 0 or 1")
+    if min(ideal, actual or 0, *counts) < 0:
+        raise ValueError("a count is negative")
+    return DecisionRecord(time, row[1], phase, green, bool(switched), tuple(counts), ideal, actual)
 
 
 def write_metrics_json(path: str, payload: dict) -> None:

@@ -16,6 +16,7 @@ from gridlight.flows import load_flow_file, save_flow_file, syn_light_flows
 from gridlight.learner import QNetwork, save_checkpoint
 from gridlight.network import build_grid
 from gridlight.roadnet import save_roadnet
+from gridlight.telemetry import DECISIONS_HEADER
 
 
 def write_config(path, **kw):
@@ -267,6 +268,29 @@ class TestCaseStudyCommand:
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,c\n1,2,3\n")
         assert main(["case-study", "--telemetry", str(bad), "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda row: row[:3], "3 fields"),
+            (lambda row: row[:3] + ["ten"] + row[4:], "'ten'"),
+            (lambda row: row[:2] + ["7"] + row[3:], "phase 7"),
+            (lambda row: row[:2] + ["-1"] + row[3:], "phase -1"),
+            (lambda row: row[:3] + ["0"] + row[4:], "green_duration 0"),
+            (lambda row: row[:4] + ["2"] + row[5:], "switched 2"),
+            (lambda row: row[:7] + ["-3"] + row[8:], "negative"),
+        ],
+        ids=["field-count", "not-integer", "phase-7", "phase-negative", "green-zero", "switched-2", "count-negative"],
+    )
+    def test_malformed_row_is_one_line(self, tmp_path, capsys, edit, named):
+        good = ["5", "i_0_0", "1", "10", "1", "4", "3"] + ["2"] * 12
+        path = tmp_path / "decisions.csv"
+        path.write_text("\n".join(",".join(row) for row in (DECISIONS_HEADER, good, edit(good))) + "\n")
+        code = main(["case-study", "--telemetry", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert f"{path}: row 3: " in err and named in err, err
 
 
 class TestCompare:

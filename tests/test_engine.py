@@ -188,24 +188,37 @@ class TestSameTickCrossing:
 
 
 class TestSignals:
+    @staticmethod
+    def _states(world: World, ticks: int) -> list[tuple]:
+        """(mode, current phase, next phase, due) of i_0_0 before each of ``ticks`` steps, then after the last."""
+        sig = world.signals["i_0_0"]
+        states = []
+        for tick in range(ticks + 1):
+            due = world.needs_decision("i_0_0")
+            assert world.due_signals().tolist() == ([0] if due else [])
+            states.append((sig.mode, sig.current_phase, sig.next_phase, due))
+            if tick < ticks:
+                world.step()
+        return states
+
     def test_same_phase_extends_without_yellow(self):
         world = single()
         world.apply_decision("i_0_0", 0, 10)
-        sig = world.signals["i_0_0"]
-        assert sig.mode == GREEN and sig.time_remaining == 10
-        assert sig.next_phase is None
+        assert self._states(world, 10) == [(GREEN, 0, None, False)] * 10 + [(GREEN, 0, None, True)]
 
     def test_phase_change_inserts_yellow(self):
         world = single()
         world.apply_decision("i_0_0", 1, 10)
-        sig = world.signals["i_0_0"]
-        assert sig.mode == YELLOW and sig.time_remaining == 5
-        assert sig.next_phase == 1
-        for _ in range(5):
-            world.step()
-        assert sig.mode == GREEN
-        assert sig.current_phase == 1
-        assert sig.time_remaining == 10
+        assert self._states(world, 15) == (
+            [(YELLOW, 0, 1, False)] * 5 + [(GREEN, 1, None, False)] * 10 + [(GREEN, 1, None, True)]
+        )
+
+    def test_one_second_yellow_switches_after_one_tick(self):
+        world = World(build_grid(1, 1, 300, 300), yellow=1)
+        world.apply_decision("i_0_0", 2, 3)
+        assert self._states(world, 4) == (
+            [(YELLOW, 0, 2, False)] + [(GREEN, 2, None, False)] * 3 + [(GREEN, 2, None, True)]
+        )
 
     def test_extension_after_running_a_phase(self):
         world = single()
@@ -213,8 +226,24 @@ class TestSignals:
         for _ in range(15):  # 5 yellow + 10 green
             world.step()
         world.apply_decision("i_0_0", 3, 15)
-        sig = world.signals["i_0_0"]
-        assert sig.mode == GREEN and sig.time_remaining == 15
+        assert self._states(world, 15) == [(GREEN, 3, None, False)] * 15 + [(GREEN, 3, None, True)]
+
+    def test_switched_to_phase_waits_for_its_yellow_then_serves_its_budget(self):
+        world = single()
+        north = world.net.intersections[0].movements[7]  # N straight, served by phase 1
+        queue_up(world, north.in_lane, 6)
+        assert world.apply_decision("i_0_0", 1, 30) == 6
+        length = world.net.lanes[north.in_lane].length
+        for i in range(6, 10):  # arrivals after the decision are not in the budget
+            world.place_vehicle(north.in_lane, pos=length - i * world.k.headway, speed=0.0)
+        svc = world.services[north.id]
+        for _ in range(5):
+            assert north.id not in world.step().discharged
+        assert svc.cum_crossed == 0 and svc.clock_start == 5
+        for _ in range(30):
+            world.step()
+        assert svc.cum_crossed == 6 and svc.budget == 0
+        assert world.occupancy(north.in_lane) == 4
 
     def test_returns_the_granted_budget(self):
         world = single()
@@ -469,6 +498,18 @@ class TestSkipInvariants:
         assert veh.pos == 300.0 and veh.speed == 0.0
 
     @staticmethod
+    def _open_movements(world):
+        """Per intersection, in network order: the green phase's movements, then the right turns."""
+        return [
+            mid
+            for inter, sig in zip(world.net.intersections, world.signals.values())
+            for mid in (
+                *(inter.phases[sig.current_phase].movements if sig.mode == GREEN else ()),
+                *(m.id for m in inter.movements if m.id in inter.always_green),
+            )
+        ]
+
+    @staticmethod
     def _state(world):
         return [[(v.vid, v.pos, v.speed, v.status) for v in ls.vehicles] for ls in world.lanes.values()]
 
@@ -492,15 +533,17 @@ class TestSkipInvariants:
                     world.apply_decision(inter.id, phase, green)
                     twin.apply_decision(inter.id, phase, green)
             twin._settled[:] = 0
-            open_movements = {
-                mid
-                for inter, sig in zip(net.intersections, world.signals.values())
-                for mid in (*inter.always_green, *(inter.phases[sig.current_phase].movements if sig.mode == GREEN else ()))
-            }
+            open_movements = self._open_movements(world)
             tel, twin_tel = world.step(collect=False), twin.step(collect=False)
 
             assert tel.discharged == twin_tel.discharged
-            assert set(tel.discharged) <= open_movements
+            assert set(tel.discharged) <= set(open_movements)
+            # ascending open slots: each intersection's green-phase movements, then its right turns
+            assert [world._slots[s].mid for s in np.flatnonzero(world._open)] == self._open_movements(world)
+            for inter in net.intersections:
+                for m in inter.movements:
+                    if m.id not in inter.always_green:
+                        assert world.services[m.id].budget <= world.occupancy(m.in_lane)
             assert self._state(world) == self._state(twin)
             assert [ls.queue_len for ls in world.lanes.values()] == [ls.queue_len for ls in twin.lanes.values()]
             assert world.lane_occupancy().tolist() == [len(ls.vehicles) for ls in world.lanes.values()]
@@ -510,7 +553,6 @@ class TestSkipInvariants:
                     assert veh.status == QUEUED and veh.speed == 0.0 and veh.pos == limit
                     limit = veh.pos - headway
             due = [world.needs_decision(inter.id) for inter in net.intersections]
-            assert due == [s.mode == GREEN and s.time_remaining == 0 for s in world.signals.values()]
             assert world.due_signals().tolist() == [r for r, d in enumerate(due) if d]
 
 

@@ -1,7 +1,9 @@
 """Experiment-layer tests: metric definitions, config round trips, episode
 determinism, training/evaluation consistency, and case-study aggregation."""
 
+import csv
 import dataclasses
+import io
 from dataclasses import dataclass
 from typing import Optional
 
@@ -351,6 +353,17 @@ class TestCaseStudy:
         write_case_study(str(tmp_path), records)
         assert (tmp_path / "case_study.csv").exists()
         assert (tmp_path / "case_study_summary.json").exists()
+
+    def test_id_that_needs_quoting_round_trips(self, tmp_path):
+        plain = DecisionRecord(0, "i_0_0", 1, 10, True, tuple(range(12)), 5, None)
+        odd = dataclasses.replace(plain, time=5, intersection='a,"b', actual_discharged=3)
+        write_case_study(str(tmp_path), [plain, odd])
+        with open(tmp_path / "case_study.csv", newline="", encoding="utf-8") as fh:
+            text = fh.read()
+        assert text.splitlines()[1] == "0,i_0_0,1,10,2.5,8.5,1.5,7.5,1,5,"  # plain ids stay unquoted
+        rows = list(csv.reader(io.StringIO(text)))
+        assert [len(row) for row in rows] == [11, 11, 11]
+        assert rows[2] == ["5", 'a,"b', "1", "10", "2.5", "8.5", "1.5", "7.5", "1", "5", "3"]
 
 
 class TestDecisionsCsvRoundTrip:
