@@ -1,15 +1,15 @@
 """Build a signalized grid and look around it.
 
-Constructs the standard 3x3 grid with 300 m lanes, checks every structural
-invariant, prints what one intersection looks like (lanes, movements,
-phases), and writes the network to a roadnet JSON file that the loader can
-read back.
+Constructs the standard 3x3 grid with 300 m lanes (every network is
+validated as it is assembled), prints what one intersection looks like
+(lanes, movements, phases), and writes the network to a roadnet JSON file
+that the loader can read back.
 """
 
 import os
 import tempfile
 
-from gridlight.network import build_grid, lane_capacity, validate
+from gridlight.network import PHASE_COLUMNS, Turn, build_grid, lane_capacity, validate
 from gridlight.roadnet import load_roadnet, save_roadnet
 
 net = build_grid(rows=3, cols=3, we_length=300, ns_length=300)
@@ -28,11 +28,12 @@ print()
 
 inter = net.intersection("i_1_1")  # the center of the grid
 print(f"center intersection {inter.id}:")
-for phase in inter.phases:
-    moves = [inter.movement(mid) for mid in phase.movements]
+for phase, columns in enumerate(PHASE_COLUMNS.tolist()):
+    moves = [inter.movements[j] for j in columns]
     desc = ", ".join(f"{m.id.split(':')[1]}-{m.turn.value}" for m in moves)
-    print(f"  phase {phase.id}: {desc}")
-print(f"  always green: {sorted(m.split(':')[1] for m in inter.always_green)} right turns")
+    print(f"  phase {phase}: {desc}")
+rights = [m.id.split(":")[1] for m in inter.movements if m.turn is Turn.RIGHT]
+print(f"  always green: {sorted(rights)} right turns")
 print()
 
 with tempfile.TemporaryDirectory() as tmp:

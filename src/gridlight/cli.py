@@ -34,6 +34,9 @@ from .telemetry import read_decisions_csv, write_metrics_json
 
 log = logging.getLogger("gridlight")
 
+# every character str.splitlines breaks at, escaped so a diagnostic stays one line
+_ESCAPED_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
 
 def _setup_logging() -> None:
     level = os.environ.get("GRIDLIGHT_LOG", "warning").upper()
@@ -190,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
-        print(f"gridlight: error: {exc}", file=sys.stderr)
+        print(f"gridlight: error: {str(exc).translate(_ESCAPED_BREAKS)}", file=sys.stderr)
         return 1
 
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .engine import World
 from .learner import QNetwork, forward
+from .network import PHASE_COLUMNS
 from .signalmath import (
     DEFAULT_KINEMATICS,
     KinematicParams,
@@ -128,7 +129,7 @@ class _Controller:
             counts = world.movement_counts(intersection_id)
         green = green_duration(
             counts,
-            world.phase_columns[phase],
+            PHASE_COLUMNS[phase],
             self.kinematics,
             self.config.green_min,
             self.config.green_max,
@@ -154,7 +155,7 @@ class MaxPressureController(_Controller):
 
     def decide(self, world: World, intersection_id: str, obs: Optional[np.ndarray] = None) -> Decision:
         counts = world.movement_counts(intersection_id)
-        phase = decide_maxpressure(counts, world.phase_columns)
+        phase = decide_maxpressure(counts, PHASE_COLUMNS)
         return self._decision(world, intersection_id, phase, counts)
 
 
@@ -163,7 +164,7 @@ class GreedyPrcolController(_Controller):
 
     def decide(self, world: World, intersection_id: str, obs: Optional[np.ndarray] = None) -> Decision:
         counts = world.movement_counts(intersection_id)
-        phase = decide_greedy(counts, world.phase_columns, "prcol")
+        phase = decide_greedy(counts, PHASE_COLUMNS, "prcol")
         return self._decision(world, intersection_id, phase, counts)
 
 

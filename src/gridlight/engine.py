@@ -44,10 +44,10 @@ A tick skips work that cannot change anything, and each skip is exact:
   tick's signal update touches only the signals whose yellow ends in it.
 
 Discharge slots are fixed when the world is built: per intersection, the
-movements of phases 0-3 in phase order, then the four right turns.  One
-open mask admits the right turns always and a phase's movements while it
-shows green, so ascending open slots visit each intersection's green
-phase, then its right turns, in network order.
+movements of phases 0-3 in ``PHASE_COLUMNS`` row order, then the four
+right turns.  One open mask admits the right turns always and a phase's
+movements while it shows green, so ascending open slots visit each
+intersection's green phase, then its right turns, in network order.
 
 A world is mutated by exactly one caller; independent worlds may run
 concurrently.  Identical (network, schedule, decisions) produce bit
@@ -66,15 +66,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .flows import SpawnEvent
-from .network import (
-    Movement,
-    RoadNetwork,
-    Turn,
-    movement_column,
-    resolve_route,
-    standard_phase_table,
-    validate,
-)
+from .network import APPROACHES, PHASE_COLUMNS, Movement, RoadNetwork, Turn, movement_column, resolve_route
 from .signalmath import DEFAULT_KINEMATICS, KinematicParams, MovementCounts, n_pass, platoon_clear_time
 
 __all__ = [
@@ -209,7 +201,11 @@ def movement_tables(net: RoadNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 class World:
-    """Mutable simulation state bound to one immutable road network."""
+    """Mutable simulation state bound to one immutable road network.
+
+    The network is taken as validated: :func:`gridlight.network.assemble_network`
+    checks every network it builds.
+    """
 
     def __init__(
         self,
@@ -218,12 +214,7 @@ class World:
         kinematics: KinematicParams = DEFAULT_KINEMATICS,
         yellow: int = 5,
         obs_counts: str = "occupancy",
-        check: bool = True,
     ):
-        if check:
-            problems = validate(net)
-            if problems:
-                raise ValueError(f"invalid network: {problems[0]} (+{len(problems) - 1} more)")
         if yellow < 1:
             raise ValueError(f"yellow must be >= 1 s, got {yellow}")
         if obs_counts not in ("occupancy", "queued"):
@@ -264,10 +255,6 @@ class World:
         #: vehicles are all settled is not advanced
         self._settled = np.zeros(len(net.lanes), np.int64)
         self._in_idx, self._out_idx, self._n_max = movement_tables(net)
-        #: row k: positions in the canonical movement order of the movements phase k serves
-        self.phase_columns = np.array(
-            [[movement_column(a, t) for a, t in pair] for pair in standard_phase_table()]
-        )
         small = max(lane.capacity for lane in net.lanes.values()) <= np.iinfo(np.int16).max
         self._telemetry_dtype = np.int16 if small else np.int32
 
@@ -279,17 +266,14 @@ class World:
 
         # Discharge slots, 12 per intersection: phase k's movements at
         # [k * width, (k + 1) * width), then the four right turns.
-        self._phase_width = width = self.phase_columns.shape[1]
-        self._slots: list[_Service] = []
-        phase_columns = self.phase_columns.ravel().tolist()
-        for inter in net.intersections:
-            columns = phase_columns + [j for j, m in enumerate(inter.movements) if m.turn is Turn.RIGHT]
-            self._slots += [self.services[inter.movements[c].id] for c in columns]
+        self._phase_width = width = PHASE_COLUMNS.shape[1]
+        columns = PHASE_COLUMNS.ravel().tolist() + [movement_column(a, Turn.RIGHT) for a in APPROACHES]
+        self._slots = [self.services[inter.movements[c].id] for inter in net.intersections for c in columns]
         slot_lanes = [svc.src.index for svc in self._slots]
         self._slot_lane = np.array(slot_lanes, np.int64).reshape(len(net.intersections), -1)
         #: which slots may discharge: the right turns, and the green phase's movements
         self._open = np.ones(self._slot_lane.shape, bool)
-        self._open[:, width : self.phase_columns.size] = False
+        self._open[:, width : PHASE_COLUMNS.size] = False
         #: the slot each lane feeds, or -1
         self._lane_slot = [-1] * len(net.lanes)
         for s, svc in enumerate(self._slots):
@@ -381,7 +365,7 @@ class World:
             raise RuntimeError(
                 f"decision for {intersection_id} requested before its green elapsed"
             )
-        budgets = n_pass(self.movement_counts(intersection_id))[self.phase_columns[phase]].tolist()
+        budgets = n_pass(self.movement_counts(intersection_id))[PHASE_COLUMNS[phase]].tolist()
         for svc, budget in zip(self._granted(r, phase), budgets):
             svc.budget = float(budget)
         sig = self.signals[intersection_id]
@@ -391,7 +375,7 @@ class World:
             sig.mode = YELLOW
             sig.next_phase = phase
             self._due[r] = self.time + self.yellow + green_duration
-            self._open[r, : self.phase_columns.size] = False
+            self._open[r, : PHASE_COLUMNS.size] = False
             # the yellow shows for ticks time .. time + yellow - 1
             self._yellow_ends.setdefault(self.time + self.yellow - 1, []).append((r, sig))
         return sum(budgets)
@@ -405,16 +389,13 @@ class World:
 
     # ------------------------------------------------------------------- step
 
-    def step(self, dt: int = 1, collect: bool = True) -> StepTelemetry:
-        """Advance the world by one second.
+    def step(self, collect: bool = True) -> StepTelemetry:
+        """Advance the world by one second, the fixed tick.
 
         Substeps in order: release and place scheduled spawns, advance
         vehicles kinematically, discharge green movements, finalize exits,
-        update signal timers, emit telemetry.  ``dt`` must be 1; the tick is
-        a fixed contract.
+        update signal timers, emit telemetry.
         """
-        if dt != 1:
-            raise ValueError("the simulation tick is fixed at 1 s")
         entered = self._spawn()
         exited = self._advance_all()
         discharged = self._discharge_all()

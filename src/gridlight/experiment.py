@@ -47,7 +47,7 @@ from .learner import (
     sync_target,
     train_step,
 )
-from .network import RoadNetwork, build_grid, validate
+from .network import PHASE_COLUMNS, RoadNetwork, build_grid
 from .roadnet import load_roadnet
 from .signalmath import DEFAULT_KINEMATICS, KinematicParams, reward
 from .telemetry import (
@@ -261,11 +261,11 @@ def _spec_value(spec: dict, key: str, hint, default):
 
 
 def build_network(config: ExperimentConfig) -> RoadNetwork:
-    """The configured road network, validated once here for every episode on it."""
+    """The configured road network (validated where it is assembled)."""
     spec = config.network
     kind = spec.get("kind", "grid")
     if kind == "grid":
-        net = build_grid(
+        return build_grid(
             rows=_spec_value(spec, "rows", int, 3),
             cols=_spec_value(spec, "cols", int, 3),
             we_length=float(_spec_value(spec, "we_length", float, 300.0)),
@@ -274,18 +274,13 @@ def build_network(config: ExperimentConfig) -> RoadNetwork:
             l_g=config.kinematics.min_gap,
             max_speed=config.kinematics.max_speed,
         )
-    elif kind == "roadnet":
-        net = load_roadnet(
+    if kind == "roadnet":
+        return load_roadnet(
             _spec_path(spec, "network"),
             l_v=config.kinematics.vehicle_length,
             l_g=config.kinematics.min_gap,
         )
-    else:
-        raise ValueError(f"unknown network kind {kind!r}")
-    problems = validate(net)
-    if problems:
-        raise ValueError(f"invalid network: {problems[0]} (+{len(problems) - 1} more)")
-    return net
+    raise ValueError(f"unknown network kind {kind!r}")
 
 
 def build_events(
@@ -360,8 +355,7 @@ def run_episode(
     ``learner_ctx`` is given) stored and trained on, and the controller's
     new decision is applied.  Returns metrics, the per-step training
     losses and, when ``record`` is set, the step telemetry and the decision
-    log.  ``scenario`` is built from the config when not given; its network
-    is taken as validated (see :func:`build_network`).
+    log.  ``scenario`` is built from the config when not given.
     """
     net, events, kinematics = scenario or _build_scenario(config)
     world = World(
@@ -370,7 +364,6 @@ def run_episode(
         kinematics=kinematics,
         yellow=config.yellow,
         obs_counts=config.obs_counts,
-        check=False,
     )
     obs_scale = config.controller.obs_scale
     reward_kind = config.controller.reward_kind
@@ -415,7 +408,7 @@ def run_episode(
             if learner_ctx is not None:
                 pending[iid] = (obs, decision.phase)
             if record:
-                granted = inter.phases[decision.phase].movements
+                granted = tuple(inter.movements[j].id for j in PHASE_COLUMNS[decision.phase].tolist())
                 rec = DecisionRecord(
                     time=world.time,
                     intersection=iid,

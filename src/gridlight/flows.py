@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -207,6 +208,14 @@ def save_flow_file(flows: Iterable[FlowSpec], path: str) -> None:
 _VEHICLE_KEYS = ("length", "minGap", "maxSpeed", "acceleration")
 
 
+def _whole_seconds(key: str, value) -> int:
+    """``value`` as an int if it is a whole number of seconds >= 0 within float range."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)) and 0 <= value <= sys.float_info.max:
+        if float(value).is_integer():
+            return int(value)
+    raise ValueError(f"{key} must be a whole number >= 0, got {value!r}")
+
+
 def load_flow_file(path: str, net: RoadNetwork) -> list[FlowSpec]:
     """Read a flow file, resolving every route against the network.
 
@@ -222,16 +231,19 @@ def load_flow_file(path: str, net: RoadNetwork) -> list[FlowSpec]:
     departures = 0.0
     for idx, rec in enumerate(doc):
         try:
-            route = tuple(rec["route"])
+            route = rec["route"]
+            if not isinstance(route, list) or not all(isinstance(road, str) for road in route):
+                raise TypeError(f"route must be a list of road ids, got {route!r}")
+            route = tuple(route)
             interval = float(rec["interval"])
-            start = int(rec["startTime"])
-            end = int(rec["endTime"])
+            start = _whole_seconds("startTime", rec["startTime"])
+            end = _whole_seconds("endTime", rec["endTime"])
             vehicle = rec.get("vehicle")
             if vehicle is not None:
                 if not isinstance(vehicle, dict):
                     raise TypeError(f"vehicle must be an object, got {vehicle!r}")
                 vehicle = {k: float(v) for k, v in vehicle.items() if k in _VEHICLE_KEYS}
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: malformed flow record #{idx}: {exc}") from exc
         try:
             entry_lane, _ = resolve_route(net, route)

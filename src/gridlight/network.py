@@ -7,6 +7,12 @@ twelve traffic movements (approach x turn) and four signal phases pairing
 the non-conflicting straight and left movements; right turns are permitted
 at all times.
 
+The four-phase scheme is stated once, in :func:`standard_phase_table`, and
+read everywhere else as :data:`PHASE_COLUMNS`: the positions in the
+canonical movement order of the two movements each phase grants.  Every
+network is validated where it is assembled, so an intersection's twelve
+movements always run in that canonical order.
+
 Everything here is immutable after construction and safe to share between
 concurrently running simulations.
 """
@@ -18,6 +24,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
 
+import numpy as np
+
 __all__ = [
     "Turn",
     "APPROACHES",
@@ -25,12 +33,12 @@ __all__ = [
     "Lane",
     "Road",
     "Movement",
-    "Phase",
     "Intersection",
     "RoadNetwork",
     "lane_capacity",
     "standard_phase_table",
     "movement_column",
+    "PHASE_COLUMNS",
     "assemble_network",
     "build_grid",
     "validate",
@@ -105,34 +113,21 @@ class Movement:
 
 
 @dataclass(frozen=True)
-class Phase:
-    """A set of non-conflicting movements granted green together."""
-
-    id: int
-    movements: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class Intersection:
-    """Signalized junction: 12 in/out lanes, 12 movements, 4 phases.
+    """Signalized junction with 12 movements in the canonical order
+    (W, E, N, S) x (left, straight, right).
 
-    ``incoming_lanes`` / ``outgoing_lanes`` and ``movements`` follow the
-    canonical order (W, E, N, S) x (left, straight, right).  ``always_green``
-    holds the four right-turn movement ids.
+    Phase ``k`` grants the movements at ``PHASE_COLUMNS[k]``; the four right
+    turns are always green.
     """
 
     id: str
-    incoming_lanes: tuple[str, ...]
-    outgoing_lanes: tuple[str, ...]
     movements: tuple[Movement, ...]
-    phases: tuple[Phase, ...]
-    always_green: frozenset[str]
 
-    def movement(self, movement_id: str) -> Movement:
-        for m in self.movements:
-            if m.id == movement_id:
-                return m
-        raise KeyError(movement_id)
+    @property
+    def incoming_lanes(self) -> tuple[str, ...]:
+        """The movements' incoming lanes, in canonical order."""
+        return tuple(m.in_lane for m in self.movements)
 
 
 @dataclass
@@ -149,18 +144,12 @@ class RoadNetwork:
 
     def __post_init__(self) -> None:
         self._by_id = {i.id: i for i in self.intersections}
-        self._movements = {
-            m.id: m for i in self.intersections for m in i.movements
-        }
         self._lane_road = {
             lane_id: road for road in self.roads.values() for lane_id in road.lane_ids
         }
 
     def intersection(self, intersection_id: str) -> Intersection:
         return self._by_id[intersection_id]
-
-    def movement(self, movement_id: str) -> Movement:
-        return self._movements[movement_id]
 
     def road_of_lane(self, lane_id: str) -> Road:
         return self._lane_road[lane_id]
@@ -181,7 +170,10 @@ def lane_capacity(length: float, l_v: float, l_g: float) -> int:
     if not 0 < length < math.inf or l_v <= 0 or l_g <= 0:
         raise ValueError("lane length must be finite and > 0, vehicle length and gap > 0")
     # tolerant floor: exact ratios like 300 / 7.5 must not fall prey to float dust
-    return int(math.floor(length / (l_v + l_g) + 1e-9))
+    capacity = int(math.floor(length / (l_v + l_g) + 1e-9))
+    if capacity > np.iinfo(np.int64).max:  # the engine keeps counts as int64
+        raise ValueError(f"a {length} m lane holds more vehicles than a count can store")
+    return capacity
 
 
 def standard_phase_table() -> tuple[tuple[tuple[str, Turn], ...], ...]:
@@ -204,6 +196,12 @@ def movement_column(approach: str, turn: Turn) -> int:
     return APPROACHES.index(approach) * len(TURNS) + TURNS.index(turn)
 
 
+#: Row ``k``: the positions in the canonical movement order of the two
+#: movements phase ``k`` grants (read-only).
+PHASE_COLUMNS = np.array([[movement_column(a, t) for a, t in pair] for pair in standard_phase_table()])
+PHASE_COLUMNS.flags.writeable = False
+
+
 def turn_between(heading_in: str, heading_out: str) -> Turn:
     """Turn type implied by the headings before and after an intersection."""
     if heading_in == heading_out:
@@ -224,13 +222,11 @@ def _make_intersection(
     incoming: dict[str, Road],
     outgoing: dict[str, Road],
 ) -> Intersection:
-    """Assemble movements and phases for one junction.
+    """Assemble the 12 movements of one junction in canonical order.
 
     ``incoming`` / ``outgoing`` map approach labels (W/E/N/S) to the road
     arriving from, respectively leaving toward, that side.
     """
-    in_lanes: list[str] = []
-    out_lanes: list[str] = []
     movements: list[Movement] = []
     for approach in APPROACHES:
         road_in = incoming[approach]
@@ -251,30 +247,7 @@ def _make_intersection(
                     turn=turn,
                 )
             )
-        in_lanes.extend(road_in.lane_ids)
-    for approach in APPROACHES:
-        out_lanes.extend(outgoing[approach].lane_ids)
-
-    phases = tuple(
-        Phase(
-            id=k,
-            movements=tuple(
-                _movement_id(intersection_id, approach, turn) for approach, turn in pair
-            ),
-        )
-        for k, pair in enumerate(standard_phase_table())
-    )
-    always_green = frozenset(
-        m.id for m in movements if m.turn is Turn.RIGHT
-    )
-    return Intersection(
-        id=intersection_id,
-        incoming_lanes=tuple(in_lanes),
-        outgoing_lanes=tuple(out_lanes),
-        movements=tuple(movements),
-        phases=phases,
-        always_green=always_green,
-    )
+    return Intersection(id=intersection_id, movements=tuple(movements))
 
 
 def _heading(p0: tuple[float, float], p1: tuple[float, float]) -> str:
@@ -303,8 +276,9 @@ def assemble_network(
     Intersections follow node order, boundary entries and exits road order.
     An entry's side is the ``<side>`` of a ``b_<side>_<k>`` start node, or
     else the side its heading enters the network from.  Raises
-    ``ValueError`` when two roads share an approach or a node that is not
-    virtual is not a full 4-way junction.
+    ``ValueError`` when two roads share an approach, a node that is not
+    virtual is not a full 4-way junction, or the assembled network fails
+    :func:`validate`.
     """
     built: dict[str, Road] = {}
     lanes: dict[str, Lane] = {}
@@ -347,7 +321,7 @@ def assemble_network(
             raise ValueError(f"intersection {node} is not a full 4-way junction")
         intersections.append(_make_intersection(node, inc, out))
 
-    return RoadNetwork(
+    net = RoadNetwork(
         intersections=intersections,
         roads=built,
         lanes=lanes,
@@ -356,6 +330,10 @@ def assemble_network(
         grid_shape=grid_shape,
         node_positions=positions,
     )
+    problems = validate(net)
+    if problems:
+        raise ValueError(f"invalid network: {problems[0]} (+{len(problems) - 1} more)")
+    return net
 
 
 def build_grid(
@@ -435,7 +413,7 @@ def resolve_route(net: RoadNetwork, road_ids: list[str] | tuple[str, ...]) -> tu
             raise ValueError(f"route passes through non-intersection node {here.end}")
         turn = turn_between(here.heading, nxt.heading)
         approach = _HEADING_TO_APPROACH[here.heading]
-        movements.append(net.intersection(here.end).movement(_movement_id(here.end, approach, turn)))
+        movements.append(net.intersection(here.end).movements[movement_column(approach, turn)])
     if movements:
         entry_lane = movements[0].in_lane
     else:
@@ -450,25 +428,21 @@ def validate(net: RoadNetwork) -> list[str]:
     not exceptions: callers decide whether to fault.
     """
     problems: list[str] = []
-    table = standard_phase_table()
+    if not net.intersections:
+        problems.append("network has no intersection")
 
     for lane_id, lane in net.lanes.items():
         if lane.id != lane_id:
             problems.append(f"lane {lane_id}: registry key mismatch")
 
+    canonical = [(a, t) for a in APPROACHES for t in TURNS]
     for inter in net.intersections:
         prefix = f"intersection {inter.id}"
         if len(inter.movements) != 12:
             problems.append(f"{prefix}: movement count != 12")
-        if len(inter.phases) != 4:
-            problems.append(f"{prefix}: phase count != 4")
-        if len(inter.incoming_lanes) != 12 or len(inter.outgoing_lanes) != 12:
-            problems.append(f"{prefix}: lane bundle size != 12")
 
         seen_pairs = set()
-        movement_ids = set()
         for m in inter.movements:
-            movement_ids.add(m.id)
             if m.in_lane == m.out_lane:
                 problems.append(f"{prefix}: movement {m.id} loops onto its own lane")
             for lane_id in (m.in_lane, m.out_lane):
@@ -480,54 +454,12 @@ def validate(net: RoadNetwork) -> list[str]:
             if key in seen_pairs:
                 problems.append(f"{prefix}: duplicate (in_lane, turn) {key}")
             seen_pairs.add(key)
-
-        rights = {m.id for m in inter.movements if m.turn is Turn.RIGHT}
-        if inter.always_green != rights:
-            problems.append(f"{prefix}: always_green is not the 4 right turns")
-
-        in_phase: list[str] = []
-        for phase in inter.phases:
-            if len(phase.movements) != 2:
-                problems.append(f"{prefix} phase {phase.id}: movement count != 2")
-                continue
-            members = []
-            for mid in phase.movements:
-                if mid not in movement_ids:
-                    problems.append(
-                        f"{prefix} phase {phase.id}: unknown movement {mid}"
-                    )
-                else:
-                    members.append(inter.movement(mid))
-            if len(members) == 2:
-                a, b = members
-                if Turn.RIGHT in (a.turn, b.turn):
-                    problems.append(
-                        f"{prefix} phase {phase.id}: contains a right turn"
-                    )
-                elif a.turn != b.turn:
-                    problems.append(
-                        f"{prefix} phase {phase.id}: conflicting movement pair"
-                    )
-                else:
-                    # non-conflicting = same turn type from opposing approaches
-                    appr = {m.id.split(":")[1] for m in members}
-                    if appr not in ({"W", "E"}, {"N", "S"}):
-                        problems.append(
-                            f"{prefix} phase {phase.id}: conflicting movement pair"
-                        )
-            in_phase.extend(phase.movements)
-        non_right = {m.id for m in inter.movements if m.turn is not Turn.RIGHT}
-        if len(in_phase) == 8 and (set(in_phase) != non_right or len(set(in_phase)) != 8):
-            problems.append(f"{prefix}: phases do not partition the 8 controlled movements")
-        # the engine reads counts by canonical position: phase k serves the
-        # movements of table row k, and incoming lane j feeds movement j
-        if len(inter.movements) == 12 and len(inter.phases) == 4:
-            for phase, pair in zip(inter.phases, table):
-                served = tuple(inter.movements[movement_column(a, t)].id for a, t in pair)
-                if phase.movements != served:
-                    problems.append(f"{prefix} phase {phase.id}: not the standard movements {served}")
-        if inter.incoming_lanes != tuple(m.in_lane for m in inter.movements):
-            problems.append(f"{prefix}: incoming lanes are not the movements' lanes in order")
+        # counts are read by canonical position: PHASE_COLUMNS and the right
+        # turns name movements by where they stand
+        for j, (m, (approach, turn)) in enumerate(zip(inter.movements, canonical)):
+            expected = _movement_id(inter.id, approach, turn)
+            if m.id != expected or m.turn is not turn:
+                problems.append(f"{prefix}: movement {j} is {m.id} ({m.turn.value}), expected {expected}")
 
     # boundary / connectivity checks
     for lane_id, side in net.boundary_entries:

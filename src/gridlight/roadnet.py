@@ -46,16 +46,38 @@ def _require_string(path: str, what: str, value: Any) -> None:
         raise RoadnetFormatError(f"{path}: {what} must be a string, got {value!r}")
 
 
+def _finite(value: Any) -> float | None:
+    """``value`` as a float when it is a finite JSON number, else ``None``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond float range
+        return None
+    return number if math.isfinite(number) else None
+
+
+def _positive(path: str, what: str, value: Any) -> float:
+    number = _finite(value)
+    if number is None or number <= 0:
+        raise RoadnetFormatError(f"{path}: {what} must be a finite number > 0, got {value!r}")
+    return number
+
+
 def load_roadnet(path: str, l_v: float = 5.0, l_g: float = 2.5) -> RoadNetwork:
     """Load a roadnet JSON file and map it onto a :class:`RoadNetwork`.
 
     Lane capacities are derived from each road's length and the given
-    vehicle length / minimum gap.
+    vehicle length / minimum gap.  Every fault raises a one-line
+    :class:`RoadnetFormatError` naming the file and the record.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "intersections" not in doc or "roads" not in doc:
         raise RoadnetFormatError(f"{path}: expected object with intersections and roads")
+    for key in ("intersections", "roads"):
+        if not isinstance(doc[key], list):
+            raise RoadnetFormatError(f"{path}: {key} must be a list, got {doc[key]!r}")
 
     seen_ignored: set[str] = set()
     positions: dict[str, tuple[float, float]] = {}
@@ -65,14 +87,19 @@ def load_roadnet(path: str, l_v: float = 5.0, l_g: float = 2.5) -> RoadNetwork:
         _warn_ignored(rec, _INTERSECTION_KEYS, seen_ignored, "intersection")
         try:
             node_id = rec["id"]
-            point = (float(rec["point"]["x"]), float(rec["point"]["y"]))
+            point = (_finite(rec["point"]["x"]), _finite(rec["point"]["y"]))
         except (KeyError, TypeError) as exc:
             raise RoadnetFormatError(f"{path}: malformed intersection record: {rec!r}") from exc
         _require_string(path, "intersection id", node_id)
+        if None in point:
+            raise RoadnetFormatError(f"{path}: intersection {node_id} point must hold finite numbers x and y")
         if node_id in positions:
             raise RoadnetFormatError(f"{path}: repeated intersection id {node_id}")
-        positions[node_id] = point
-        if rec.get("virtual", False):
+        positions[node_id] = point  # type: ignore[assignment]
+        is_virtual = rec.get("virtual", False)
+        if not isinstance(is_virtual, bool):
+            raise RoadnetFormatError(f"{path}: intersection {node_id} virtual must be true or false, got {is_virtual!r}")
+        if is_virtual:
             virtual.add(node_id)
 
     roads: list[tuple[str, str, str, float, float]] = []
@@ -97,24 +124,28 @@ def load_roadnet(path: str, l_v: float = 5.0, l_g: float = 2.5) -> RoadNetwork:
                     f"{path}: road {road_id} references unknown intersection {node_id}"
                 )
         lane_spec = rec.get("lanes", 3)
-        n_lanes = len(lane_spec) if isinstance(lane_spec, list) else int(lane_spec)
+        if isinstance(lane_spec, list) and all(isinstance(lane, dict) for lane in lane_spec):
+            n_lanes = len(lane_spec)
+        elif isinstance(lane_spec, int) and not isinstance(lane_spec, bool):
+            n_lanes = lane_spec
+        else:
+            raise RoadnetFormatError(
+                f"{path}: road {road_id} lanes must be a count or a list of lane objects, got {lane_spec!r}"
+            )
         if n_lanes != 3:
             raise RoadnetFormatError(
                 f"{path}: road {road_id} has {n_lanes} lanes; exactly 3 are supported"
             )
         if "maxSpeed" in rec:
-            max_speed = float(rec["maxSpeed"])
-        elif isinstance(lane_spec, list) and lane_spec and "maxSpeed" in lane_spec[0]:
-            max_speed = float(lane_spec[0]["maxSpeed"])
+            max_speed = _positive(path, f"road {road_id} maxSpeed", rec["maxSpeed"])
+        elif isinstance(lane_spec, list) and "maxSpeed" in lane_spec[0]:
+            max_speed = _positive(path, f"road {road_id} lane maxSpeed", lane_spec[0]["maxSpeed"])
         else:
             max_speed = 40.0 / 3.6
         if "length" in rec:
-            length = float(rec["length"])
+            length = _positive(path, f"road {road_id} length", rec["length"])
         else:
-            p0, p1 = positions[start], positions[end]
-            length = math.dist(p0, p1)
-        if not 0 < length < math.inf:
-            raise RoadnetFormatError(f"{path}: road {road_id} length must be finite and > 0, got {length}")
+            length = _positive(path, f"road {road_id} length", math.dist(positions[start], positions[end]))
         roads.append((road_id, start, end, length, max_speed))
 
     try:

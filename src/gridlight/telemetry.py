@@ -32,7 +32,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .engine import GREEN, YELLOW, StepTelemetry, movement_tables
-from .network import RoadNetwork
+from .network import PHASE_COLUMNS, RoadNetwork
 
 __all__ = [
     "DecisionRecord",
@@ -73,19 +73,10 @@ class DecisionRecord:
     actual_discharged: Optional[int] = None
 
     def phase_mean_counts(self) -> tuple[float, float, float, float]:
-        """Mean incoming count per phase, pairing the opposing approaches.
-
-        Index layout follows the canonical lane order: phase 0 averages the
-        W/E straight lanes, phase 1 the N/S straights, phase 2 the W/E
-        lefts, phase 3 the N/S lefts.
-        """
+        """Mean incoming count per phase over the two movements it grants
+        (``PHASE_COLUMNS`` row order)."""
         c = self.counts
-        return (
-            (c[1] + c[4]) / 2.0,
-            (c[7] + c[10]) / 2.0,
-            (c[0] + c[3]) / 2.0,
-            (c[6] + c[9]) / 2.0,
-        )
+        return tuple((c[a] + c[b]) / 2.0 for a, b in PHASE_COLUMNS.tolist())  # type: ignore[return-value]
 
 
 def _csv_field(text: str) -> str:

@@ -58,7 +58,7 @@ from gridlight.flows import (
     syn_light_flows,
 )
 from gridlight.learner import QNetwork, Transition, forward_batch, train_step
-from gridlight.network import build_grid, lane_capacity, resolve_route
+from gridlight.network import build_grid, lane_capacity, resolve_route, standard_phase_table
 from gridlight.signalmath import (
     DEFAULT_KINEMATICS,
     MovementCounts,
@@ -267,7 +267,7 @@ def test_criterion_05_dqn_numerics():
 def phase_columns(inter) -> list[list[int]]:
     """Per phase, the canonical positions of the movements it serves, by id."""
     column = {m.id: j for j, m in enumerate(inter.movements)}
-    return [[column[mid] for mid in p.movements] for p in inter.phases]
+    return [[column[f"{inter.id}:{a}:{t.value}"] for a, t in pair] for pair in standard_phase_table()]
 
 
 def test_criterion_06_maxpressure_oracle():
@@ -311,7 +311,7 @@ def test_criterion_07_engine_invariants_fuzz():
             interval = int(rng.integers(2, 15))
             events += [SpawnEvent(t, route, entry_lane) for t in range(0, 600, interval)]
         events.sort(key=lambda e: e.time)
-        world = World(net, events, check=(episode == 0))
+        world = World(net, events)
         lanes = list(world.lanes.values())
         for _ in range(600):
             for inter in net.intersections:

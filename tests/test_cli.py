@@ -1,13 +1,18 @@
 """CLI tests: subcommand wiring, output files, reproducibility, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridlight.cli import main
 from gridlight.control import ControllerConfig
@@ -171,6 +176,21 @@ class TestConfigErrors:
         assert len(err.splitlines()) == 1
         assert named in err and "must be a string" in err, err
 
+    def test_line_break_in_an_id_stays_one_line(self, tmp_path, capsys):
+        roadnet_path = tmp_path / "roadnet.json"
+        save_roadnet(build_grid(1, 1, 300, 300), str(roadnet_path))
+        doc = json.loads(roadnet_path.read_text())
+        doc["roads"][0]["startIntersection"] = "b_w\n0\x0c"
+        roadnet_path.write_text(json.dumps(doc))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"network": {"kind": "roadnet", "path": str(roadnet_path)}}))
+        code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines() == [
+            f"gridlight: error: {roadnet_path}: road {doc['roads'][0]['id']} references unknown intersection b_w\\n0\\x0c"
+        ]
+
     @pytest.mark.parametrize(
         "field,value",
         [
@@ -179,8 +199,18 @@ class TestConfigErrors:
             ("interval", 1e-9),
             ("vehicle", "fast"),
             ("vehicle", [4.5]),
+            ("route", [["x"]]),
+            ("endTime", float("inf")),  # what JSON's 1e400 reads as
+            ("endTime", 10**400),
+            ("startTime", 1.7),
+            ("startTime", True),
+            ("startTime", -50),
         ],
-        ids=["interval-nan", "interval-inf", "interval-tiny", "vehicle-string", "vehicle-list"],
+        ids=[
+            "interval-nan", "interval-inf", "interval-tiny", "vehicle-string", "vehicle-list",
+            "route-of-lists", "end-1e400", "end-huge-int", "start-fraction", "start-true",
+            "start-negative",
+        ],
     )
     def test_bad_flow_record_is_one_line(self, tmp_path, capsys, field, value):
         flow_path = tmp_path / "flows.json"
@@ -195,6 +225,71 @@ class TestConfigErrors:
         assert code == 1
         assert len(err.splitlines()) == 1
         assert "#3" in err, err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _loader_inputs() -> tuple[dict, list]:
+    """A valid 1x1 roadnet and a one-record flow file crossing it west to east."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "roadnet.json")
+        save_roadnet(build_grid(1, 1, 300, 300), path)
+        with open(path, encoding="utf-8") as fh:
+            roadnet = json.load(fh)
+    flows = [{
+        "vehicle": {"length": 5.0, "minGap": 2.5, "maxSpeed": 11.0, "acceleration": 2.0},
+        "route": ["rd__b_w_0__i_0_0", "rd__i_0_0__b_e_0"],
+        "interval": 5,
+        "startTime": 0,
+        "endTime": 20,
+    }]
+    return roadnet, flows
+
+
+def _fields() -> list[tuple[str, tuple, str]]:
+    """(file, path to a record, key) for every field of the valid inputs."""
+    roadnet, flows = _loader_inputs()
+    fields = [("roadnet", (), key) for key in roadnet]
+    for section in ("intersections", "roads"):
+        fields += [("roadnet", (section, k), key) for k, rec in enumerate(roadnet[section]) for key in rec]
+    fields += [("flows", (k,), key) for k, rec in enumerate(flows) for key in rec]
+    return fields
+
+
+class TestLoaderFuzz:
+    """One field of a valid roadnet or flow file set to any JSON value."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(field=st.sampled_from(_fields()), value=_JSON)
+    def test_run_exits_cleanly(self, field, value):
+        docs = dict(zip(("roadnet", "flows"), _loader_inputs()))
+        which, where, key = field
+        record = docs[which]
+        for step in where:
+            record = record[step]
+        record[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {}
+            for name, doc in docs.items():
+                paths[name] = os.path.join(tmp, f"{name}.json")
+                with open(paths[name], "w", encoding="utf-8") as fh:
+                    json.dump(doc, fh)
+            config = os.path.join(tmp, "config.json")
+            with open(config, "w", encoding="utf-8") as fh:
+                json.dump({
+                    "network": {"kind": "roadnet", "path": paths["roadnet"]},
+                    "flow": {"kind": "file", "path": paths["flows"]},
+                    "horizon": 30,
+                }, fh)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["run", "--config", config, "--out", os.path.join(tmp, "out")])
+        assert code == 0 or (code == 1 and len(err.getvalue().splitlines()) == 1), (code, err.getvalue())
 
 
 class TestEval:

@@ -17,7 +17,7 @@ from gridlight.control import (
 )
 from gridlight.engine import World
 from gridlight.learner import QNetwork
-from gridlight.network import build_grid
+from gridlight.network import build_grid, standard_phase_table
 from gridlight.signalmath import MovementCounts, phase_score, reward
 
 
@@ -34,7 +34,7 @@ def world(net):
 def phase_columns(inter) -> list[list[int]]:
     """Per phase, the canonical positions of the movements it serves, by id."""
     column = {m.id: j for j, m in enumerate(inter.movements)}
-    return [[column[mid] for mid in p.movements] for p in inter.phases]
+    return [[column[f"{inter.id}:{a}:{t.value}"] for a, t in pair] for pair in standard_phase_table()]
 
 
 def uniform(n_in, n_out, n_max, n=12):

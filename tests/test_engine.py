@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from gridlight.engine import EXITED, GREEN, QUEUED, YELLOW, World
 from gridlight.flows import SpawnEvent, gen_syn_light
-from gridlight.network import build_grid, resolve_route
+from gridlight.network import Turn, build_grid, resolve_route, standard_phase_table, validate
 from gridlight.signalmath import DEFAULT_KINEMATICS, platoon_clear_time
 
 
@@ -22,6 +22,11 @@ def single() -> World:
 def west_straight(net):
     inter = net.intersections[0]
     return inter.movements[1]  # canonical order: W-left, W-straight, W-right, ...
+
+
+def phase_movement_ids(inter, phase: int) -> list[str]:
+    """The ids of the movements ``phase`` grants, from the phase table."""
+    return [f"{inter.id}:{a}:{t.value}" for a, t in standard_phase_table()[phase]]
 
 
 def queue_up(world: World, lane_id: str, n: int) -> None:
@@ -45,15 +50,12 @@ class TestStepBasics:
         tel = single().step(collect=False)
         assert tel.occupancy is None and tel.phases is None and tel.yellow is None
 
-    def test_tick_is_fixed(self):
-        with pytest.raises(ValueError):
-            single().step(dt=2)
-
     def test_invalid_network_rejected(self):
         net = build_grid(1, 1, 300, 300)
         net.boundary_exits = []  # lanes now dangle
-        with pytest.raises(ValueError):
-            World(net)
+        problems = validate(net)
+        assert len(problems) == 12
+        assert all(p.endswith(": dead end (no downstream, not an exit)") for p in problems)
 
     def test_unknown_lane_faults(self):
         with pytest.raises(KeyError):
@@ -504,8 +506,8 @@ class TestSkipInvariants:
             mid
             for inter, sig in zip(world.net.intersections, world.signals.values())
             for mid in (
-                *(inter.phases[sig.current_phase].movements if sig.mode == GREEN else ()),
-                *(m.id for m in inter.movements if m.id in inter.always_green),
+                *(phase_movement_ids(inter, sig.current_phase) if sig.mode == GREEN else ()),
+                *(m.id for m in inter.movements if m.turn is Turn.RIGHT),
             )
         ]
 
@@ -542,7 +544,7 @@ class TestSkipInvariants:
             assert [world._slots[s].mid for s in np.flatnonzero(world._open)] == self._open_movements(world)
             for inter in net.intersections:
                 for m in inter.movements:
-                    if m.id not in inter.always_green:
+                    if m.turn is not Turn.RIGHT:
                         assert world.services[m.id].budget <= world.occupancy(m.in_lane)
             assert self._state(world) == self._state(twin)
             assert [ls.queue_len for ls in world.lanes.values()] == [ls.queue_len for ls in twin.lanes.values()]

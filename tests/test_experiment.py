@@ -4,6 +4,7 @@ determinism, training/evaluation consistency, and case-study aggregation."""
 import csv
 import dataclasses
 import io
+import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -284,16 +285,18 @@ class TestTrain:
 
 
 class TestTrainMany:
-    def test_parallel_workers_match_serial(self):
+    def test_parallel_workers_match_serial(self, tmp_path):
         cfg = ExperimentConfig(
             horizon=300, controller=ControllerConfig(kind="dqn"), episodes=2, seeds=(0, 1)
         )
-        serial = train_many(cfg, jobs=1)
-        parallel = train_many(cfg, jobs=2)
-        for summary in (serial, parallel):
+        serial = train_many(cfg, out_dir=str(tmp_path / "serial"), jobs=1)
+        parallel = train_many(cfg, out_dir=str(tmp_path / "parallel"), jobs=2)
+        files = [json.loads((tmp_path / run / "summary.json").read_text()) for run in ("serial", "parallel")]
+        for summary in (serial, parallel, *files):
             for payload in summary["per_seed"].values():
                 payload.pop("wall_clock")
         assert parallel == serial
+        assert files[0] == files[1] == json.loads(json.dumps(serial))
 
 
 def synthetic_record(rng, phase=None, time=0):

@@ -7,11 +7,12 @@ import json
 import pytest
 
 from gridlight.network import (
-    Phase,
+    PHASE_COLUMNS,
     RoadNetwork,
     Turn,
     build_grid,
     lane_capacity,
+    movement_column,
     resolve_route,
     standard_phase_table,
     validate,
@@ -67,6 +68,14 @@ class TestStandardPhaseTable:
             for _, turn in phase:
                 assert turn is not Turn.RIGHT
 
+    def test_columns_follow_the_table(self):
+        assert PHASE_COLUMNS.tolist() == [[1, 4], [7, 10], [0, 3], [6, 9]]
+        assert PHASE_COLUMNS.tolist() == [
+            [movement_column(a, t) for a, t in pair] for pair in standard_phase_table()
+        ]
+        with pytest.raises(ValueError):
+            PHASE_COLUMNS[0, 0] = 2
+
 
 class TestBuildGrid:
     def test_three_by_three(self):
@@ -104,12 +113,12 @@ class TestBuildGrid:
         net = build_grid(2, 2, 300, 300)
         for inter in net.intersections:
             assert len(inter.movements) == 12
-            assert len(inter.phases) == 4
-            assert len(inter.incoming_lanes) == 12
-            assert len(inter.outgoing_lanes) == 12
-            rights = {m.id for m in inter.movements if m.turn is Turn.RIGHT}
-            assert inter.always_green == rights
-            assert len(rights) == 4
+            assert inter.incoming_lanes == tuple(m.in_lane for m in inter.movements)
+            assert [m.id for m in inter.movements] == [
+                f"{inter.id}:{a}:{t.value}" for a in ("W", "E", "N", "S") for t in Turn
+            ]
+            rights = [j for j, m in enumerate(inter.movements) if m.turn is Turn.RIGHT]
+            assert rights == [2, 5, 8, 11]
 
 
 class TestValidate:
@@ -139,25 +148,18 @@ class TestValidate:
         problems = validate(mutated)
         assert any("dangling lane reference" in p for p in problems)
 
-    def test_wrong_phase_count(self):
+    def test_movements_out_of_canonical_order(self):
         net = build_grid(1, 1, 300, 300)
         inter = net.intersections[0]
-        extra = Phase(id=4, movements=inter.phases[0].movements)
-        mutated = self._mutate_intersection(net, phases=inter.phases + (extra,))
-        problems = validate(mutated)
-        assert any("phase count != 4" in p for p in problems)
+        swapped = (inter.movements[1], inter.movements[0]) + inter.movements[2:]
+        problems = validate(self._mutate_intersection(net, movements=swapped))
+        assert problems == [
+            "intersection i_0_0: movement 0 is i_0_0:W:straight (straight), expected i_0_0:W:left",
+            "intersection i_0_0: movement 1 is i_0_0:W:left (left), expected i_0_0:W:straight",
+        ]
 
-    def test_conflicting_phase_pair(self):
-        net = build_grid(1, 1, 300, 300)
-        inter = net.intersections[0]
-        # pair a straight with a left: conflicting
-        bad = Phase(
-            id=0,
-            movements=(inter.phases[0].movements[0], inter.phases[2].movements[0]),
-        )
-        mutated = self._mutate_intersection(net, phases=(bad,) + inter.phases[1:])
-        problems = validate(mutated)
-        assert any("conflicting movement pair" in p for p in problems)
+    def test_no_intersection(self):
+        assert validate(RoadNetwork()) == ["network has no intersection"]
 
 
 class TestResolveRoute:
@@ -213,6 +215,10 @@ def _in_order(net: RoadNetwork) -> dict:
         "boundary_exits": net.boundary_exits,
         "node_positions": list(net.node_positions.items()),
     }
+
+
+def _node(doc: dict, node_id: str) -> dict:
+    return next(rec for rec in doc["intersections"] if rec["id"] == node_id)
 
 
 class TestRoadnetFiles:
@@ -327,10 +333,25 @@ class TestRoadnetFiles:
             ),
             (lambda doc: doc["roads"].append(3), "malformed road record: 3"),
             (lambda doc: doc["intersections"].insert(0, ["b_n_0"]), r"malformed intersection record: \['b_n_0'\]"),
+            (lambda doc: doc.update(roads=5), "roads must be a list, got 5"),
+            (lambda doc: doc["roads"][0].update(lanes={"a": 1}), "road rd__b_w_0__i_0_0 lanes must be a count"),
+            (lambda doc: doc["roads"][0].update(lanes=3.7), "road rd__b_w_0__i_0_0 lanes must be a count"),
+            (lambda doc: doc["roads"][0].update(lanes=[1, 2, 3]), "road rd__b_w_0__i_0_0 lanes must be a count"),
+            (lambda doc: doc["roads"][0].update(maxSpeed=[1]), r"road rd__b_w_0__i_0_0 maxSpeed must be a finite number > 0, got \[1\]"),
+            (lambda doc: doc["roads"][0].update(maxSpeed=0), "road rd__b_w_0__i_0_0 maxSpeed must be a finite number > 0, got 0"),
+            (lambda doc: doc["roads"][0].update(maxSpeed=-5), "road rd__b_w_0__i_0_0 maxSpeed must be a finite number > 0, got -5"),
+            (lambda doc: doc["roads"][0].update(length=[1]), r"road rd__b_w_0__i_0_0 length must be a finite number > 0, got \[1\]"),
+            (lambda doc: doc["roads"][0].update(length=1e30), r"a 1e\+30 m lane holds more vehicles than a count can store"),
+            (lambda doc: doc["intersections"][0].update(point={"x": 10**400, "y": 0}), "intersection b_n_0 point must hold finite numbers"),
+            (lambda doc: _node(doc, "i_0_0").update(virtual="no"), "intersection i_0_0 virtual must be true or false, got 'no'"),
+            (lambda doc: _node(doc, "i_0_0").update(virtual=True), "invalid network: network has no intersection"),
         ],
         ids=[
             "infinite-length", "repeated-road", "repeated-intersection", "intersection-id-int",
             "road-id-list", "start-list", "end-object", "road-not-object", "intersection-not-object",
+            "roads-not-list", "lanes-object", "lanes-fraction", "lanes-not-objects", "max-speed-list",
+            "max-speed-zero", "max-speed-negative", "length-list", "length-beyond-counts", "point-huge-int",
+            "virtual-string", "all-virtual",
         ],
     )
     def test_rejects_bad_record(self, tmp_path, edit, named):
