@@ -1,7 +1,7 @@
 """Build a signalized grid and look around it.
 
-Constructs the standard 3x3 grid with 300 m lanes (every network is
-validated as it is assembled), prints what one intersection looks like
+Constructs the standard 3x3 grid with 300 m lanes (every network is well
+formed by construction), prints what one intersection looks like
 (lanes, movements, phases), and writes the network to a roadnet JSON file
 that the loader can read back.
 """
@@ -9,7 +9,7 @@ that the loader can read back.
 import os
 import tempfile
 
-from gridlight.network import PHASE_COLUMNS, Turn, build_grid, lane_capacity, validate
+from gridlight.network import PHASE_COLUMNS, Turn, build_grid, lane_capacity
 from gridlight.roadnet import load_roadnet, save_roadnet
 
 net = build_grid(rows=3, cols=3, we_length=300, ns_length=300)
@@ -18,7 +18,6 @@ print(f"intersections : {len(net.intersections)}")
 print(f"roads         : {len(net.roads)}  (each with 3 lanes)")
 print(f"lanes         : {len(net.lanes)}")
 print(f"entry roads   : {len(net.entry_roads)}  (3 per compass side)")
-print(f"violations    : {validate(net) or 'none'}")
 print()
 
 # capacity comes from how many 5 m vehicles at a 2.5 m gap fit on a lane
@@ -41,4 +40,4 @@ with tempfile.TemporaryDirectory() as tmp:
     save_roadnet(net, path)
     reloaded = load_roadnet(path)
     print(f"roadnet file round trip: {len(reloaded.lanes)} lanes, "
-          f"violations: {validate(reloaded) or 'none'}")
+          f"{len(reloaded.intersections)} intersections")

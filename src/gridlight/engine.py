@@ -203,8 +203,8 @@ def movement_tables(net: RoadNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarra
 class World:
     """Mutable simulation state bound to one immutable road network.
 
-    The network is taken as validated: :func:`gridlight.network.assemble_network`
-    checks every network it builds.
+    The network is taken as well formed: :func:`gridlight.network.assemble_network`
+    builds every network so by construction.
     """
 
     def __init__(

@@ -48,7 +48,7 @@ from .learner import (
     train_step,
 )
 from .network import PHASE_COLUMNS, RoadNetwork, build_grid
-from .roadnet import load_roadnet
+from .roadnet import _finite, load_roadnet
 from .signalmath import DEFAULT_KINEMATICS, KinematicParams, reward
 from .telemetry import (
     DecisionRecord,
@@ -81,9 +81,8 @@ __all__ = [
 class ExperimentConfig:
     """Everything a run needs; defaults follow the standard settings block.
 
-    ``network`` is ``{"kind": "grid", "rows", "cols", "we_length",
-    "ns_length"}`` or ``{"kind": "roadnet", "path"}``; ``flow`` is
-    ``{"kind": "syn-light" | "syn-heavy"}`` or ``{"kind": "file", "path"}``.
+    ``network`` and ``flow`` each hold a ``kind`` and the keys
+    ``_SPEC_KEYS`` lists for that kind, checked when they are built.
     """
 
     network: dict = field(
@@ -185,11 +184,12 @@ def _checked_value(key: str, value, hint, default):
             raise ValueError(f"config key {key!r} must be an object, got {value!r}")
         return dataclasses.replace(default, **_checked_fields(hint, value, key, default))
     if typing.get_origin(hint) is tuple:
-        ok, what = isinstance(value, list | tuple) and all(map(_is_int, value)), "a list of integers"
+        ok = isinstance(value, list | tuple) and all(map(_is_int, value))
+        what = "a list of integers within +-2**53"
     elif hint is int:
-        ok, what = _is_int(value), "an integer"
+        ok, what = _is_int(value), "an integer within +-2**53"
     elif hint is float:
-        ok, what = _is_int(value) or isinstance(value, float) and math.isfinite(value), "a finite number"
+        ok, what = _finite(value) is not None, "a finite number"
     else:
         ok, what = isinstance(value, hint), {str: "a string", dict: "an object"}[hint]
     if not ok:
@@ -198,7 +198,8 @@ def _checked_value(key: str, value, hint, default):
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    """An integer within +-2**53, so tick sums such as ``time + yellow + green`` fit int64."""
+    return isinstance(value, int) and not isinstance(value, bool) and -(2**53) <= value <= 2**53
 
 
 @dataclass
@@ -250,70 +251,81 @@ def throughput(vehicles: Iterable) -> int:
 # -------------------------------------------------------------------- builders
 
 
-def _spec_path(spec: dict, section: str) -> str:
-    if "path" not in spec:
-        raise ValueError(f"config key {section!r} of kind {spec['kind']!r} needs a 'path'")
-    return _checked_value(f"{section}.path", spec["path"], str, None)
+#: The keys each ``network`` and ``flow`` kind takes besides ``kind``, as
+#: (type, default); a key without a default is required.  A section's first
+#: kind is its default.
+_SPEC_KEYS = {
+    "network": {
+        "grid": {"rows": (int, 3), "cols": (int, 3), "we_length": (float, 300.0), "ns_length": (float, 300.0)},
+        "roadnet": {"path": (str, None)},
+    },
+    "flow": {"syn-light": {}, "syn-heavy": {}, "file": {"path": (str, None)}},
+}
 
 
-def _spec_value(spec: dict, key: str, hint, default):
-    return _checked_value(f"network.{key}", spec.get(key, default), hint, None)
+def _spec(config: ExperimentConfig, section: str) -> tuple[str, dict]:
+    """The kind of the config's ``network`` or ``flow`` object and its checked values."""
+    spec = getattr(config, section)
+    kinds = _SPEC_KEYS[section]
+    kind = spec.get("kind", next(iter(kinds)))
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ValueError(f"unknown {section} kind {kind!r}")
+    unknown = sorted(set(spec) - {"kind", *kinds[kind]})
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown} in {section!r} of kind {kind!r}")
+    values = {}
+    for key, (hint, default) in kinds[kind].items():
+        if key not in spec and default is None:
+            raise ValueError(f"config key {section!r} of kind {kind!r} needs a {key!r}")
+        values[key] = _checked_value(f"{section}.{key}", spec.get(key, default), hint, None)
+    return kind, values
 
 
 def build_network(config: ExperimentConfig) -> RoadNetwork:
-    """The configured road network (validated where it is assembled)."""
-    spec = config.network
-    kind = spec.get("kind", "grid")
+    """The configured road network."""
+    kind, spec = _spec(config, "network")
+    kin = config.kinematics
     if kind == "grid":
         return build_grid(
-            rows=_spec_value(spec, "rows", int, 3),
-            cols=_spec_value(spec, "cols", int, 3),
-            we_length=float(_spec_value(spec, "we_length", float, 300.0)),
-            ns_length=float(_spec_value(spec, "ns_length", float, 300.0)),
-            l_v=config.kinematics.vehicle_length,
-            l_g=config.kinematics.min_gap,
-            max_speed=config.kinematics.max_speed,
+            rows=spec["rows"],
+            cols=spec["cols"],
+            we_length=float(spec["we_length"]),
+            ns_length=float(spec["ns_length"]),
+            l_v=kin.vehicle_length,
+            l_g=kin.min_gap,
+            max_speed=kin.max_speed,
         )
-    if kind == "roadnet":
-        return load_roadnet(
-            _spec_path(spec, "network"),
-            l_v=config.kinematics.vehicle_length,
-            l_g=config.kinematics.min_gap,
-        )
-    raise ValueError(f"unknown network kind {kind!r}")
+    return load_roadnet(spec["path"], l_v=kin.vehicle_length, l_g=kin.min_gap)
 
 
 def build_events(
     config: ExperimentConfig, net: RoadNetwork
 ) -> tuple[list[SpawnEvent], KinematicParams]:
-    """Demand events plus the effective kinematics.
+    """Demand events before the horizon, plus the effective kinematics.
 
     Flow files may carry vehicle fields; the first record's values override
     the configured kinematics (the engine models one uniform vehicle type).
     """
-    spec = config.flow
-    kind = spec.get("kind", "syn-light")
+    kind, spec = _spec(config, "flow")
     kin = config.kinematics
     if kind == "syn-light":
         return gen_syn_light(net, config.horizon), kin
     if kind == "syn-heavy":
         return gen_syn_heavy(net, config.horizon), kin
-    if kind == "file":
-        flows = load_flow_file(_spec_path(spec, "flow"), net)
-        overrides = next((f.vehicle for f in flows if f.vehicle), None)
-        if overrides:
-            kin = KinematicParams(
-                accel=overrides.get("acceleration", kin.accel),
-                max_speed=overrides.get("maxSpeed", kin.max_speed),
-                vehicle_length=overrides.get("length", kin.vehicle_length),
-                min_gap=overrides.get("minGap", kin.min_gap),
-            )
-        return expand_flows(flows), kin
-    raise ValueError(f"unknown flow kind {kind!r}")
+    flows = load_flow_file(spec["path"], net)
+    overrides = next((f.vehicle for f in flows if f.vehicle), None)
+    if overrides:
+        kin = KinematicParams(
+            accel=overrides.get("acceleration", kin.accel),
+            max_speed=overrides.get("maxSpeed", kin.max_speed),
+            vehicle_length=overrides.get("length", kin.vehicle_length),
+            min_gap=overrides.get("minGap", kin.min_gap),
+        )
+    return expand_flows(flows, until=config.horizon), kin
 
 
 class Scenario(NamedTuple):
-    """What an episode runs on: a validated network, its demand, the kinematics."""
+    """What an episode runs on: a network, its demand, the kinematics."""
 
     net: RoadNetwork
     events: list[SpawnEvent]

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .network import RoadNetwork, Turn, resolve_route
+from .roadnet import _positive
 
 __all__ = [
     "MAX_FLOW_EVENTS",
@@ -157,14 +158,18 @@ def syn_heavy_flows(net: RoadNetwork, horizon: int = 3600) -> list[FlowSpec]:
     return flows
 
 
-def expand_flows(flows: Iterable[FlowSpec]) -> list[SpawnEvent]:
-    """Expand periodic flows into individual spawn events, sorted by time."""
+def expand_flows(flows: Iterable[FlowSpec], until: float = math.inf) -> list[SpawnEvent]:
+    """Expand periodic flows into individual spawn events, sorted by time.
+
+    Departures at or after ``until`` (a run's horizon) would never spawn and
+    are not built.
+    """
     events: list[SpawnEvent] = []
     for flow in flows:
         k = 0
         while True:
             t = flow.start + k * flow.interval
-            if t > flow.end:
+            if t > flow.end or t >= until:
                 break
             events.append(SpawnEvent(time=int(t), route=flow.route, entry_lane=flow.entry_lane))
             k += 1
@@ -219,9 +224,10 @@ def _whole_seconds(key: str, value) -> int:
 def load_flow_file(path: str, net: RoadNetwork) -> list[FlowSpec]:
     """Read a flow file, resolving every route against the network.
 
-    Raises ``ValueError`` naming the record index for malformed records and
-    the offending id for unresolvable roads, and when the records describe
-    more than :data:`MAX_FLOW_EVENTS` departures in total.
+    ``interval`` and the ``vehicle`` fields must be JSON numbers, finite
+    and > 0.  Raises ``ValueError`` naming the record index for malformed
+    records and the offending id for unresolvable roads, and when the
+    records describe more than :data:`MAX_FLOW_EVENTS` departures in total.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -235,15 +241,15 @@ def load_flow_file(path: str, net: RoadNetwork) -> list[FlowSpec]:
             if not isinstance(route, list) or not all(isinstance(road, str) for road in route):
                 raise TypeError(f"route must be a list of road ids, got {route!r}")
             route = tuple(route)
-            interval = float(rec["interval"])
+            interval = _positive("interval", rec["interval"])
             start = _whole_seconds("startTime", rec["startTime"])
             end = _whole_seconds("endTime", rec["endTime"])
             vehicle = rec.get("vehicle")
             if vehicle is not None:
                 if not isinstance(vehicle, dict):
                     raise TypeError(f"vehicle must be an object, got {vehicle!r}")
-                vehicle = {k: float(v) for k, v in vehicle.items() if k in _VEHICLE_KEYS}
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                vehicle = {k: _positive(f"vehicle {k}", v) for k, v in vehicle.items() if k in _VEHICLE_KEYS}
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed flow record #{idx}: {exc}") from exc
         try:
             entry_lane, _ = resolve_route(net, route)

@@ -10,6 +10,7 @@ through ``.npz`` files.
 from __future__ import annotations
 
 import math
+import zipfile
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -258,44 +259,52 @@ def save_checkpoint(net: QNetwork, path: str) -> None:
 def load_checkpoint(path: str) -> QNetwork:
     """Restore a network written by :func:`save_checkpoint`, bit-exactly.
 
-    Rejects with a one-line ``ValueError`` a file whose version is unknown,
-    whose layer sizes are not at least two positive integers running from
-    ``OBS_SIZE`` inputs to 4 outputs, whose weight or bias arrays are
-    missing or of the wrong shape, or whose parameters are not finite.
+    Rejects with a one-line ``ValueError`` a file that is not a readable
+    ``.npz`` archive, or whose version is unknown, whose layer sizes are not
+    at least two positive integers running from ``OBS_SIZE`` inputs to 4
+    outputs, whose weight or bias arrays are missing or of the wrong shape,
+    or whose parameters are not finite.
     """
-    with np.load(path) as data:
+    try:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("it holds one bare .npy array")
+        with data:
+            arrays = {key: data[key] for key in data.files}
+    except (EOFError, ValueError, zipfile.BadZipFile) as exc:  # e.g. an empty or a cut file
+        raise ValueError(f"checkpoint {path}: not a readable .npz archive: {exc}") from exc
 
-        def array(key: str) -> np.ndarray:
-            if key not in data.files:
-                raise ValueError(f"checkpoint {path}: missing {key}")
-            return data[key]
+    def array(key: str) -> np.ndarray:
+        if not isinstance(arrays.get(key), np.ndarray):
+            raise ValueError(f"checkpoint {path}: missing {key}")
+        return arrays[key]
 
-        version = array("version")
-        if version.shape != () or version.dtype.kind not in "iu" or int(version) != _CHECKPOINT_VERSION:
-            raise ValueError(f"checkpoint {path}: unsupported version {version.tolist()!r}")
-        raw = array("layer_sizes")
-        if (
-            raw.ndim != 1
-            or raw.dtype.kind not in "iu"
-            or len(raw) < 2
-            or (raw < 1).any()
-            or raw[0] != OBS_SIZE
-            or raw[-1] != 4
-        ):
-            raise ValueError(
-                f"checkpoint {path}: architecture {raw.tolist()!r} must be at least two positive "
-                f"layer sizes from {OBS_SIZE} inputs to 4 outputs"
-            )
-        sizes = tuple(int(n) for n in raw)
-        params: dict[str, np.ndarray] = {}
-        for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
-            for key, shape in ((f"w{i}", (fan_out, fan_in)), (f"b{i}", (fan_out,))):
-                values = array(key)
-                if values.shape != shape:
-                    raise ValueError(f"checkpoint {path}: {key} has shape {values.shape}, expected {shape}")
-                if values.dtype.kind not in "fiu" or not np.isfinite(values).all():
-                    raise ValueError(f"checkpoint {path}: {key} holds non-finite or non-numeric values")
-                params[key] = values.astype(float)
+    version = array("version")
+    if version.shape != () or version.dtype.kind not in "iu" or int(version) != _CHECKPOINT_VERSION:
+        raise ValueError(f"checkpoint {path}: unsupported version {version.tolist()!r}")
+    raw = array("layer_sizes")
+    if (
+        raw.ndim != 1
+        or raw.dtype.kind not in "iu"
+        or len(raw) < 2
+        or (raw < 1).any()
+        or raw[0] != OBS_SIZE
+        or raw[-1] != 4
+    ):
+        raise ValueError(
+            f"checkpoint {path}: architecture {raw.tolist()!r} must be at least two positive "
+            f"layer sizes from {OBS_SIZE} inputs to 4 outputs"
+        )
+    sizes = tuple(int(n) for n in raw)
+    params: dict[str, np.ndarray] = {}
+    for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+        for key, shape in ((f"w{i}", (fan_out, fan_in)), (f"b{i}", (fan_out,))):
+            values = array(key)
+            if values.shape != shape:
+                raise ValueError(f"checkpoint {path}: {key} has shape {values.shape}, expected {shape}")
+            if values.dtype.kind not in "fiu" or not np.isfinite(values).all():
+                raise ValueError(f"checkpoint {path}: {key} holds non-finite or non-numeric values")
+            params[key] = values.astype(float)
     net = QNetwork.__new__(QNetwork)
     net.layer_sizes = sizes
     net.weights = [params[f"w{i}"] for i in range(len(sizes) - 1)]

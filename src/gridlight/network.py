@@ -10,8 +10,9 @@ at all times.
 The four-phase scheme is stated once, in :func:`standard_phase_table`, and
 read everywhere else as :data:`PHASE_COLUMNS`: the positions in the
 canonical movement order of the two movements each phase grants.  Every
-network is validated where it is assembled, so an intersection's twelve
-movements always run in that canonical order.
+network comes from :func:`assemble_network`, which builds each
+intersection's twelve movements in that canonical order, so a network is
+well formed by construction.
 
 Everything here is immutable after construction and safe to share between
 concurrently running simulations.
@@ -41,7 +42,6 @@ __all__ = [
     "PHASE_COLUMNS",
     "assemble_network",
     "build_grid",
-    "validate",
     "turn_between",
     "resolve_route",
 ]
@@ -169,11 +169,11 @@ def lane_capacity(length: float, l_v: float, l_g: float) -> int:
     """Vehicles of length ``l_v`` with minimum gap ``l_g`` that fit on ``length``."""
     if not 0 < length < math.inf or l_v <= 0 or l_g <= 0:
         raise ValueError("lane length must be finite and > 0, vehicle length and gap > 0")
-    # tolerant floor: exact ratios like 300 / 7.5 must not fall prey to float dust
-    capacity = int(math.floor(length / (l_v + l_g) + 1e-9))
-    if capacity > np.iinfo(np.int64).max:  # the engine keeps counts as int64
+    ratio = length / (l_v + l_g)
+    if ratio > np.iinfo(np.int64).max:  # the engine keeps counts as int64
         raise ValueError(f"a {length} m lane holds more vehicles than a count can store")
-    return capacity
+    # tolerant floor: exact ratios like 300 / 7.5 must not fall prey to float dust
+    return int(math.floor(ratio + 1e-9))
 
 
 def standard_phase_table() -> tuple[tuple[tuple[str, Turn], ...], ...]:
@@ -275,14 +275,24 @@ def assemble_network(
     positions and its three lanes hold :func:`lane_capacity` vehicles.
     Intersections follow node order, boundary entries and exits road order.
     An entry's side is the ``<side>`` of a ``b_<side>_<k>`` start node, or
-    else the side its heading enters the network from.  Raises
-    ``ValueError`` when two roads share an approach, a node that is not
-    virtual is not a full 4-way junction, or the assembled network fails
-    :func:`validate`.
+    else the side its heading enters the network from.
+
+    Each road's three lanes are filed under its one end and its one start,
+    every non-virtual node needs four incoming and four outgoing roads, and
+    its movements are built from those in canonical order, so no lane can
+    dangle, feed or be fed by two junctions, dead-end or be orphaned.
+    Raises ``ValueError`` for what input can still get wrong: no node that
+    is not virtual, a road that starts and ends at the same node, two roads
+    sharing an approach, or a node that is not virtual and not a full 4-way
+    junction.
     """
+    if all(node in virtual for node in positions):
+        raise ValueError("network has no intersection")
     built: dict[str, Road] = {}
     lanes: dict[str, Lane] = {}
     for road_id, start, end, length, max_speed in roads:
+        if start == end:
+            raise ValueError(f"road {road_id} starts and ends at {start}")
         lane_ids = tuple(f"{road_id}_{i}" for i in range(3))
         heading = _heading(positions[start], positions[end])
         built[road_id] = Road(road_id, start, end, heading, length, max_speed, lane_ids)  # type: ignore[arg-type]
@@ -321,7 +331,7 @@ def assemble_network(
             raise ValueError(f"intersection {node} is not a full 4-way junction")
         intersections.append(_make_intersection(node, inc, out))
 
-    net = RoadNetwork(
+    return RoadNetwork(
         intersections=intersections,
         roads=built,
         lanes=lanes,
@@ -330,10 +340,6 @@ def assemble_network(
         grid_shape=grid_shape,
         node_positions=positions,
     )
-    problems = validate(net)
-    if problems:
-        raise ValueError(f"invalid network: {problems[0]} (+{len(problems) - 1} more)")
-    return net
 
 
 def build_grid(
@@ -419,76 +425,3 @@ def resolve_route(net: RoadNetwork, road_ids: list[str] | tuple[str, ...]) -> tu
     else:
         entry_lane = roads[0].lane_for_turn(Turn.STRAIGHT)
     return entry_lane, movements
-
-
-def validate(net: RoadNetwork) -> list[str]:
-    """Check every structural invariant; returns all violations found.
-
-    An empty list means the network is well formed.  Violations are data,
-    not exceptions: callers decide whether to fault.
-    """
-    problems: list[str] = []
-    if not net.intersections:
-        problems.append("network has no intersection")
-
-    for lane_id, lane in net.lanes.items():
-        if lane.id != lane_id:
-            problems.append(f"lane {lane_id}: registry key mismatch")
-
-    canonical = [(a, t) for a in APPROACHES for t in TURNS]
-    for inter in net.intersections:
-        prefix = f"intersection {inter.id}"
-        if len(inter.movements) != 12:
-            problems.append(f"{prefix}: movement count != 12")
-
-        seen_pairs = set()
-        for m in inter.movements:
-            if m.in_lane == m.out_lane:
-                problems.append(f"{prefix}: movement {m.id} loops onto its own lane")
-            for lane_id in (m.in_lane, m.out_lane):
-                if lane_id not in net.lanes:
-                    problems.append(
-                        f"{prefix}: movement {m.id} dangling lane reference {lane_id}"
-                    )
-            key = (m.in_lane, m.turn)
-            if key in seen_pairs:
-                problems.append(f"{prefix}: duplicate (in_lane, turn) {key}")
-            seen_pairs.add(key)
-        # counts are read by canonical position: PHASE_COLUMNS and the right
-        # turns name movements by where they stand
-        for j, (m, (approach, turn)) in enumerate(zip(inter.movements, canonical)):
-            expected = _movement_id(inter.id, approach, turn)
-            if m.id != expected or m.turn is not turn:
-                problems.append(f"{prefix}: movement {j} is {m.id} ({m.turn.value}), expected {expected}")
-
-    # boundary / connectivity checks
-    for lane_id, side in net.boundary_entries:
-        if lane_id not in net.lanes:
-            problems.append(f"boundary entry {lane_id}: unknown lane")
-        if side not in ("w", "e", "n", "s"):
-            problems.append(f"boundary entry {lane_id}: bad side {side!r}")
-    for lane_id in net.boundary_exits:
-        if lane_id not in net.lanes:
-            problems.append(f"boundary exit {lane_id}: unknown lane")
-
-    in_lanes_used: dict[str, set[str]] = {}
-    out_lanes_used: dict[str, set[str]] = {}
-    for inter in net.intersections:
-        for m in inter.movements:
-            in_lanes_used.setdefault(m.in_lane, set()).add(inter.id)
-            out_lanes_used.setdefault(m.out_lane, set()).add(inter.id)
-    entry_lanes = {lane_id for lane_id, _ in net.boundary_entries}
-    exit_lanes = set(net.boundary_exits)
-    for lane_id in net.lanes:
-        consumers = in_lanes_used.get(lane_id, set())
-        producers = out_lanes_used.get(lane_id, set())
-        if len(consumers) > 1:
-            problems.append(f"lane {lane_id}: feeds more than one intersection")
-        if len(producers) > 1:
-            problems.append(f"lane {lane_id}: fed by more than one intersection")
-        if not consumers and lane_id not in exit_lanes:
-            problems.append(f"lane {lane_id}: dead end (no downstream, not an exit)")
-        if not producers and lane_id not in entry_lanes:
-            problems.append(f"lane {lane_id}: orphan (no upstream, not an entry)")
-
-    return problems

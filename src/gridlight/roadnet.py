@@ -57,10 +57,11 @@ def _finite(value: Any) -> float | None:
     return number if math.isfinite(number) else None
 
 
-def _positive(path: str, what: str, value: Any) -> float:
+def _positive(what: str, value: Any, error: type[ValueError] = ValueError) -> float:
+    """``value`` as a float when it is a finite JSON number > 0, else raises ``error``."""
     number = _finite(value)
     if number is None or number <= 0:
-        raise RoadnetFormatError(f"{path}: {what} must be a finite number > 0, got {value!r}")
+        raise error(f"{what} must be a finite number > 0, got {value!r}")
     return number
 
 
@@ -136,16 +137,15 @@ def load_roadnet(path: str, l_v: float = 5.0, l_g: float = 2.5) -> RoadNetwork:
             raise RoadnetFormatError(
                 f"{path}: road {road_id} has {n_lanes} lanes; exactly 3 are supported"
             )
+        where = f"{path}: road {road_id}"
         if "maxSpeed" in rec:
-            max_speed = _positive(path, f"road {road_id} maxSpeed", rec["maxSpeed"])
+            max_speed = _positive(f"{where} maxSpeed", rec["maxSpeed"], RoadnetFormatError)
         elif isinstance(lane_spec, list) and "maxSpeed" in lane_spec[0]:
-            max_speed = _positive(path, f"road {road_id} lane maxSpeed", lane_spec[0]["maxSpeed"])
+            max_speed = _positive(f"{where} lane maxSpeed", lane_spec[0]["maxSpeed"], RoadnetFormatError)
         else:
             max_speed = 40.0 / 3.6
-        if "length" in rec:
-            length = _positive(path, f"road {road_id} length", rec["length"])
-        else:
-            length = _positive(path, f"road {road_id} length", math.dist(positions[start], positions[end]))
+        geometric = math.dist(positions[start], positions[end])
+        length = _positive(f"{where} length", rec.get("length", geometric), RoadnetFormatError)
         roads.append((road_id, start, end, length, max_speed))
 
     try:

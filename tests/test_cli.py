@@ -13,15 +13,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
 from gridlight.cli import main
 from gridlight.control import ControllerConfig
+from gridlight.engine import OBS_SIZE
 from gridlight.experiment import ExperimentConfig
 from gridlight.flows import load_flow_file, save_flow_file, syn_light_flows
 from gridlight.learner import QNetwork, save_checkpoint
 from gridlight.network import build_grid
 from gridlight.roadnet import save_roadnet
 from gridlight.telemetry import DECISIONS_HEADER
+
+
+def _junction_self_loop(doc: dict) -> None:
+    """Drop the 1x1 junction's west entry and bend its east exit back onto it,
+    so the loop fills the junction's west approach and east exit."""
+    doc["roads"] = [road for road in doc["roads"] if road["id"] != "rd__b_w_0__i_0_0"]
+    next(road for road in doc["roads"] if road["id"] == "rd__i_0_0__b_e_0")["endIntersection"] = "i_0_0"
 
 
 def write_config(path, **kw):
@@ -105,6 +114,14 @@ class TestConfigErrors:
             ({"network": {"kind": "grid", "rows": 3, "cols": "3"}}, ["network.cols"]),
             ({"network": {"kind": "grid", "we_length": float("inf")}}, ["network.we_length"]),
             ({"network": {"kind": "roadnet", "path": 3}}, ["network.path"]),
+            ({"kinematics": {"accel": 10**400}}, ["kinematics.accel"]),
+            ({"network": {"kind": "grid", "we_length": 10**400}}, ["network.we_length"]),
+            ({"controller": {"obs_scale": 10**400}}, ["controller.obs_scale"]),
+            ({"yellow": 10**19}, ["yellow", "2**53"]),
+            ({"controller": {"green_fixed": 10**19}}, ["controller.green_fixed", "2**53"]),
+            ({"network": {"kind": "grid", "rowz": 1, "cols": 1}}, ["network", "rowz"]),
+            ({"flow": {"kind": "syn-light", "path": "x.json"}}, ["flow", "path"]),
+            ({"kinematics": {"vehicle_length": 5e-324, "min_gap": 5e-324}}, ["lane holds more vehicles"]),
         ],
         ids=[
             "controller-not-object", "controller-unknown-key", "kinematics-not-object",
@@ -112,7 +129,9 @@ class TestConfigErrors:
             "roadnet-no-path", "int-given-string", "horizon-string", "horizon-bool", "yellow-float",
             "kinematics-nan", "float-inf", "seeds-not-ints", "optional-string", "str-given-int",
             "eval-every-zero", "epsilon-horizon-zero", "epsilon-horizon-negative", "network-rows-float",
-            "network-cols-string", "network-length-inf", "network-path-int",
+            "network-cols-string", "network-length-inf", "network-path-int", "accel-beyond-float",
+            "network-length-beyond-float", "obs-scale-beyond-float", "yellow-beyond-int64",
+            "green-fixed-beyond-int64", "network-unknown-key", "flow-unknown-key", "vehicles-too-small-to-count",
         ],
     )
     def test_bad_config_is_one_line(self, tmp_path, capsys, doc, named):
@@ -150,7 +169,31 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert len(err.splitlines()) == 1
-        assert "max_speed" in err, err
+        assert "#0" in err and "maxSpeed" in err, err
+
+    @pytest.mark.parametrize(
+        "edit,named",
+        [
+            (_junction_self_loop, "road rd__i_0_0__b_e_0 starts and ends at i_0_0"),
+            (lambda doc: doc["roads"].append(
+                {"id": "loop", "startIntersection": "b_w_0", "endIntersection": "b_w_0", "length": 100}
+            ), "road loop starts and ends at b_w_0"),
+            (lambda doc: [node.update(virtual=True) for node in doc["intersections"]], "network has no intersection"),
+        ],
+        ids=["junction-self-loop", "boundary-self-loop", "all-virtual"],
+    )
+    def test_malformed_roadnet_is_one_line(self, tmp_path, capsys, edit, named):
+        roadnet_path = tmp_path / "roadnet.json"
+        save_roadnet(build_grid(1, 1, 300, 300), str(roadnet_path))
+        doc = json.loads(roadnet_path.read_text())
+        edit(doc)
+        roadnet_path.write_text(json.dumps(doc))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"network": {"kind": "roadnet", "path": str(roadnet_path)}}))
+        code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines() == [f"gridlight: error: {roadnet_path}: {named}"]
 
     @pytest.mark.parametrize(
         "edit,named",
@@ -205,11 +248,14 @@ class TestConfigErrors:
             ("startTime", 1.7),
             ("startTime", True),
             ("startTime", -50),
+            ("interval", "5"),
+            ("interval", True),
+            ("vehicle", {"length": "5", "maxSpeed": True}),
         ],
         ids=[
             "interval-nan", "interval-inf", "interval-tiny", "vehicle-string", "vehicle-list",
             "route-of-lists", "end-1e400", "end-huge-int", "start-fraction", "start-true",
-            "start-negative",
+            "start-negative", "interval-string", "interval-true", "vehicle-string-and-bool",
         ],
     )
     def test_bad_flow_record_is_one_line(self, tmp_path, capsys, field, value):
@@ -261,6 +307,14 @@ def _fields() -> list[tuple[str, tuple, str]]:
     return fields
 
 
+def _run_quietly(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stderr of one CLI call, stdout discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
 class TestLoaderFuzz:
     """One field of a valid roadnet or flow file set to any JSON value."""
 
@@ -286,10 +340,77 @@ class TestLoaderFuzz:
                     "flow": {"kind": "file", "path": paths["flows"]},
                     "horizon": 30,
                 }, fh)
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = main(["run", "--config", config, "--out", os.path.join(tmp, "out")])
-        assert code == 0 or (code == 1 and len(err.getvalue().splitlines()) == 1), (code, err.getvalue())
+            code, err = _run_quietly(["run", "--config", config, "--out", os.path.join(tmp, "out")])
+        assert code == 0 or (code == 1 and len(err.splitlines()) == 1), (code, err)
+
+
+def _config_keys() -> list[tuple[str, ...]]:
+    """The path of every key of a valid config, top level and nested."""
+    keys = []
+    for key, value in ExperimentConfig().to_dict().items():
+        keys.append((key,))
+        if isinstance(value, dict):
+            keys += [(key, sub) for sub in value]
+    return keys
+
+
+# keys that size the work: a huge value is a large request, not a malformed one
+_WORK_SIZES = {
+    ("horizon",): st.integers(-1, 40),
+    ("network", "rows"): st.integers(-1, 4),
+    ("network", "cols"): st.integers(-1, 4),
+    ("hidden_sizes",): st.lists(st.integers(-1, 8), max_size=3),
+    ("buffer_capacity",): st.integers(-1, 100),
+}
+_BEYOND_FLOAT = st.integers(2**1024, 2**1100) | st.integers(-(2**1100), -(2**1024))
+
+
+class TestConfigFuzz:
+    """One key of a valid fixed-controller config set to any JSON value."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_run_exits_cleanly(self, data):
+        doc = ExperimentConfig(horizon=30).to_dict()
+        path = data.draw(st.sampled_from(_config_keys()), label="key")
+        record = doc
+        for step in path[:-1]:
+            record = record[step]
+        record[path[-1]] = data.draw(_WORK_SIZES.get(path, _JSON | _BEYOND_FLOAT), label="value")
+        with tempfile.TemporaryDirectory() as tmp:
+            config = os.path.join(tmp, "config.json")
+            with open(config, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            code, err = _run_quietly(["run", "--config", config, "--out", os.path.join(tmp, "out")])
+        assert code == 0 or (code == 1 and len(err.splitlines()) == 1), (code, err)
+
+
+class TestCheckpointFuzz:
+    """A valid checkpoint cut short, or with one array replaced by a small random one."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_eval_exits_cleanly(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            ckpt = os.path.join(tmp, "checkpoint.npz")
+            save_checkpoint(QNetwork((OBS_SIZE, 8, 4), np.random.default_rng(0)), ckpt)
+            if data.draw(st.booleans(), label="cut"):
+                raw = pathlib.Path(ckpt).read_bytes()
+                pathlib.Path(ckpt).write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1), label="length")])
+            else:
+                with np.load(ckpt) as archive:
+                    arrays = dict(archive)
+                key = data.draw(st.sampled_from(sorted(arrays)), label="array")
+                arrays[key] = data.draw(
+                    npst.arrays(npst.scalar_dtypes(), npst.array_shapes(min_dims=0, max_dims=2, max_side=8)),
+                    label="replacement",
+                )
+                np.savez(ckpt, **arrays)
+            config = os.path.join(tmp, "config.json")
+            with open(config, "w", encoding="utf-8") as fh:
+                json.dump({"controller": {"kind": "dqn"}, "horizon": 30}, fh)
+            code, err = _run_quietly(["eval", "--config", config, "--checkpoint", ckpt])
+        assert code == 0 or (code == 1 and len(err.splitlines()) == 1), (code, err)
 
 
 class TestEval:
@@ -325,6 +446,23 @@ class TestEval:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "w0" in err, err
+
+    @pytest.mark.parametrize("damage", ["empty", "bare-npy", "cut-in-half"])
+    def test_unreadable_checkpoint_is_one_line(self, tmp_path, capsys, damage):
+        config_path = tmp_path / "config.json"
+        write_config(config_path, horizon=300, controller=ControllerConfig(kind="dqn"))
+        ckpt = tmp_path / "checkpoint.npz"
+        if damage == "bare-npy":
+            with open(ckpt, "wb") as fh:
+                np.save(fh, np.zeros(3))
+        else:
+            save_checkpoint(QNetwork(rng=np.random.default_rng(0)), str(ckpt))
+            raw = ckpt.read_bytes()
+            ckpt.write_bytes(raw[: len(raw) // 2] if damage == "cut-in-half" else b"")
+        assert main(["eval", "--config", str(config_path), "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert f"checkpoint {ckpt}: not a readable .npz archive" in err, err
 
 
 class TestTrainCommand:

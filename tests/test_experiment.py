@@ -218,6 +218,23 @@ class TestFileBasedInputs:
         _, kin = build_events(cfg, net2)
         assert (kin.vehicle_length, kin.min_gap, kin.max_speed, kin.accel) == (4.0, 2.0, 10.0, 3.0)
 
+    def test_flow_file_events_stop_at_the_horizon(self, tmp_path):
+        import json
+
+        from gridlight.network import build_grid
+
+        route = ["rd__b_w_0__i_0_0", "rd__i_0_0__i_0_1", "rd__i_0_1__i_0_2", "rd__i_0_2__b_e_0"]
+        records = [
+            {"route": route, "interval": 1, "startTime": 0, "endTime": 500_000},
+            {"route": route, "interval": 2.5, "startTime": 1, "endTime": 500_000},
+        ]
+        flow_path = tmp_path / "flow.json"
+        flow_path.write_text(json.dumps(records))
+        cfg = ExperimentConfig(flow={"kind": "file", "path": str(flow_path)}, horizon=30)
+        events, _ = build_events(cfg, build_grid(3, 3, 300, 300))
+        # 0..29 every second; 1, 3.5, 6, ... 28.5 every 2.5 s, spawning at the whole second
+        assert [e.time for e in events] == sorted(list(range(30)) + [int(1 + 2.5 * k) for k in range(12)])
+
 
 class TestEvaluate:
     def _dqn_config(self, **kw):

@@ -1,21 +1,26 @@
-"""Network model tests: capacities, grid construction, phases, validation,
+"""Network model tests: capacities, grid construction, phases, assembly,
 route resolution, and roadnet file round trips."""
 
-import dataclasses
+import collections
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridlight.network import (
+    APPROACHES,
     PHASE_COLUMNS,
+    TURNS,
     RoadNetwork,
     Turn,
+    assemble_network,
     build_grid,
     lane_capacity,
     movement_column,
     resolve_route,
     standard_phase_table,
-    validate,
+    _heading,
 )
 from gridlight.roadnet import RoadnetFormatError, load_roadnet, save_roadnet
 
@@ -121,45 +126,92 @@ class TestBuildGrid:
             assert rights == [2, 5, 8, 11]
 
 
-class TestValidate:
-    def test_grids_validate_clean(self):
+def _faults(net: RoadNetwork) -> list[str]:
+    """What no well-formed network has, checked from scratch."""
+    faults = [] if net.intersections else ["no intersection"]
+    movements = [m for inter in net.intersections for m in inter.movements]
+    consumers = collections.Counter(m.in_lane for m in movements)
+    producers = collections.Counter(m.out_lane for m in movements)
+    entries = {lane for lane, _ in net.boundary_entries}
+    faults += [f"unknown lane {lane}" for lane in (consumers | producers).keys() - net.lanes.keys()]
+    for lane in net.lanes:
+        if consumers[lane] > 1 or producers[lane] > 1:
+            faults.append(f"lane {lane}: {consumers[lane]} consumers, {producers[lane]} producers")
+        if not consumers[lane] and lane not in net.boundary_exits:
+            faults.append(f"lane {lane} dead-ends")
+        if not producers[lane] and lane not in entries:
+            faults.append(f"lane {lane} is orphaned")
+    for inter in net.intersections:
+        order = [(m.id, m.turn) for m in inter.movements]
+        if order != [(f"{inter.id}:{a}:{t.value}", t) for a in APPROACHES for t in TURNS]:
+            faults.append(f"{inter.id}: movements out of canonical order")
+    faults += [f"{m.id} loops onto its own lane" for m in movements if m.in_lane == m.out_lane]
+    return faults
+
+
+@st.composite
+def _mutated_grid_inputs(draw):
+    """The inputs of a 1x1, 1x2 or 2x2 grid after one to three mutations:
+    self-loops, rewired ends, flipped virtual flags, moved nodes, dropped
+    and added roads, and a node's eastbound roads replaced by one loop (the
+    loop heads east, so it alone fills a junction's west arrival and east exit)."""
+    rows, cols = draw(st.sampled_from([(1, 1), (1, 2), (2, 2)]))
+    net = build_grid(rows, cols, 300, 300)
+    positions = dict(net.node_positions)
+    virtual = set(positions) - {inter.id for inter in net.intersections}
+    roads = [[r.id, r.start, r.end, r.length, r.max_speed] for r in net.roads.values()]
+    nodes = st.sampled_from(list(positions))
+    coordinate = st.integers(-3, 3).map(lambda k: 300.0 * k)
+    for k in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["self-loop", "rewire", "flip-virtual", "move", "drop", "add", "loop-east"]))
+        if kind == "loop-east":
+            node = draw(nodes)
+            roads = [r for r in roads if node not in r[1:3] or _heading(positions[r[1]], positions[r[2]]) != "E"]
+            roads.append([f"extra{k}", node, node, 300.0, 12.0])
+        elif kind == "add" or not roads:
+            roads.append([f"extra{k}", draw(nodes), draw(nodes), 300.0, 12.0])
+        elif kind == "flip-virtual":
+            virtual ^= {draw(nodes)}
+        elif kind == "move":
+            positions[draw(nodes)] = (draw(coordinate), draw(coordinate))
+        else:
+            road = roads[draw(st.integers(0, len(roads) - 1))]
+            if kind == "self-loop":
+                road[2] = road[1]
+            elif kind == "rewire":
+                road[draw(st.sampled_from([1, 2]))] = draw(nodes)
+            else:
+                roads.remove(road)
+    return positions, virtual, [tuple(road) for road in roads]
+
+
+class TestAssembly:
+    def test_grids_are_well_formed(self):
         for rows, cols in [(1, 1), (1, 3), (3, 3), (2, 4)]:
-            assert validate(build_grid(rows, cols, 300, 250)) == []
-
-    def _mutate_intersection(self, net, **changes):
-        inter = dataclasses.replace(net.intersections[0], **changes)
-        return RoadNetwork(
-            intersections=[inter] + net.intersections[1:],
-            roads=net.roads,
-            lanes=net.lanes,
-            boundary_entries=net.boundary_entries,
-            boundary_exits=net.boundary_exits,
-            grid_shape=net.grid_shape,
-            node_positions=net.node_positions,
-        )
-
-    def test_dangling_lane_reference(self):
-        net = build_grid(1, 1, 300, 300)
-        inter = net.intersections[0]
-        broken = dataclasses.replace(inter.movements[0], out_lane="missing_lane")
-        mutated = self._mutate_intersection(
-            net, movements=(broken,) + inter.movements[1:]
-        )
-        problems = validate(mutated)
-        assert any("dangling lane reference" in p for p in problems)
-
-    def test_movements_out_of_canonical_order(self):
-        net = build_grid(1, 1, 300, 300)
-        inter = net.intersections[0]
-        swapped = (inter.movements[1], inter.movements[0]) + inter.movements[2:]
-        problems = validate(self._mutate_intersection(net, movements=swapped))
-        assert problems == [
-            "intersection i_0_0: movement 0 is i_0_0:W:straight (straight), expected i_0_0:W:left",
-            "intersection i_0_0: movement 1 is i_0_0:W:left (left), expected i_0_0:W:straight",
-        ]
+            assert _faults(build_grid(rows, cols, 300, 250)) == []
 
     def test_no_intersection(self):
-        assert validate(RoadNetwork()) == ["network has no intersection"]
+        positions = {"a": (0.0, 0.0), "b": (300.0, 0.0)}
+        with pytest.raises(ValueError, match="^network has no intersection$"):
+            assemble_network(positions, {"a", "b"}, [("ab", "a", "b", 300.0, 12.0)], l_v=5.0, l_g=2.5)
+
+    @pytest.mark.parametrize("node", ["i_0_0", "b_w_0"], ids=["junction", "boundary"])
+    def test_self_loop(self, node):
+        net = build_grid(1, 1, 300, 300)
+        virtual = set(net.node_positions) - {"i_0_0"}
+        roads = [(r.id, r.start, r.end, r.length, r.max_speed) for r in net.roads.values()]
+        roads.append(("loop", node, node, 50.0, 12.0))
+        with pytest.raises(ValueError, match=f"^road loop starts and ends at {node}$"):
+            assemble_network(net.node_positions, virtual, roads, l_v=5.0, l_g=2.5)
+
+    @settings(max_examples=400, deadline=None)
+    @given(inputs=_mutated_grid_inputs())
+    def test_mutations_raise_or_are_well_formed(self, inputs):
+        try:
+            net = assemble_network(*inputs, l_v=5.0, l_g=2.5)
+        except ValueError:
+            return
+        assert _faults(net) == []
 
 
 class TestResolveRoute:
@@ -231,7 +283,7 @@ class TestRoadnetFiles:
             net = build_grid(rows, cols, we, ns, l_v=4.5, l_g=2.0, max_speed=12.0)
             save_roadnet(net, str(path))
             loaded = load_roadnet(str(path), l_v=4.5, l_g=2.0)
-            assert validate(loaded) == []
+            assert _faults(loaded) == []
             assert loaded.grid_shape is None
             assert _in_order(loaded) == _in_order(net), (rows, cols, we, ns)
 
@@ -252,7 +304,7 @@ class TestRoadnetFiles:
         path = tmp_path / "roadnet.json"
         path.write_text(json.dumps(doc))
         net = load_roadnet(str(path))
-        assert validate(net) == []
+        assert _faults(net) == []
         sides = {net.road_of_lane(lane).start: side for lane, side in net.boundary_entries}
         assert sides == {"west": "w", "east": "e", "up": "n", "down": "s"}
         assert [lane for lane, _ in net.boundary_entries] == [
@@ -344,14 +396,16 @@ class TestRoadnetFiles:
             (lambda doc: doc["roads"][0].update(length=1e30), r"a 1e\+30 m lane holds more vehicles than a count can store"),
             (lambda doc: doc["intersections"][0].update(point={"x": 10**400, "y": 0}), "intersection b_n_0 point must hold finite numbers"),
             (lambda doc: _node(doc, "i_0_0").update(virtual="no"), "intersection i_0_0 virtual must be true or false, got 'no'"),
-            (lambda doc: _node(doc, "i_0_0").update(virtual=True), "invalid network: network has no intersection"),
+            (lambda doc: _node(doc, "i_0_0").update(virtual=True), "network has no intersection"),
+            (lambda doc: doc["roads"][0].update(startIntersection="i_0_0"), "road rd__b_w_0__i_0_0 starts and ends at i_0_0"),
+            (lambda doc: doc["roads"][0].update(endIntersection="b_w_0"), "road rd__b_w_0__i_0_0 starts and ends at b_w_0"),
         ],
         ids=[
             "infinite-length", "repeated-road", "repeated-intersection", "intersection-id-int",
             "road-id-list", "start-list", "end-object", "road-not-object", "intersection-not-object",
             "roads-not-list", "lanes-object", "lanes-fraction", "lanes-not-objects", "max-speed-list",
             "max-speed-zero", "max-speed-negative", "length-list", "length-beyond-counts", "point-huge-int",
-            "virtual-string", "all-virtual",
+            "virtual-string", "all-virtual", "junction-self-loop", "boundary-self-loop",
         ],
     )
     def test_rejects_bad_record(self, tmp_path, edit, named):
