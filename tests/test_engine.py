@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from gridlight.engine import EXITED, GREEN, QUEUED, YELLOW, World
 from gridlight.flows import SpawnEvent, gen_syn_light
-from gridlight.network import Turn, build_grid, resolve_route, standard_phase_table
+from gridlight.network import Turn, assemble_network, build_grid, resolve_route, standard_phase_table
 from gridlight.signalmath import DEFAULT_KINEMATICS, platoon_clear_time
 
 
@@ -49,6 +49,14 @@ class TestStepBasics:
     def test_uncollected_step_carries_no_vectors(self):
         tel = single().step(collect=False)
         assert tel.occupancy is None and tel.phases is None and tel.yellow is None
+
+    def test_invalid_network_rejected(self):
+        # without its east exit road the junction dead-ends, so no World can run it
+        net = build_grid(1, 1, 300, 300)
+        virtual = set(net.node_positions) - {"i_0_0"}
+        roads = [(r.id, r.start, r.end, r.length, r.max_speed) for r in net.roads.values() if r.end != "b_e_0"]
+        with pytest.raises(ValueError, match="^intersection i_0_0 is not a full 4-way junction$"):
+            assemble_network(net.node_positions, virtual, roads, l_v=5.0, l_g=2.5)
 
     def test_unknown_lane_faults(self):
         with pytest.raises(KeyError):

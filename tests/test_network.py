@@ -2,6 +2,7 @@
 route resolution, and roadnet file round trips."""
 
 import collections
+import dataclasses
 import json
 
 import pytest
@@ -212,6 +213,33 @@ class TestAssembly:
         except ValueError:
             return
         assert _faults(net) == []
+
+
+class TestValidate:
+    """The oracle the mutation test trusts flags hand-mutated networks that
+    the assembler cannot build."""
+
+    def _mutate_intersection(self, net, **changes):
+        inter = dataclasses.replace(net.intersections[0], **changes)
+        return dataclasses.replace(net, intersections=[inter] + net.intersections[1:])
+
+    def test_dangling_lane_reference(self):
+        net = build_grid(1, 1, 300, 300)
+        inter = net.intersections[0]
+        broken = dataclasses.replace(inter.movements[0], out_lane="missing_lane")
+        mutated = self._mutate_intersection(net, movements=(broken,) + inter.movements[1:])
+        assert _faults(mutated) == [
+            "unknown lane missing_lane",
+            f"lane {inter.movements[0].out_lane} is orphaned",
+        ]
+
+    def test_movements_out_of_canonical_order(self):
+        net = build_grid(1, 1, 300, 300)
+        inter = net.intersections[0]
+        swapped = (inter.movements[1], inter.movements[0]) + inter.movements[2:]
+        assert _faults(self._mutate_intersection(net, movements=swapped)) == [
+            "i_0_0: movements out of canonical order"
+        ]
 
 
 class TestResolveRoute:
