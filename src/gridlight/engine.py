@@ -325,7 +325,9 @@ class World:
         """
         r = self._signal_index[intersection_id]
         occupancy = self.lane_occupancy()
-        return MovementCounts(occupancy[self._in_idx[r]], occupancy[self._out_idx[r]], self._n_max[r])
+        return MovementCounts._unchecked(
+            occupancy[self._in_idx[r]], occupancy[self._out_idx[r]], self._n_max[r]
+        )
 
     def observe(self, intersection_id: str) -> np.ndarray:
         """16-entry state vector: 12 incoming-lane counts + phase one-hot.

@@ -312,7 +312,7 @@ def build_events(
         return gen_syn_light(net, config.horizon), kin
     if kind == "syn-heavy":
         return gen_syn_heavy(net, config.horizon), kin
-    flows = load_flow_file(spec["path"], net)
+    flows = load_flow_file(spec["path"], net, until=config.horizon)
     overrides = next((f.vehicle for f in flows if f.vehicle), None)
     if overrides:
         kin = KinematicParams(

@@ -40,8 +40,9 @@ __all__ = [
 ]
 
 
-#: Most departures a flow file may describe in total; a file over it is
-#: rejected before any event is built, so a tiny interval cannot exhaust memory.
+#: Most departures before the horizon a flow file may describe in total; a
+#: file over it is rejected before any event is built, so a tiny interval
+#: cannot exhaust memory.
 MAX_FLOW_EVENTS = 1_000_000
 
 
@@ -67,8 +68,10 @@ class FlowSpec:
         if self.start > self.end:
             raise ValueError("flow start must be <= end")
 
-    def departures(self) -> float:
-        """How many vehicles the stream sends, in closed form."""
+    def departures(self, until: float = math.inf) -> float:
+        """How many vehicles the stream sends before ``until``, in closed form."""
+        if until <= self.end:
+            return max(0, math.ceil((until - self.start) / self.interval))
         return (self.end - self.start) // self.interval + 1
 
 
@@ -221,13 +224,14 @@ def _whole_seconds(key: str, value) -> int:
     raise ValueError(f"{key} must be a whole number >= 0, got {value!r}")
 
 
-def load_flow_file(path: str, net: RoadNetwork) -> list[FlowSpec]:
+def load_flow_file(path: str, net: RoadNetwork, until: float = math.inf) -> list[FlowSpec]:
     """Read a flow file, resolving every route against the network.
 
     ``interval`` and the ``vehicle`` fields must be JSON numbers, finite
     and > 0.  Raises ``ValueError`` naming the record index for malformed
     records and the offending id for unresolvable roads, and when the
-    records describe more than :data:`MAX_FLOW_EVENTS` departures in total.
+    records describe more than :data:`MAX_FLOW_EVENTS` departures before
+    ``until`` (a run's horizon) in total.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -265,7 +269,7 @@ def load_flow_file(path: str, net: RoadNetwork) -> list[FlowSpec]:
             raise ValueError(f"{path}: flow record #{idx}: {exc.args[0]}") from exc
         except ValueError as exc:
             raise ValueError(f"{path}: flow record #{idx}: {exc}") from exc
-        departures += flow.departures()
+        departures += flow.departures(until)
         if departures > MAX_FLOW_EVENTS:
             raise ValueError(
                 f"{path}: flow record #{idx} brings the file to {departures:.4g} departures, "

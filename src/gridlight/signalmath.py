@@ -93,6 +93,15 @@ class MovementCounts:
             + (f" at movement {i}" if np.ndim(n_out) else "")
         )
 
+    @classmethod
+    def _unchecked(cls, n_in, n_out, n_max) -> "MovementCounts":
+        """Counts built without the checks above, for the engine alone: it reads
+        them from its own occupancy vector and lane capacities, where they
+        hold by construction."""
+        counts = object.__new__(cls)
+        counts.__dict__.update(n_in=n_in, n_out=n_out, n_max=n_max)
+        return counts
+
 
 def prcol(c: MovementCounts):
     """Pressure with remaining capacity of the outgoing lane.

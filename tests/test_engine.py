@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from gridlight.engine import EXITED, GREEN, QUEUED, YELLOW, World
 from gridlight.flows import SpawnEvent, gen_syn_light
 from gridlight.network import Turn, assemble_network, build_grid, resolve_route, standard_phase_table
-from gridlight.signalmath import DEFAULT_KINEMATICS, platoon_clear_time
+from gridlight.signalmath import DEFAULT_KINEMATICS, MovementCounts, platoon_clear_time
 
 
 def single() -> World:
@@ -467,7 +467,9 @@ class TestSkipInvariants:
 
     A twin world has its settled prefixes cleared before every step, so it
     advances every vehicle on every non-empty lane; both worlds must stay
-    bit-equal.
+    bit-equal.  The engine builds its movement counts without their checks,
+    so after every tick each intersection's counts are rebuilt through the
+    checking constructor.
     """
 
     @staticmethod
@@ -557,6 +559,9 @@ class TestSkipInvariants:
                     limit = veh.pos - headway
             due = [world.needs_decision(inter.id) for inter in net.intersections]
             assert world.due_signals().tolist() == [r for r, d in enumerate(due) if d]
+            for inter in net.intersections:
+                counts = world.movement_counts(inter.id)
+                MovementCounts(counts.n_in, counts.n_out, counts.n_max)
 
 
 class TestOccupancyVector:

@@ -235,6 +235,21 @@ class TestFileBasedInputs:
         # 0..29 every second; 1, 3.5, 6, ... 28.5 every 2.5 s, spawning at the whole second
         assert [e.time for e in events] == sorted(list(range(30)) + [int(1 + 2.5 * k) for k in range(12)])
 
+    def test_event_cap_counts_departures_before_the_horizon(self, tmp_path):
+        from gridlight.flows import load_flow_file
+        from gridlight.network import build_grid
+
+        route = ["rd__b_w_0__i_0_0", "rd__i_0_0__i_0_1", "rd__i_0_1__i_0_2", "rd__i_0_2__b_e_0"]
+        flow_path = tmp_path / "flow.json"
+        # 1,000,001 departures in all, over the cap; 30 of them before the horizon
+        flow_path.write_text(json.dumps([{"route": route, "interval": 1, "startTime": 0, "endTime": 1_000_000}]))
+        cfg = ExperimentConfig(flow={"kind": "file", "path": str(flow_path)}, horizon=30)
+        net = build_grid(3, 3, 300, 300)
+        events, _ = build_events(cfg, net)
+        assert [e.time for e in events] == list(range(30))
+        with pytest.raises(ValueError, match="1e\\+06 departures, over the limit of 1000000"):
+            load_flow_file(str(flow_path), net)
+
 
 class TestEvaluate:
     def _dqn_config(self, **kw):

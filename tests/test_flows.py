@@ -171,6 +171,13 @@ class TestFlowSpecInvariants:
         for flow in syn_heavy_flows(grid):
             assert flow.departures() == len(expand_flows([flow]))
 
+    @pytest.mark.parametrize("interval", [1, 2.5, 7])
+    def test_departures_before_until_in_closed_form(self, grid, interval):
+        route, entry_lane = syn_light_flows(grid)[0].route, syn_light_flows(grid)[0].entry_lane
+        flow = FlowSpec(route=route, start=10, end=60, interval=interval, entry_lane=entry_lane)
+        for until in (0, 10, 11, 30, 32.5, 60, 61, 1e9):
+            assert flow.departures(until) == len(expand_flows([flow], until=until))
+
     def test_rejects_inverted_window(self, grid):
         flow = syn_light_flows(grid)[0]
         with pytest.raises(ValueError):
