@@ -3,14 +3,23 @@
 Runs the 3x3 grid with a vehicle entering every 20 s on each of the 12
 boundary approaches, all driving straight through, while every signal
 cycles its four phases with 10 s greens and 5 s yellows.  Prints the
-headline metrics and a mid-episode snapshot of the network.
+headline metrics and a mid-episode snapshot of the network, read back
+from the telemetry.csv the run writes.
 """
+
+import csv
+import os
+import tempfile
 
 from gridlight.control import ControllerConfig
 from gridlight.experiment import ExperimentConfig, run_single
+from gridlight.telemetry import LANE_COLUMNS
 
 config = ExperimentConfig(controller=ControllerConfig(kind="fixed"))
-result = run_single(config, seed=0)
+with tempfile.TemporaryDirectory() as out:
+    result = run_single(config, seed=0, out_dir=out)
+    with open(os.path.join(out, "telemetry.csv"), newline="", encoding="utf-8") as fh:
+        mid = [row for row in csv.DictReader(fh) if row["time"] == "1800"]
 
 m = result.metrics
 print(f"generated vehicles : {m.generated}")
@@ -18,10 +27,10 @@ print(f"throughput         : {m.throughput}")
 print(f"avg travel time    : {m.average_travel_time:.2f} s")
 print()
 
-mid = result.steps[1800]
-print(f"at t=1800 s: {mid.occupancy.sum()} vehicles on the network")
-for inter, phase, yellow in list(zip(result.world.net.intersections, mid.phases, mid.yellow))[:3]:
-    print(f"  {inter.id}: phase {phase} ({'yellow' if yellow else 'green'})")
+waiting = sum(int(row[f"n_{c}"]) for row in mid for c in LANE_COLUMNS)
+print(f"at t=1800 s: {waiting} vehicles on the junctions' approach lanes")
+for row in mid[:3]:
+    print(f"  {row['intersection']}: phase {row['phase']} ({row['mode']})")
 print()
 
 durations = {d.green_duration for d in result.decisions}

@@ -29,7 +29,7 @@ import statistics
 import time as _time
 import typing
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -194,6 +194,11 @@ def _checked_value(key: str, value, hint, default):
         ok, what = isinstance(value, hint), {str: "a string", dict: "an object"}[hint]
     if not ok:
         raise ValueError(f"config key {key!r} must be {what}, got {value!r}")
+    limit = _LIMITS.get(key)
+    if isinstance(limit, tuple) and (len(value) > limit[0] or max(value, default=0) > limit[1]):
+        raise ValueError(f"config key {key!r} takes at most {limit[0]} sizes of at most {limit[1]} each")
+    if isinstance(limit, int) and value > limit:
+        raise ValueError(f"config key {key!r} must be at most {limit}, got {value}")
     return tuple(value) if isinstance(value, list) else value
 
 
@@ -219,7 +224,7 @@ class MetricsReport:
 @dataclass
 class EpisodeResult:
     metrics: MetricsReport
-    steps: Optional[list[StepTelemetry]]
+    steps: None  # always None: an episode's steps stream to telemetry.csv and are not kept
     decisions: list[DecisionRecord]
     losses: list[float]
     world: World
@@ -260,6 +265,18 @@ _SPEC_KEYS = {
         "roadnet": {"path": (str, None)},
     },
     "flow": {"syn-light": {}, "syn-heavy": {}, "file": {"path": (str, None)}},
+}
+
+
+#: The largest value of each config key that sizes the work; for a list
+#: of sizes, the most entries and the largest entry.
+_LIMITS = {
+    "horizon": 1_000_000,
+    "episodes": 100_000,
+    "buffer_capacity": 1_000_000,
+    "network.rows": 100,
+    "network.cols": 100,
+    "hidden_sizes": (8, 4096),
 }
 
 
@@ -359,6 +376,7 @@ def run_episode(
     learner_ctx: Optional[LearnerContext] = None,
     seed: Optional[int] = None,
     record: bool = True,
+    out_dir: Optional[str] = None,
 ) -> EpisodeResult:
     """One full episode under the given controller.
 
@@ -366,8 +384,12 @@ def run_episode(
     action's reward is computed from the fresh movement counts and (when a
     ``learner_ctx`` is given) stored and trained on, and the controller's
     new decision is applied.  Returns metrics, the per-step training
-    losses and, when ``record`` is set, the step telemetry and the decision
-    log.  ``scenario`` is built from the config when not given.
+    losses and, when ``record`` is set, the decision log; ``steps`` is
+    always ``None``.  ``scenario`` is built from the config when not given.
+
+    With ``out_dir``, ``telemetry.csv`` is written as the ticks run, a few
+    at a time, then ``decisions.csv`` and, last, ``metrics.json``: a
+    ``metrics.json`` on disk means the episode finished.
     """
     net, events, kinematics = scenario or _build_scenario(config)
     world = World(
@@ -380,7 +402,6 @@ def run_episode(
     obs_scale = config.controller.obs_scale
     reward_kind = config.controller.reward_kind
 
-    steps: Optional[list[StepTelemetry]] = [] if record else None
     decisions: list[DecisionRecord] = []
     losses: list[float] = []
     pending: dict[str, tuple[np.ndarray, int]] = {}
@@ -391,50 +412,57 @@ def run_episode(
         return sum(world.services[mid].cum_crossed for mid in movement_ids)
 
     intersections = net.intersections
-    for _ in range(config.horizon):
-        for r in world.due_signals().tolist():
-            inter = intersections[r]
-            iid = inter.id
-            obs = world.observe(iid) * obs_scale
-            if iid in pending:
-                s_prev, a_prev = pending.pop(iid)
-                r = reward(world.movement_counts(iid), reward_kind)
-                learner_ctx.buffer.push(Transition(s_prev, a_prev, r, obs, False))
-                batch = learner_ctx.buffer.sample(config.batch_size, learner_ctx.sample_rng)
-                if batch is not None:
-                    losses.append(
-                        train_step(
-                            learner_ctx.net, learner_ctx.target, batch, config.gamma, config.lr
+
+    def ticks(collect: bool) -> Iterator[StepTelemetry]:
+        for _ in range(config.horizon):
+            for row in world.due_signals().tolist():
+                inter = intersections[row]
+                iid = inter.id
+                obs = world.observe(iid) * obs_scale
+                if iid in pending:
+                    s_prev, a_prev = pending.pop(iid)
+                    r = reward(world.movement_counts(iid), reward_kind)
+                    learner_ctx.buffer.push(Transition(s_prev, a_prev, r, obs, False))
+                    batch = learner_ctx.buffer.sample(config.batch_size, learner_ctx.sample_rng)
+                    if batch is not None:
+                        losses.append(
+                            train_step(
+                                learner_ctx.net, learner_ctx.target, batch, config.gamma, config.lr
+                            )
                         )
+                        learner_ctx.train_steps += 1
+                        if learner_ctx.train_steps % config.target_sync == 0:
+                            sync_target(learner_ctx.net, learner_ctx.target)
+
+                if record and iid in open_records:
+                    rec, granted, base = open_records.pop(iid)
+                    rec.actual_discharged = crossings(granted) - base
+
+                decision = controller.decide(world, iid, obs)
+                ideal_npass = world.apply_decision(iid, decision.phase, decision.green_duration)
+                if learner_ctx is not None:
+                    pending[iid] = (obs, decision.phase)
+                if record:
+                    granted = tuple(inter.movements[j].id for j in PHASE_COLUMNS[decision.phase].tolist())
+                    rec = DecisionRecord(
+                        time=world.time,
+                        intersection=iid,
+                        phase=decision.phase,
+                        green_duration=decision.green_duration,
+                        switched=world.signals[iid].mode == YELLOW,
+                        counts=tuple(world.incoming_occupancy(iid).tolist()),
+                        ideal_npass=ideal_npass,
                     )
-                    learner_ctx.train_steps += 1
-                    if learner_ctx.train_steps % config.target_sync == 0:
-                        sync_target(learner_ctx.net, learner_ctx.target)
+                    decisions.append(rec)
+                    open_records[iid] = (rec, granted, crossings(granted))
+            yield world.step(collect=collect)
 
-            if record and iid in open_records:
-                rec, granted, base = open_records.pop(iid)
-                rec.actual_discharged = crossings(granted) - base
-
-            decision = controller.decide(world, iid, obs)
-            ideal_npass = world.apply_decision(iid, decision.phase, decision.green_duration)
-            if learner_ctx is not None:
-                pending[iid] = (obs, decision.phase)
-            if record:
-                granted = tuple(inter.movements[j].id for j in PHASE_COLUMNS[decision.phase].tolist())
-                rec = DecisionRecord(
-                    time=world.time,
-                    intersection=iid,
-                    phase=decision.phase,
-                    green_duration=decision.green_duration,
-                    switched=world.signals[iid].mode == YELLOW,
-                    counts=tuple(world.incoming_occupancy(iid).tolist()),
-                    ideal_npass=ideal_npass,
-                )
-                decisions.append(rec)
-                open_records[iid] = (rec, granted, crossings(granted))
-        tel = world.step(collect=record)
-        if steps is not None:
-            steps.append(tel)
+    if out_dir is None:
+        for _ in ticks(collect=False):
+            pass
+    else:
+        os.makedirs(out_dir, exist_ok=True)
+        write_telemetry_csv(os.path.join(out_dir, "telemetry.csv"), net, ticks(collect=True))
 
     for rec, granted, base in open_records.values():
         rec.actual_discharged = crossings(granted) - base
@@ -450,7 +478,10 @@ def run_episode(
         seed=seed,
         config_fingerprint=config.fingerprint(),
     )
-    return EpisodeResult(metrics=metrics, steps=steps, decisions=decisions, losses=losses, world=world)
+    if out_dir is not None:
+        write_decisions_csv(os.path.join(out_dir, "decisions.csv"), decisions)
+        write_metrics_json(os.path.join(out_dir, "metrics.json"), metrics.to_dict())
+    return EpisodeResult(metrics=metrics, steps=None, decisions=decisions, losses=losses, world=world)
 
 
 def _new_qnetwork(config: ExperimentConfig, seed_seq: np.random.SeedSequence) -> QNetwork:
@@ -460,56 +491,35 @@ def _new_qnetwork(config: ExperimentConfig, seed_seq: np.random.SeedSequence) ->
     )
 
 
-def _greedy_episode(
+def run_single(
     config: ExperimentConfig,
     seed: Optional[int],
-    scenario: Scenario,
-    parameters: QNetwork | str | None = None,
     out_dir: Optional[str] = None,
-    record: bool = False,
+    checkpoint: QNetwork | str | None = None,
 ) -> EpisodeResult:
-    """One episode of the configured controller with exploration off.
+    """One recorded episode of the configured controller with exploration off.
 
-    The DQN controller acts with ``parameters`` (a network or a checkpoint
-    path), or with a fresh network drawn from ``seed`` when there are none.
-    The episode is recorded when ``record`` is set or its artifacts are
-    written to ``out_dir``.
+    The DQN controller acts with ``checkpoint`` (a network or the path of
+    a saved one), or with a fresh network drawn from ``seed`` when there
+    is none.  With ``out_dir`` the episode writes its artifacts there (see
+    :func:`run_episode`).
     """
+    if checkpoint is not None and config.controller.kind != "dqn":
+        raise ValueError(f"a checkpoint only applies to the dqn controller, not {config.controller.kind!r}")
+    scenario = _build_scenario(config)
     qnet = None
     if config.controller.kind == "dqn":
-        if parameters is None:
+        if checkpoint is None:
             qnet = _new_qnetwork(config, np.random.SeedSequence(seed))
         else:
-            qnet = load_checkpoint(parameters) if isinstance(parameters, str) else parameters
+            qnet = load_checkpoint(checkpoint) if isinstance(checkpoint, str) else checkpoint
             if qnet.input_size != OBS_SIZE or qnet.output_size != 4:
                 raise ValueError(
                     f"checkpoint architecture {qnet.layer_sizes} does not match the "
                     f"{OBS_SIZE}-input / 4-output controller contract"
                 )
     controller = build_controller(config.controller, scenario.kinematics, net=qnet)
-    result = run_episode(
-        config, controller, scenario=scenario, seed=seed, record=record or out_dir is not None
-    )
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        write_metrics_json(os.path.join(out_dir, "metrics.json"), result.metrics.to_dict())
-        write_telemetry_csv(os.path.join(out_dir, "telemetry.csv"), scenario.net, result.steps)
-        write_decisions_csv(os.path.join(out_dir, "decisions.csv"), result.decisions)
-    return result
-
-
-def run_single(
-    config: ExperimentConfig,
-    seed: int,
-    out_dir: Optional[str] = None,
-    checkpoint: Optional[str] = None,
-) -> EpisodeResult:
-    """One telemetry-collecting episode with the configured controller.
-
-    For the DQN controller a checkpoint may be supplied; otherwise a freshly
-    initialized (untrained) network is used.
-    """
-    return _greedy_episode(config, seed, _build_scenario(config), checkpoint, out_dir, record=True)
+    return run_episode(config, controller, scenario=scenario, seed=seed, out_dir=out_dir)
 
 
 def evaluate(
@@ -521,7 +531,7 @@ def evaluate(
     """Greedy rollout of trained parameters: epsilon 0, learning off."""
     if config.controller.kind != "dqn":
         raise ValueError("evaluate() only applies to the dqn controller")
-    return _greedy_episode(config, seed, _build_scenario(config), parameters, out_dir).metrics
+    return run_single(config, seed, out_dir, parameters).metrics
 
 
 # -------------------------------------------------------------------- training
@@ -576,6 +586,10 @@ def train(
         config.epsilon_start, config.epsilon_end, config.epsilon_horizon or config.episodes
     )
 
+    def greedy(qnet: QNetwork) -> MetricsReport:
+        controller = build_controller(config.controller, scenario.kinematics, net=qnet)
+        return run_episode(config, controller, scenario=scenario, seed=seed, record=False).metrics
+
     curve: list[dict] = []
     best_train_tt = float("inf")
     best_eval_tt = float("inf")
@@ -606,7 +620,7 @@ def train(
             if config.eval_every is None:
                 best_net = net.copy()
         if config.eval_every is not None and (ep + 1) % config.eval_every == 0:
-            interim = _greedy_episode(config, seed, scenario, net).metrics
+            interim = greedy(net)
             row["eval_travel_time"] = interim.average_travel_time
             if interim.average_travel_time < best_eval_tt:
                 best_eval_tt = interim.average_travel_time
@@ -621,8 +635,8 @@ def train(
         final_net=net,
         best_net=best_net,
         best_train_travel_time=best_train_tt,
-        final_eval=_greedy_episode(config, seed, scenario, net).metrics,
-        best_eval=_greedy_episode(config, seed, scenario, best_net).metrics,
+        final_eval=greedy(net),
+        best_eval=greedy(best_net),
         wall_clock=_time.perf_counter() - started,
     )
     if out_dir is not None:

@@ -230,6 +230,7 @@ def write_telemetry_csv(path: str, net: RoadNetwork, steps: Iterable[StepTelemet
         fh.write((",".join(TELEMETRY_HEADER) + "\r\n").encode())
         while block := list(islice(steps, tables.ticks)):
             fh.write(tables.render(block))
+            del block  # free this block's steps before the next is read
 
 
 def write_decisions_csv(path: str, records: Iterable[DecisionRecord]) -> None:

@@ -81,6 +81,16 @@ class TestRun:
         assert 0 <= doc["average_travel_time"] <= 300
         assert "wall_clock" not in doc
 
+    def test_checkpoint_for_a_classic_controller_is_one_line(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        write_config(config_path, horizon=30)
+        code, err = _run_quietly(
+            ["run", "--config", str(config_path), "--checkpoint", str(tmp_path / "x.npz"), "--out", str(tmp_path / "out")]
+        )
+        assert code == 1 and len(err.splitlines()) == 1, (code, err)
+        assert "checkpoint" in err and "'fixed'" in err, err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_fails(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 1
         assert "error" in capsys.readouterr().err
@@ -122,6 +132,13 @@ class TestConfigErrors:
             ({"network": {"kind": "grid", "rowz": 1, "cols": 1}}, ["network", "rowz"]),
             ({"flow": {"kind": "syn-light", "path": "x.json"}}, ["flow", "path"]),
             ({"kinematics": {"vehicle_length": 5e-324, "min_gap": 5e-324}}, ["lane holds more vehicles"]),
+            ({"horizon": 10**15}, ["horizon", "1000000"]),
+            ({"episodes": 100_001}, ["episodes", "100000"]),
+            ({"buffer_capacity": 2**53}, ["buffer_capacity", "1000000"]),
+            ({"network": {"kind": "grid", "rows": 101}}, ["network.rows", "100"]),
+            ({"network": {"kind": "grid", "cols": 10**9}}, ["network.cols", "100"]),
+            ({"hidden_sizes": [8] * 9}, ["hidden_sizes", "8 sizes"]),
+            ({"hidden_sizes": [32, 4097]}, ["hidden_sizes", "4096"]),
         ],
         ids=[
             "controller-not-object", "controller-unknown-key", "kinematics-not-object",
@@ -132,6 +149,9 @@ class TestConfigErrors:
             "network-cols-string", "network-length-inf", "network-path-int", "accel-beyond-float",
             "network-length-beyond-float", "obs-scale-beyond-float", "yellow-beyond-int64",
             "green-fixed-beyond-int64", "network-unknown-key", "flow-unknown-key", "vehicles-too-small-to-count",
+            "horizon-past-limit", "episodes-past-limit", "buffer-capacity-past-limit",
+            "network-rows-past-limit", "network-cols-past-limit", "hidden-sizes-too-many",
+            "hidden-size-past-limit",
         ],
     )
     def test_bad_config_is_one_line(self, tmp_path, capsys, doc, named):
@@ -354,13 +374,20 @@ def _config_keys() -> list[tuple[str, ...]]:
     return keys
 
 
-# keys that size the work: a huge value is a large request, not a malformed one
+# keys that size the work, as (values a run takes, values past the key's
+# limit): a large value within the limit is a large request, not a malformed
+# one; a value past it is rejected at load
 _WORK_SIZES = {
-    ("horizon",): st.integers(-1, 40),
-    ("network", "rows"): st.integers(-1, 4),
-    ("network", "cols"): st.integers(-1, 4),
-    ("hidden_sizes",): st.lists(st.integers(-1, 8), max_size=3),
-    ("buffer_capacity",): st.integers(-1, 100),
+    ("horizon",): (st.integers(-1, 40), st.integers(1_000_001, 2**53)),
+    ("episodes",): (st.integers(-1, 40), st.integers(100_001, 2**53)),
+    ("network", "rows"): (st.integers(-1, 4), st.integers(101, 2**53)),
+    ("network", "cols"): (st.integers(-1, 4), st.integers(101, 2**53)),
+    ("hidden_sizes",): (
+        st.lists(st.integers(-1, 8), max_size=3),
+        st.lists(st.integers(4097, 2**53), min_size=1, max_size=3)
+        | st.lists(st.integers(1, 2**53), min_size=9, max_size=12),
+    ),
+    ("buffer_capacity",): (st.integers(-1, 100), st.integers(1_000_001, 2**53)),
 }
 _BEYOND_FLOAT = st.integers(2**1024, 2**1100) | st.integers(-(2**1100), -(2**1024))
 
@@ -376,13 +403,18 @@ class TestConfigFuzz:
         record = doc
         for step in path[:-1]:
             record = record[step]
-        record[path[-1]] = data.draw(_WORK_SIZES.get(path, _JSON | _BEYOND_FLOAT), label="value")
+        sizes = _WORK_SIZES.get(path)
+        past_limit = sizes is not None and data.draw(st.booleans(), label="past the limit")
+        values = _JSON | _BEYOND_FLOAT if sizes is None else sizes[past_limit]
+        record[path[-1]] = data.draw(values, label="value")
         with tempfile.TemporaryDirectory() as tmp:
             config = os.path.join(tmp, "config.json")
             with open(config, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
             code, err = _run_quietly(["run", "--config", config, "--out", os.path.join(tmp, "out")])
+            assert not (past_limit and os.path.exists(os.path.join(tmp, "out"))), err
         assert code == 0 or (code == 1 and len(err.splitlines()) == 1), (code, err)
+        assert code == 1 or not past_limit, err
 
 
 class TestCheckpointFuzz:

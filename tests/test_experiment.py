@@ -3,15 +3,19 @@ determinism, training/evaluation consistency, and case-study aggregation."""
 
 import csv
 import dataclasses
+import gc
 import io
 import json
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import pytest
 
+from gridlight import experiment, telemetry
 from gridlight.control import ControllerConfig, FixedTimeController
+from gridlight.engine import World
 from gridlight.experiment import (
     ExperimentConfig,
     avg_travel_time,
@@ -172,6 +176,78 @@ class TestRunEpisode:
         assert len(closed) == len(result.decisions)
         assert all(d.actual_discharged >= 0 for d in closed)
         assert all(d.actual_discharged <= d.ideal_npass for d in closed)
+
+
+class TestStreaming:
+    """An episode writes its telemetry as it runs and keeps no steps."""
+
+    def test_steps_are_freed_block_by_block(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig(
+            flow={"kind": "syn-heavy"},
+            controller=ControllerConfig(kind="greedy_prcol", duration_mode="dynamic"),
+        )
+        block = telemetry._RowTables(build_network(cfg)).ticks
+        assert block < 500
+        refs: list[weakref.ref] = []
+        alive: list[int] = []
+        write = experiment.write_telemetry_csv
+
+        def spy(path, net, steps):
+            def watched():
+                for step in steps:
+                    refs.append(weakref.ref(step))
+                    if len(refs) % 500 == 0:
+                        gc.collect()
+                        alive.append(sum(ref() is not None for ref in refs))
+                    yield step
+
+            write(path, net, watched())
+
+        monkeypatch.setattr(experiment, "write_telemetry_csv", spy)
+        result = run_single(cfg, seed=0, out_dir=str(tmp_path))
+        assert len(refs) == cfg.horizon
+        assert len(alive) == cfg.horizon // 500
+        assert max(alive) <= block, (alive, block)
+        assert result.steps is None
+        assert (tmp_path / "metrics.json").exists()
+
+    def test_without_out_dir_steps_collect_nothing(self, monkeypatch):
+        collected = []
+        step = World.step
+
+        def spy(world, collect=True):
+            collected.append(collect)
+            return step(world, collect)
+
+        monkeypatch.setattr(World, "step", spy)
+        cfg = ExperimentConfig(horizon=300)
+        result = run_single(cfg, seed=0)
+        assert collected == [False] * cfg.horizon
+        assert result.steps is None and result.decisions
+
+    def test_failed_episode_leaves_partial_telemetry_and_no_metrics(self, tmp_path, monkeypatch):
+        build = experiment.build_controller
+
+        class FailsAt100:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def decide(self, world, intersection_id, obs):
+                if world.time >= 100:
+                    raise RuntimeError("controller fault at t=100")
+                return self.inner.decide(world, intersection_id, obs)
+
+        monkeypatch.setattr(experiment, "build_controller", lambda *a, **kw: FailsAt100(build(*a, **kw)))
+        with pytest.raises(RuntimeError, match="t=100"):
+            run_single(ExperimentConfig(horizon=300), seed=0, out_dir=str(tmp_path))
+        with open(tmp_path / "telemetry.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert tuple(rows[0]) == telemetry.TELEMETRY_HEADER
+        times = [int(row[0]) for row in rows[1:]]
+        assert times and max(times) < 100
+        assert len(rows[1:]) % 9 == 0
+        assert not (tmp_path / "metrics.json").exists()
+        assert not (tmp_path / "decisions.csv").exists()
 
 
 class TestFileBasedInputs:
