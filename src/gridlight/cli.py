@@ -23,6 +23,8 @@ import sys
 
 from .experiment import (
     ExperimentConfig,
+    build_events,
+    build_network,
     evaluate,
     run_single,
     train_many,
@@ -90,10 +92,17 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    rows = []
+    # every config, its network and its demand are checked before any runs;
+    # each writes its outputs under its file's name
+    configs: dict[str, ExperimentConfig] = {}
     for path in args.configs:
-        config = ExperimentConfig.from_json(path)
         name = os.path.splitext(os.path.basename(path))[0]
+        if name in configs:
+            raise ValueError(f"two configs are named {name!r}; each writes its outputs under its file's name")
+        config = configs[name] = ExperimentConfig.from_json(path)
+        build_events(config, build_network(config))
+    rows = []
+    for name, config in configs.items():
         sub = os.path.join(args.out, name)
         if config.controller.kind == "dqn":
             summary = train_many(config, out_dir=sub, jobs=args.jobs)

@@ -60,7 +60,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
-from itertools import islice
+from itertools import islice, takewhile
 from typing import Iterable, Optional
 
 import numpy as np
@@ -78,6 +78,7 @@ __all__ = [
     "GREEN",
     "YELLOW",
     "OBS_SIZE",
+    "OBS_COUNTS",
 ]
 
 GREEN = "green"
@@ -90,6 +91,10 @@ EXITED = "exited"
 
 #: observation layout: 12 incoming-lane counts + 4-wide phase one-hot
 OBS_SIZE = 16
+
+#: what an observation's lane counts count: every vehicle on the lane, or
+#: only its leading vehicles that stand queued
+OBS_COUNTS = ("occupancy", "queued")
 
 _EPS = 1e-9
 
@@ -136,12 +141,11 @@ class _LaneState:
     of that speed.
     """
 
-    __slots__ = ("lane", "vehicles", "queue_len", "is_exit", "index", "clear")
+    __slots__ = ("lane", "vehicles", "is_exit", "index", "clear")
 
     def __init__(self, lane, is_exit: bool, index: int, clear: tuple[KinematicParams, list[float]]):
         self.lane = lane
         self.vehicles: deque[Vehicle] = deque()
-        self.queue_len = 0
         self.is_exit = is_exit
         self.index = index
         self.clear = clear
@@ -217,8 +221,8 @@ class World:
     ):
         if yellow < 1:
             raise ValueError(f"yellow must be >= 1 s, got {yellow}")
-        if obs_counts not in ("occupancy", "queued"):
-            raise ValueError(f"obs_counts must be 'occupancy' or 'queued', got {obs_counts!r}")
+        if obs_counts not in OBS_COUNTS:
+            raise ValueError(f"obs_counts must be one of {OBS_COUNTS}, got {obs_counts!r}")
         self.net = net
         self.k = kinematics
         self.yellow = yellow
@@ -255,8 +259,6 @@ class World:
         #: vehicles are all settled is not advanced
         self._settled = np.zeros(len(net.lanes), np.int64)
         self._in_idx, self._out_idx, self._n_max = movement_tables(net)
-        small = max(lane.capacity for lane in net.lanes.values()) <= np.iinfo(np.int16).max
-        self._telemetry_dtype = np.int16 if small else np.int32
 
         self.services: dict[str, _Service] = {
             m.id: _Service(m.id, self.lanes[m.in_lane], m.out_lane, math.inf if m.turn is Turn.RIGHT else 0.0)
@@ -290,7 +292,6 @@ class World:
         self.vehicles: list[Vehicle] = []
         self.entered_total = 0
         self.exited_total = 0
-        self._vid = 0
 
     # ------------------------------------------------------------------ state
 
@@ -333,13 +334,17 @@ class World:
         """16-entry state vector: 12 incoming-lane counts + phase one-hot.
 
         Lane counts follow the canonical (W, E, N, S) x (left, straight,
-        right) order and are total occupancy by default (``obs_counts`` set
-        to ``"queued"`` restricts them to standing vehicles).
+        right) order and are total occupancy by default.  With ``obs_counts``
+        set to ``"queued"`` each counts the lane's leading vehicles whose
+        status is queued: the queue standing at the stop line.
         """
         out = np.zeros(OBS_SIZE)
         if self.obs_counts == "queued":
-            r = self._signal_index[intersection_id]
-            out[:12] = [self._lane_list[k].queue_len for k in self._in_idx[r].tolist()]
+            lanes = self._lane_list
+            out[:12] = [
+                sum(1 for _ in takewhile(lambda veh: veh.status == QUEUED, lanes[k].vehicles))
+                for k in self._in_idx[self._signal_index[intersection_id]].tolist()
+            ]
         else:
             out[:12] = self.incoming_occupancy(intersection_id)
         out[12 + self.signals[intersection_id].current_phase] = 1.0
@@ -405,7 +410,7 @@ class World:
         telemetry = StepTelemetry(time=self.time, entered=entered, exited=exited, discharged=discharged)
         if collect:
             signals = self.signals.values()
-            telemetry.occupancy = self._occupancy.astype(self._telemetry_dtype)
+            telemetry.occupancy = self._occupancy.copy()
             telemetry.phases = np.fromiter((s.current_phase for s in signals), np.int8, len(signals))
             telemetry.yellow = np.fromiter((s.mode == YELLOW for s in signals), bool, len(signals))
         self.time += 1
@@ -434,8 +439,7 @@ class World:
                         f"movement of route {ev.route}"
                     )
                 entry_lane = ev.entry_lane  # single-road route: any lane is legal
-            veh = Vehicle(self._vid, movements, entry_lane, entered_at=ev.time)
-            self._vid += 1
+            veh = Vehicle(len(self.vehicles), movements, entry_lane, entered_at=ev.time)
             self.vehicles.append(veh)
             self.entered_total += 1
             entered += 1
@@ -488,8 +492,7 @@ class World:
         movements: list[Movement] = []
         if route_roads is not None:
             _, movements = self._resolve(tuple(route_roads))
-        veh = Vehicle(self._vid, movements, lane_id, entered_at=self.time)
-        self._vid += 1
+        veh = Vehicle(len(self.vehicles), movements, lane_id, entered_at=self.time)
         veh.status = MOVING
         veh.pos = float(pos)
         veh.speed = float(speed)
@@ -507,7 +510,6 @@ class World:
         accel = self.k.accel
         lanes = self._lane_list
         settled_counts = self._settled
-        # a skipped lane's queue_len still holds: it is empty (0) or all settled
         unsettled = np.flatnonzero(settled_counts < self._occupancy)
         for index, start in zip(unsettled.tolist(), settled_counts[unsettled].tolist()):
             ls = lanes[index]
@@ -569,7 +571,6 @@ class World:
                 self.exited_total += n_exit
             if settled != start:
                 settled_counts[index] = settled
-            ls.queue_len = qlen
         return exited
 
     # -------------------------------------------------------------- discharge
@@ -655,8 +656,6 @@ class World:
             elif entry_pos > dest.lane.length:
                 entry_pos = dest.lane.length
             src.vehicles.popleft()
-            if src.queue_len > 0:
-                src.queue_len -= 1
             if head.route_idx < len(head.route):
                 head.route_idx += 1
             head.lane_id = dest_id

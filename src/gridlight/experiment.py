@@ -34,8 +34,8 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .control import ControllerConfig, DQNController, build_controller
-from .engine import OBS_SIZE, YELLOW, StepTelemetry, World
-from .flows import SpawnEvent, expand_flows, gen_syn_heavy, gen_syn_light, load_flow_file
+from .engine import OBS_COUNTS, OBS_SIZE, YELLOW, StepTelemetry, World
+from .flows import VEHICLE_FIELDS, SpawnEvent, expand_flows, gen_syn_heavy, gen_syn_light, load_flow_file
 from .learner import (
     EpsilonSchedule,
     QNetwork,
@@ -116,10 +116,17 @@ class ExperimentConfig:
             raise ValueError("gamma must lie in [0, 1]")
         if self.lr <= 0 or self.buffer_capacity < 1 or self.batch_size < 1:
             raise ValueError("learning parameters must be positive")
+        if self.buffer_capacity <= self.batch_size:
+            raise ValueError(f"buffer_capacity ({self.buffer_capacity}) must exceed batch_size ({self.batch_size})")
         if self.target_sync < 1 or self.yellow < 1:
             raise ValueError("target_sync and yellow must be positive")
-        if self.epsilon_start < self.epsilon_end:
-            raise ValueError("epsilon must not increase")
+        if not 0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0:
+            raise ValueError(
+                f"epsilon must lie in [0, 1] and not increase: epsilon_start {self.epsilon_start}, "
+                f"epsilon_end {self.epsilon_end}"
+            )
+        if self.obs_counts not in OBS_COUNTS:
+            raise ValueError(f"obs_counts must be one of {OBS_COUNTS}, got {self.obs_counts!r}")
         if not self.seeds:
             raise ValueError("at least one seed is required")
         if not self.hidden_sizes or any(n < 1 for n in self.hidden_sizes):
@@ -127,6 +134,8 @@ class ExperimentConfig:
         for name in ("epsilon_horizon", "eval_every"):
             if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise ValueError(f"config key {name!r} must be null or at least 1")
+        if self.eval_every is not None and self.eval_every > self.episodes:
+            raise ValueError(f"eval_every ({self.eval_every}) must not exceed episodes ({self.episodes})")
 
     # ------------------------------------------------------------- serializing
 
@@ -332,12 +341,7 @@ def build_events(
     flows = load_flow_file(spec["path"], net, until=config.horizon)
     overrides = next((f.vehicle for f in flows if f.vehicle), None)
     if overrides:
-        kin = KinematicParams(
-            accel=overrides.get("acceleration", kin.accel),
-            max_speed=overrides.get("maxSpeed", kin.max_speed),
-            vehicle_length=overrides.get("length", kin.vehicle_length),
-            min_gap=overrides.get("minGap", kin.min_gap),
-        )
+        kin = dataclasses.replace(kin, **{VEHICLE_FIELDS[key]: value for key, value in overrides.items()})
     return expand_flows(flows, until=config.horizon), kin
 
 
@@ -649,15 +653,10 @@ def _write_train_outputs(out_dir: str, config: ExperimentConfig, run: TrainRun) 
     save_checkpoint(run.final_net, os.path.join(out_dir, "checkpoint_final.npz"))
     save_checkpoint(run.best_net, os.path.join(out_dir, "checkpoint_best.npz"))
     curve_path = os.path.join(out_dir, "learning_curve.csv")
-    with open(curve_path, "w", encoding="utf-8") as fh:
-        fh.write("episode,epsilon,avg_travel_time,throughput,mean_loss,train_steps,eval_travel_time\n")
-        for row in run.curve:
-            interim = row.get("eval_travel_time")
-            fh.write(
-                f"{row['episode']},{row['epsilon']},{row['avg_travel_time']},"
-                f"{row['throughput']},{row['mean_loss']},{row['train_steps']},"
-                f"{'' if interim is None else interim}\n"
-            )
+    with open(curve_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(run.curve[0].keys())
+        writer.writerows(row.values() for row in run.curve)
     write_metrics_json(
         os.path.join(out_dir, "metrics.json"),
         {
@@ -737,17 +736,9 @@ class CaseStudy:
     duration_table: dict[int, dict]  # duration -> n / ideal / actual aggregates
 
     def to_dict(self) -> dict:
-        return {
-            "decisions_total": self.decisions_total,
-            "phase_choice_counts": list(self.phase_choice_counts),
-            "phase_mean_counts": list(self.phase_mean_counts),
-            "unique_max_decisions": self.unique_max_decisions,
-            "max_phase_chosen": self.max_phase_chosen,
-            "max_choice_frequency": self.max_choice_frequency,
-            "duration_table": {
-                str(d): dict(v) for d, v in sorted(self.duration_table.items())
-            },
-        }
+        doc = dataclasses.asdict(self)
+        doc["duration_table"] = {str(d): v for d, v in sorted(doc["duration_table"].items())}
+        return doc
 
 
 def write_case_study(out_dir: str, records: Sequence[DecisionRecord]) -> CaseStudy:

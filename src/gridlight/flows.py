@@ -27,6 +27,7 @@ from .roadnet import _positive
 
 __all__ = [
     "MAX_FLOW_EVENTS",
+    "VEHICLE_FIELDS",
     "FlowSpec",
     "SpawnEvent",
     "straight_route",
@@ -213,7 +214,8 @@ def save_flow_file(flows: Iterable[FlowSpec], path: str) -> None:
         fh.write("\n")
 
 
-_VEHICLE_KEYS = ("length", "minGap", "maxSpeed", "acceleration")
+#: Each flow-file ``vehicle`` key, and the ``KinematicParams`` field it sets.
+VEHICLE_FIELDS = {"length": "vehicle_length", "minGap": "min_gap", "maxSpeed": "max_speed", "acceleration": "accel"}
 
 
 def _whole_seconds(key: str, value) -> int:
@@ -252,7 +254,7 @@ def load_flow_file(path: str, net: RoadNetwork, until: float = math.inf) -> list
             if vehicle is not None:
                 if not isinstance(vehicle, dict):
                     raise TypeError(f"vehicle must be an object, got {vehicle!r}")
-                vehicle = {k: _positive(f"vehicle {k}", v) for k, v in vehicle.items() if k in _VEHICLE_KEYS}
+                vehicle = {k: _positive(f"vehicle {k}", v) for k, v in vehicle.items() if k in VEHICLE_FIELDS}
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed flow record #{idx}: {exc}") from exc
         try:

@@ -42,7 +42,6 @@ __all__ = [
     "PHASE_COLUMNS",
     "assemble_network",
     "build_grid",
-    "turn_between",
     "resolve_route",
 ]
 
@@ -200,17 +199,6 @@ def movement_column(approach: str, turn: Turn) -> int:
 #: movements phase ``k`` grants (read-only).
 PHASE_COLUMNS = np.array([[movement_column(a, t) for a, t in pair] for pair in standard_phase_table()])
 PHASE_COLUMNS.flags.writeable = False
-
-
-def turn_between(heading_in: str, heading_out: str) -> Turn:
-    """Turn type implied by the headings before and after an intersection."""
-    if heading_in == heading_out:
-        return Turn.STRAIGHT
-    if _LEFT_OF[heading_in] == heading_out:
-        return Turn.LEFT
-    if _RIGHT_OF[heading_in] == heading_out:
-        return Turn.RIGHT
-    raise ValueError(f"no movement from heading {heading_in} to {heading_out}")
 
 
 def _movement_id(intersection_id: str, approach: str, turn: Turn) -> str:
@@ -396,9 +384,9 @@ def resolve_route(net: RoadNetwork, road_ids: list[str] | tuple[str, ...]) -> tu
     """Turn a road sequence into (entry lane, movement chain).
 
     The route must start on a boundary-entry road, end on a boundary-exit
-    road, and consecutive roads must meet at a real intersection.  The entry
-    lane is the lane of the first road that feeds the first movement's turn
-    (the straight lane for a single-road route).
+    road, and each road must reach the next through a movement of the real
+    intersection between them.  The entry lane is the first road's lane that
+    feeds the first movement (the straight lane for a single-road route).
     """
     if not road_ids:
         raise ValueError("route is empty")
@@ -417,9 +405,12 @@ def resolve_route(net: RoadNetwork, road_ids: list[str] | tuple[str, ...]) -> tu
             raise ValueError(f"roads {here.id} and {nxt.id} are not connected")
         if here.end not in intersection_ids:
             raise ValueError(f"route passes through non-intersection node {here.end}")
-        turn = turn_between(here.heading, nxt.heading)
-        approach = _HEADING_TO_APPROACH[here.heading]
-        movements.append(net.intersection(here.end).movements[movement_column(approach, turn)])
+        for m in net.intersection(here.end).movements:
+            if m.in_lane in here.lane_ids and m.out_lane in nxt.lane_ids:
+                movements.append(m)
+                break
+        else:
+            raise ValueError(f"no movement from road {here.id} to road {nxt.id}")
     if movements:
         entry_lane = movements[0].in_lane
     else:

@@ -163,6 +163,44 @@ class TestConfigErrors:
         assert len(err.splitlines()) == 1
         assert all(word in err for word in named), err
 
+    @pytest.mark.parametrize(
+        "doc,named",
+        [
+            ({"episodes": 2, "eval_every": 5}, ["eval_every (5)", "episodes (2)"]),
+            ({"buffer_capacity": 16}, ["buffer_capacity (16)", "batch_size (32)"]),
+            ({"buffer_capacity": 32}, ["buffer_capacity (32)", "batch_size (32)"]),
+            ({"obs_counts": "foo"}, ["obs_counts", "'foo'"]),
+            ({"epsilon_start": 1.5}, ["epsilon_start 1.5"]),
+            ({"epsilon_end": -0.1}, ["epsilon_end -0.1"]),
+        ],
+        ids=["eval-every-past-episodes", "buffer-below-batch", "buffer-equals-batch", "obs-counts-unknown",
+             "epsilon-start-above-one", "epsilon-end-below-zero"],
+    )
+    def test_untrainable_config_is_rejected_at_load(self, tmp_path, doc, named):
+        doc = {"controller": {"kind": "dqn"}, "horizon": 30, "episodes": 2, "seeds": [0], **doc}
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_dict(doc)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(doc))
+        code, err = _run_quietly(["train", "--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert code == 1 and len(err.splitlines()) == 1, (code, err)
+        assert all(word in err for word in named), err
+        assert not (tmp_path / "out").exists()
+
+    def test_u_turn_route_is_one_line(self, tmp_path, capsys):
+        flow_path = tmp_path / "flows.json"
+        flow_path.write_text(json.dumps(
+            [{"route": ["rd__b_w_0__i_0_0", "rd__i_0_0__b_w_0"], "interval": 5, "startTime": 0, "endTime": 20}]
+        ))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"flow": {"kind": "file", "path": str(flow_path)}, "horizon": 60}))
+        code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines() == [
+            f"gridlight: error: {flow_path}: flow record #0: no movement from road rd__b_w_0__i_0_0 to road rd__i_0_0__b_w_0"
+        ]
+
     def test_infinite_roadnet_length_is_one_line(self, tmp_path, capsys):
         roadnet_path = tmp_path / "roadnet.json"
         save_roadnet(build_grid(1, 1, 300, 300), str(roadnet_path))
@@ -573,6 +611,37 @@ class TestCompare:
         assert "fixed" in table and "maxpressure" in table
         doc = json.loads((out / "comparison.json").read_text())
         assert set(doc) == {"fixed", "maxpressure"}
+
+    def test_two_configs_of_one_name_are_rejected(self, tmp_path):
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            write_config(tmp_path / sub / "run.json", horizon=30, seeds=(0,))
+        out = tmp_path / "cmp"
+        code, err = _run_quietly(
+            ["compare", "--configs", str(tmp_path / "a" / "run.json"), str(tmp_path / "b" / "run.json"), "--out", str(out)]
+        )
+        assert code == 1 and len(err.splitlines()) == 1, (code, err)
+        assert "'run'" in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc,named",
+        [
+            ({"horizon": "10"}, "horizon"),
+            ({"flow": {"kind": "file", "path": "missing.json"}}, "missing.json"),
+        ],
+        ids=["bad-key", "missing-flow-file"],
+    )
+    def test_bad_later_config_fails_before_any_runs(self, tmp_path, doc, named):
+        good = tmp_path / "good.json"
+        write_config(good, horizon=30, seeds=(0,))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "cmp"
+        code, err = _run_quietly(["compare", "--configs", str(good), str(bad), "--out", str(out)])
+        assert code == 1 and len(err.splitlines()) == 1, (code, err)
+        assert named in err, err
+        assert not out.exists()
 
 
 class TestParser:
