@@ -39,6 +39,17 @@ A tick skips work that cannot change anything, and each skip is exact:
   and pop keeps current; a movement on an empty lane would return at once.
   A lane first filled during the pass joins it when its movement comes
   later in the pass order, as a pass over every movement would find it.
+* Slots not yet due.  Each discharge slot keeps the earliest tick at which
+  it could cross a vehicle, and discharge visits only slots that are due.
+  A visit that breaks before any crossing changes nothing, and only a
+  slot's own crossing pops its lane's head.  A clearance break wakes the
+  slot at ``clock_start + ceil(t_j - 1e-6) - 1``, the first tick whose
+  elapsed time can reach ``t_j``.  A platoon-slot break wakes it
+  ``max(1, int(gap / vmax))`` ticks on, since the head gains at most the
+  lane speed per tick.  A break on downstream capacity, the rear gap or a
+  spent budget sets no wake, because those change without the slot.  A
+  green that restarts a slot's clock sets its wake by the clearance rule
+  for the first crossing.
 * Undue signals.  Each signal's next decision tick is kept in one array,
   set when its green is granted, so callers ask only the due signals.  A
   tick's signal update touches only the signals whose yellow ends in it.
@@ -97,6 +108,11 @@ OBS_SIZE = 16
 OBS_COUNTS = ("occupancy", "queued")
 
 _EPS = 1e-9
+
+
+def _clearance_wait(t_j: float) -> int:
+    """Ticks from a clock start to the first tick whose elapsed green can reach ``t_j``."""
+    return math.ceil(t_j - 1e-6) - 1
 
 
 class Vehicle:
@@ -225,6 +241,7 @@ class World:
             raise ValueError(f"obs_counts must be one of {OBS_COUNTS}, got {obs_counts!r}")
         self.net = net
         self.k = kinematics
+        self._headway = kinematics.headway
         self.yellow = yellow
         self.obs_counts = obs_counts
         self.time = 0
@@ -239,7 +256,7 @@ class World:
                 kin = kinematics
                 if lane.max_speed != kinematics.max_speed:
                     kin = replace(kinematics, max_speed=lane.max_speed)
-                clear = clear_tables[lane.max_speed] = (kin, [0.0])
+                clear = clear_tables[lane.max_speed] = (kin, [0.0, platoon_clear_time(1, kin)])
             self.lanes[lane_id] = _LaneState(lane, lane_id in exit_lanes, index, clear)
         self._lane_list = list(self.lanes.values())
         self.signals: dict[str, SignalState] = {i.id: SignalState() for i in net.intersections}
@@ -276,6 +293,13 @@ class World:
         #: which slots may discharge: the right turns, and the green phase's movements
         self._open = np.ones(self._slot_lane.shape, bool)
         self._open[:, width : PHASE_COLUMNS.size] = False
+        #: per slot, the earliest tick at which it could cross a vehicle
+        self._wake = np.zeros(self._slot_lane.shape, np.int64)
+        self._wake_flat = self._wake.reshape(-1)
+        #: per slot, the wake of its first crossing after a clock start, less the start
+        self._first_wait = np.array(
+            [_clearance_wait(svc.src.clear[1][1]) for svc in self._slots], np.int64
+        ).reshape(self._slot_lane.shape)
         #: the slot each lane feeds, or -1
         self._lane_slot = [-1] * len(net.lanes)
         for s, svc in enumerate(self._slots):
@@ -466,7 +490,7 @@ class World:
     def _can_enter(self, ls: _LaneState) -> bool:
         if len(ls.vehicles) >= ls.lane.capacity:
             return False
-        return not ls.vehicles or ls.vehicles[-1].pos >= self.k.headway - _EPS
+        return not ls.vehicles or ls.vehicles[-1].pos >= self._headway - _EPS
 
     def place_vehicle(
         self,
@@ -485,7 +509,7 @@ class World:
         ls = self.lanes[lane_id]
         if len(ls.vehicles) >= ls.lane.capacity:
             raise ValueError(f"lane {lane_id} is at capacity")
-        if ls.vehicles and pos > ls.vehicles[-1].pos - self.k.headway + _EPS:
+        if ls.vehicles and pos > ls.vehicles[-1].pos - self._headway + _EPS:
             raise ValueError("placement would violate the standing headway")
         if not 0 <= pos <= ls.lane.length:
             raise ValueError("placement outside the lane")
@@ -506,7 +530,7 @@ class World:
 
     def _advance_all(self) -> int:
         exited = 0
-        headway = self.k.headway
+        headway = self._headway
         accel = self.k.accel
         lanes = self._lane_list
         settled_counts = self._settled
@@ -581,25 +605,28 @@ class World:
         return self._slots[base : base + self._phase_width]
 
     def _discharge_all(self) -> dict[str, int]:
-        """Discharge every open movement whose source lane holds a vehicle.
+        """Discharge every open, due movement whose source lane holds a vehicle.
 
         Slots are visited in ascending order, as a pass over every
         intersection's open movements would.  A lane that was empty when the
         pass began can receive a vehicle from an earlier slot; its own slot
-        joins the pass if it is still ahead and open.
+        joins the pass if it is still ahead and open, with no wake test:
+        only its own crossings emptied its lane, and they left the wake
+        no later than now.
         """
         discharged: dict[str, int] = {}
         lane_slot = self._lane_slot
         is_open = self._open.ravel()
         filled: list[int] = []
         # ascending, so already a heap
-        todo = np.flatnonzero(self._open & (self._occupancy[self._slot_lane] > 0)).tolist()
+        todo = np.flatnonzero(
+            self._open & (self._occupancy[self._slot_lane] > 0) & (self._wake <= self.time)
+        ).tolist()
         while todo:
             s = heappop(todo)
-            svc = self._slots[s]
-            if svc.budget <= 0:
+            if self._slots[s].budget <= 0:
                 continue
-            self._discharge_movement(svc, discharged, filled)
+            self._discharge_movement(s, discharged, filled)
             for lane in filled:
                 t = lane_slot[lane]
                 if t > s and is_open[t]:
@@ -607,13 +634,14 @@ class World:
             filled.clear()
         return discharged
 
-    def _discharge_movement(self, svc: _Service, acc: dict[str, int], filled: list[int]) -> None:
-        """Cross vehicles through ``svc``; note in ``filled`` each lane this made non-empty."""
+    def _discharge_movement(self, s: int, acc: dict[str, int], filled: list[int]) -> None:
+        """Cross vehicles through slot ``s``; note in ``filled`` each lane this made non-empty."""
+        svc = self._slots[s]
         src = svc.src
         k = self.k
         kin, clear_times = src.clear
         vmax = src.lane.max_speed
-        headway = k.headway
+        headway = self._headway
         stop = src.lane.length
         t_end = self.time + 1
         elapsed_end = t_end - svc.clock_start
@@ -625,10 +653,13 @@ class World:
                 clear_times.append(platoon_clear_time(len(clear_times), kin))
             t_j = clear_times[j]
             if t_j > elapsed_end + _EPS:
+                self._wake_flat[s] = svc.clock_start + _clearance_wait(t_j)
                 break
             head = src.vehicles[0]
             # the j-th crossing requires the head to occupy the j-th platoon slot
-            if head.pos < stop - (j - 1) * headway - 1e-6:
+            slot_pos = stop - (j - 1) * headway
+            if head.pos < slot_pos - 1e-6:
+                self._wake_flat[s] = self.time + max(1, int((slot_pos - head.pos) / vmax))
                 break
             if head.route_idx + 1 < len(head.route):
                 dest_id = head.route[head.route_idx + 1].in_lane
@@ -685,6 +716,12 @@ class World:
             sig.next_phase = None
             start = phase * self._phase_width
             self._open[r, start : start + self._phase_width] = True
+            # a wake holds only under the clock and count it was set with, so
+            # every reset of clock_start and crossed must set it anew: here
+            # as the clearance law sets it for the first crossing
+            self._wake[r, start : start + self._phase_width] = (
+                self.time + 1 + self._first_wait[r, start : start + self._phase_width]
+            )
             for svc in self._granted(r, phase):
                 svc.clock_start = self.time + 1
                 svc.crossed = 0

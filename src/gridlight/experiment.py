@@ -6,11 +6,11 @@ derives the case-study tables (phase choice behaviour, green-time traces,
 ideal vs actual discharge per green).
 
 Decision cadence is per-intersection and asynchronous: whenever an
-intersection's green expires it is observed, rewarded (for the previous
-action), and given a fresh (phase, duration) decision; the engine then
-advances one second of wall clock for everyone.  An episode ends when the
-wall clock reaches the horizon; vehicles still inside contribute
-``horizon - entry time`` to the average travel time.
+intersection's green expires it is observed (when a DQN reads it),
+rewarded (for the previous action), and given a fresh (phase, duration)
+decision; the engine then advances one second of wall clock for everyone.
+An episode ends when the wall clock reaches the horizon; vehicles still
+inside contribute ``horizon - entry time`` to the average travel time.
 
 Every artifact is a pure function of (config, seed): reruns produce
 byte-identical metrics and telemetry files.
@@ -329,8 +329,9 @@ def build_events(
 ) -> tuple[list[SpawnEvent], KinematicParams]:
     """Demand events before the horizon, plus the effective kinematics.
 
-    Flow files may carry vehicle fields; the first record's values override
-    the configured kinematics (the engine models one uniform vehicle type).
+    Flow files may carry vehicle fields, one map shared by every record
+    that has one (the loader rejects a file whose maps differ); it
+    overrides the configured kinematics.
     """
     kind, spec = _spec(config, "flow")
     kin = config.kinematics
@@ -384,12 +385,14 @@ def run_episode(
 ) -> EpisodeResult:
     """One full episode under the given controller.
 
-    At every green expiry the intersection is observed, the previous
-    action's reward is computed from the fresh movement counts and (when a
-    ``learner_ctx`` is given) stored and trained on, and the controller's
-    new decision is applied.  Returns metrics, the per-step training
-    losses and, when ``record`` is set, the decision log; ``steps`` is
-    always ``None``.  ``scenario`` is built from the config when not given.
+    At every green expiry the intersection is observed (for a DQN
+    controller or a learner only; the others are passed ``obs=None``), the
+    previous action's reward is computed from the fresh movement counts and
+    (when a ``learner_ctx`` is given) stored and trained on, and the
+    controller's new decision is applied.  Returns metrics, the per-step
+    training losses and, when ``record`` is set, the decision log; ``steps``
+    is always ``None``.  ``scenario`` is built from the config when not
+    given.
 
     With ``out_dir``, ``telemetry.csv`` is written as the ticks run, a few
     at a time, then ``decisions.csv`` and, last, ``metrics.json``: a
@@ -409,20 +412,26 @@ def run_episode(
     decisions: list[DecisionRecord] = []
     losses: list[float] = []
     pending: dict[str, tuple[np.ndarray, int]] = {}
-    # per intersection: its last decision, the movements it granted and their crossings then
-    open_records: dict[str, tuple[DecisionRecord, tuple[str, ...], int]] = {}
+    # only the DQN and its learner read the observation
+    observing = learner_ctx is not None or isinstance(controller, DQNController)
+    # per intersection and phase: the services the phase grants
+    grants = [
+        [tuple(world.services[inter.movements[j].id] for j in columns) for columns in PHASE_COLUMNS.tolist()]
+        for inter in net.intersections
+    ]
+    # per intersection: its last decision, the services it granted and their crossings then
+    open_records: dict[str, tuple[DecisionRecord, tuple, int]] = {}
 
-    def crossings(movement_ids: tuple[str, ...]) -> int:
-        return sum(world.services[mid].cum_crossed for mid in movement_ids)
+    def crossings(services: tuple) -> int:
+        return sum(svc.cum_crossed for svc in services)
 
     intersections = net.intersections
 
     def ticks(collect: bool) -> Iterator[StepTelemetry]:
         for _ in range(config.horizon):
             for row in world.due_signals().tolist():
-                inter = intersections[row]
-                iid = inter.id
-                obs = world.observe(iid) * obs_scale
+                iid = intersections[row].id
+                obs = world.observe(iid) * obs_scale if observing else None
                 if iid in pending:
                     s_prev, a_prev = pending.pop(iid)
                     r = reward(world.movement_counts(iid), reward_kind)
@@ -447,7 +456,7 @@ def run_episode(
                 if learner_ctx is not None:
                     pending[iid] = (obs, decision.phase)
                 if record:
-                    granted = tuple(inter.movements[j].id for j in PHASE_COLUMNS[decision.phase].tolist())
+                    granted = grants[row][decision.phase]
                     rec = DecisionRecord(
                         time=world.time,
                         intersection=iid,

@@ -230,10 +230,12 @@ def load_flow_file(path: str, net: RoadNetwork, until: float = math.inf) -> list
     """Read a flow file, resolving every route against the network.
 
     ``interval`` and the ``vehicle`` fields must be JSON numbers, finite
-    and > 0.  Raises ``ValueError`` naming the record index for malformed
-    records and the offending id for unresolvable roads, and when the
-    records describe more than :data:`MAX_FLOW_EVENTS` departures before
-    ``until`` (a run's horizon) in total.
+    and > 0, and every record with a non-empty ``vehicle`` map must carry
+    the same one: the engine models one vehicle type.  Raises
+    ``ValueError`` naming the record index for malformed records and the
+    offending id for unresolvable roads, and when the records describe
+    more than :data:`MAX_FLOW_EVENTS` departures before ``until`` (a run's
+    horizon) in total.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -241,6 +243,7 @@ def load_flow_file(path: str, net: RoadNetwork, until: float = math.inf) -> list
         raise ValueError(f"{path}: expected a JSON array of flow records")
     flows: list[FlowSpec] = []
     departures = 0.0
+    first_vehicle: Optional[tuple[int, dict]] = None
     for idx, rec in enumerate(doc):
         try:
             route = rec["route"]
@@ -257,6 +260,14 @@ def load_flow_file(path: str, net: RoadNetwork, until: float = math.inf) -> list
                 vehicle = {k: _positive(f"vehicle {k}", v) for k, v in vehicle.items() if k in VEHICLE_FIELDS}
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed flow record #{idx}: {exc}") from exc
+        if vehicle:
+            if first_vehicle is None:
+                first_vehicle = (idx, vehicle)
+            elif vehicle != first_vehicle[1]:
+                raise ValueError(
+                    f"{path}: flow record #{idx} has vehicle {vehicle} but record #{first_vehicle[0]} "
+                    f"has {first_vehicle[1]}; the engine models one vehicle type"
+                )
         try:
             entry_lane, _ = resolve_route(net, route)
             flow = FlowSpec(

@@ -229,6 +229,29 @@ class TestConfigErrors:
         assert len(err.splitlines()) == 1
         assert "#0" in err and "maxSpeed" in err, err
 
+    def test_differing_flow_vehicles_are_one_line(self, tmp_path, capsys):
+        flow_path = tmp_path / "flows.json"
+        save_flow_file(syn_light_flows(build_grid(3, 3, 300, 300)), str(flow_path))
+        doc = json.loads(flow_path.read_text())
+        doc[0]["vehicle"] = {"length": 5.0, "maxSpeed": 11.0}
+        doc[1]["vehicle"] = {}
+        doc[2]["vehicle"] = {"length": 5.0, "maxSpeed": 11.0}
+        doc[3]["vehicle"] = {"length": 5.0, "maxSpeed": 8.0}
+        flow_path.write_text(json.dumps(doc))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"flow": {"kind": "file", "path": str(flow_path)}, "horizon": 60}))
+        code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert "#3" in err and "#0" in err and "one vehicle type" in err, err
+        assert not (tmp_path / "out").exists()
+
+        # one shared map, with records that carry none, is accepted
+        doc[3]["vehicle"] = doc[0]["vehicle"]
+        flow_path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
+
     @pytest.mark.parametrize(
         "edit,named",
         [

@@ -486,8 +486,9 @@ class TestInvariantsFuzz:
 class TestSkipInvariants:
     """What a tick skips is exactly what it would have recomputed.
 
-    A twin world has its settled prefixes cleared before every step, so it
-    advances every vehicle on every non-empty lane; both worlds must stay
+    A twin world has its settled prefixes and its slot wakes cleared before
+    every step, so it advances every vehicle on every non-empty lane and
+    visits every open slot whose lane holds a vehicle; both worlds must stay
     bit-equal.  The engine builds its movement counts without their checks,
     so after every tick each intersection's counts are rebuilt through the
     checking constructor.
@@ -559,6 +560,7 @@ class TestSkipInvariants:
                     world.apply_decision(inter.id, phase, green)
                     twin.apply_decision(inter.id, phase, green)
             twin._settled[:] = 0
+            twin._wake[:] = 0
             open_movements = self._open_movements(world)
             tel, twin_tel = world.step(collect=False), twin.step(collect=False)
 
@@ -582,6 +584,70 @@ class TestSkipInvariants:
             for inter in net.intersections:
                 counts = world.movement_counts(inter.id)
                 MovementCounts(counts.n_in, counts.n_out, counts.n_max)
+
+
+class TestDischargeWake:
+    """A slot that is not yet due is skipped, and no crossing moves for it.
+
+    Each run steps a twin beside the world with the twin's wakes zeroed
+    before every step, so the twin visits every open slot whose lane holds
+    a vehicle.
+    """
+
+    @staticmethod
+    def _beside_twin(world: World, twin: World, ticks: int, decide=lambda w: None) -> tuple[list[int], int]:
+        """The ticks with a crossing, and how many ticks skipped a slot, with both worlds bit-equal."""
+        crossed_at, skipping = [], 0
+        for _ in range(ticks):
+            decide(world)
+            decide(twin)
+            twin._wake[:] = 0
+            skipping += bool((world._wake > world.time).any())
+            tel, twin_tel = world.step(), twin.step()
+            assert tel.discharged == twin_tel.discharged
+            assert TestSkipInvariants._state(world) == TestSkipInvariants._state(twin)
+            if tel.discharged:
+                crossed_at.append(tel.time)
+        return crossed_at, skipping
+
+    # the last case starts above the lane speed (11.1 m/s): the advance caps
+    # every speed at the lane's, so the head still gains at most vmax per
+    # tick, which is what the platoon-slot wake assumes
+    @pytest.mark.parametrize(
+        "pos,speed", [(0.0, 0.0), (37.5, 11.1), (250.3, 5.0), (299.9999995, 0.0), (100.0, 111.1)]
+    )
+    def test_lone_approach_crosses_on_the_same_tick(self, pos, speed):
+        worlds = single(), single()
+        for world in worlds:
+            world.place_vehicle(west_straight(world.net).in_lane, pos=pos, speed=speed)
+            world.apply_decision("i_0_0", 0, 60)
+        crossed_at, skipping = self._beside_twin(*worlds, 60)
+        assert len(crossed_at) == 1 and skipping > 0
+
+    def test_restarted_clock_replaces_a_wake_set_under_the_old_one(self):
+        # phase 0 runs from t=0; at t=3 it yields to phase 1 and at t=13 it
+        # returns, so its clock restarts at t=18 while the head, far up the
+        # lane, holds a wake set under the old clock; the restart sets the
+        # wake of the first crossing under the new clock
+        worlds = single(), single()
+        m = west_straight(worlds[0].net)
+        slot = worlds[0]._slots.index(worlds[0].services[m.id])
+        plan = {0: (0, 3), 3: (1, 5), 13: (0, 30)}
+
+        def decide(world):
+            if world.time in plan:
+                world.apply_decision("i_0_0", *plan[world.time])
+
+        for world in worlds:
+            world.place_vehicle(m.in_lane, pos=0.0, speed=0.0)
+        world = worlds[0]
+        before, _ = self._beside_twin(*worlds, 17, decide)
+        assert before == [] and world._wake.flat[slot] > 18
+        self._beside_twin(*worlds, 1, decide)  # the yellow ends: the clock restarts at t=18
+        first = 18 + math.ceil(platoon_clear_time(1) - 1e-6) - 1
+        assert world.services[m.id].clock_start == 18 and world._wake.flat[slot] == first
+        after, _ = self._beside_twin(*worlds, 40, decide)
+        assert len(after) == 1
 
 
 class TestOccupancyVector:

@@ -169,6 +169,23 @@ class TestRunEpisode:
         assert greens <= set(range(controller.green_min, controller.green_max + 1))
         assert greens != {controller.green_fixed}
 
+    @pytest.mark.parametrize("kind", ["fixed", "maxpressure", "greedy_prcol", "dqn"])
+    def test_only_the_dqn_is_observed(self, kind, monkeypatch):
+        observed = []
+        observe = World.observe
+
+        def spy(world, intersection_id):
+            observed.append((world.time, intersection_id))
+            return observe(world, intersection_id)
+
+        monkeypatch.setattr(World, "observe", spy)
+        cfg = ExperimentConfig(horizon=300, controller=ControllerConfig(kind=kind))
+        qnet = QNetwork(layer_sizes=(16, 8, 4), rng=np.random.default_rng(0)) if kind == "dqn" else None
+        result = run_single(cfg, 0, checkpoint=qnet)
+        assert result.decisions
+        expected = [(d.time, d.intersection) for d in result.decisions] if kind == "dqn" else []
+        assert observed == expected
+
     def test_interval_outcomes_are_recorded(self):
         cfg = ExperimentConfig(horizon=300)
         result = run_single(cfg, seed=0)
