@@ -200,6 +200,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     log.debug("command: %s", args.command)
     try:
+        # run and eval take --seed; a negative one would fail only once numpy draws from it
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be an integer >= 0, got {args.seed}")
         return args.fn(args)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"gridlight: error: {str(exc).translate(_ESCAPED_BREAKS)}", file=sys.stderr)

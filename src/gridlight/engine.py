@@ -24,7 +24,9 @@ The model is a point queue with physical extent and kinematic travel:
 * Vehicles spawn onto boundary entry lanes at lane speed; when the entry is
   blocked they wait in an unbounded buffer and their scheduled entry time
   still anchors their travel time.  Vehicles leave the network at the end
-  of boundary exit lanes.
+  of boundary exit lanes.  Each event's route is resolved, to its entry
+  lane and movement chain, when the world is built, so a route the network
+  cannot carry fails there and not at the tick its vehicle departs.
 
 A tick skips work that cannot change anything, and each skip is exact:
 
@@ -78,7 +80,7 @@ import numpy as np
 
 from .flows import SpawnEvent
 from .network import APPROACHES, PHASE_COLUMNS, Movement, RoadNetwork, Turn, movement_column, resolve_route
-from .signalmath import DEFAULT_KINEMATICS, KinematicParams, MovementCounts, n_pass, platoon_clear_time
+from .signalmath import DEFAULT_KINEMATICS, KinematicParams, MovementCounts, platoon_clear_time
 
 __all__ = [
     "Vehicle",
@@ -305,10 +307,12 @@ class World:
         for s, svc in enumerate(self._slots):
             self._lane_slot[svc.src.index] = s
 
-        # spawn schedule and entry buffers
+        # spawn schedule, each distinct route resolved once, and entry buffers
         self._events = sorted(events, key=lambda e: e.time)
         self._next_event = 0
-        self._route_cache: dict[tuple[str, ...], tuple[str, list[Movement]]] = {}
+        self._routes: dict[tuple[str, ...], tuple[str, list[Movement]]] = {
+            route: resolve_route(net, route) for route in dict.fromkeys(ev.route for ev in self._events)
+        }
         self._buffers: dict[str, deque[Vehicle]] = {
             lane_id: deque() for lane_id, _ in net.boundary_entries
         }
@@ -396,9 +400,12 @@ class World:
             raise RuntimeError(
                 f"decision for {intersection_id} requested before its green elapsed"
             )
-        budgets = n_pass(self.movement_counts(intersection_id))[PHASE_COLUMNS[phase]].tolist()
-        for svc, budget in zip(self._granted(r, phase), budgets):
+        total = 0
+        for svc in self._granted(r, phase):
+            out = self.lanes[svc.out_lane]
+            budget = min(len(svc.src.vehicles), out.lane.capacity - len(out.vehicles))
             svc.budget = float(budget)
+            total += budget
         sig = self.signals[intersection_id]
         if phase == sig.current_phase:
             self._due[r] = self.time + green_duration
@@ -409,7 +416,7 @@ class World:
             self._open[r, : PHASE_COLUMNS.size] = False
             # the yellow shows for ticks time .. time + yellow - 1
             self._yellow_ends.setdefault(self.time + self.yellow - 1, []).append((r, sig))
-        return sum(budgets)
+        return total
 
     def needs_decision(self, intersection_id: str) -> bool:
         return bool(self._due[self._signal_index[intersection_id]] <= self.time)
@@ -442,35 +449,18 @@ class World:
 
     # ----------------------------------------------------------------- spawns
 
-    def _resolve(self, route: tuple[str, ...]) -> tuple[str, list[Movement]]:
-        cached = self._route_cache.get(route)
-        if cached is None:
-            cached = resolve_route(self.net, route)
-            self._route_cache[route] = cached
-        return cached
-
     def _spawn(self) -> int:
         entered = 0
         events = self._events
         while self._next_event < len(events) and events[self._next_event].time <= self.time:
             ev = events[self._next_event]
             self._next_event += 1
-            entry_lane, movements = self._resolve(ev.route)
-            if ev.entry_lane and ev.entry_lane != entry_lane:
-                if movements:
-                    raise ValueError(
-                        f"event entry lane {ev.entry_lane} does not feed the first "
-                        f"movement of route {ev.route}"
-                    )
-                entry_lane = ev.entry_lane  # single-road route: any lane is legal
+            entry_lane, movements = self._routes[ev.route]
             veh = Vehicle(len(self.vehicles), movements, entry_lane, entered_at=ev.time)
             self.vehicles.append(veh)
             self.entered_total += 1
             entered += 1
-            buf = self._buffers.get(entry_lane)
-            if buf is None:
-                buf = self._buffers[entry_lane] = deque()
-            buf.append(veh)
+            self._buffers[entry_lane].append(veh)
         for lane_id, buf in self._buffers.items():
             if not buf:
                 continue
@@ -515,7 +505,7 @@ class World:
             raise ValueError("placement outside the lane")
         movements: list[Movement] = []
         if route_roads is not None:
-            _, movements = self._resolve(tuple(route_roads))
+            _, movements = resolve_route(self.net, route_roads)
         veh = Vehicle(len(self.vehicles), movements, lane_id, entered_at=self.time)
         veh.status = MOVING
         veh.pos = float(pos)

@@ -129,6 +129,8 @@ class ExperimentConfig:
             raise ValueError(f"obs_counts must be one of {OBS_COUNTS}, got {self.obs_counts!r}")
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        if min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"config key 'seeds' must hold distinct integers >= 0, got {list(self.seeds)}")
         if not self.hidden_sizes or any(n < 1 for n in self.hidden_sizes):
             raise ValueError("hidden layer sizes must be positive")
         for name in ("epsilon_horizon", "eval_every"):

@@ -60,7 +60,6 @@ class FlowSpec:
     start: int
     end: int
     interval: float
-    entry_lane: str
     vehicle: Optional[dict] = field(default=None, compare=True)
 
     def __post_init__(self) -> None:
@@ -78,11 +77,10 @@ class FlowSpec:
 
 @dataclass(frozen=True)
 class SpawnEvent:
-    """A single scheduled vehicle: departure time, road route, entry lane."""
+    """A single scheduled vehicle: departure time and road route (its entry lane comes from the route)."""
 
     time: int
     route: tuple[str, ...]
-    entry_lane: str
 
 
 def straight_route(net: RoadNetwork, entry_road_id: str) -> tuple[str, ...]:
@@ -128,11 +126,7 @@ def _straight_flows(
     flows = []
     for side in sides:
         for road_id in by_side[side]:
-            route = straight_route(net, road_id)
-            entry_lane, _ = resolve_route(net, route)
-            flows.append(
-                FlowSpec(route=route, start=start, end=end, interval=interval, entry_lane=entry_lane)
-            )
+            flows.append(FlowSpec(route=straight_route(net, road_id), start=start, end=end, interval=interval))
     return flows
 
 
@@ -175,7 +169,7 @@ def expand_flows(flows: Iterable[FlowSpec], until: float = math.inf) -> list[Spa
             t = flow.start + k * flow.interval
             if t > flow.end or t >= until:
                 break
-            events.append(SpawnEvent(time=int(t), route=flow.route, entry_lane=flow.entry_lane))
+            events.append(SpawnEvent(time=int(t), route=flow.route))
             k += 1
     events.sort(key=lambda e: e.time)
     return events
@@ -269,15 +263,8 @@ def load_flow_file(path: str, net: RoadNetwork, until: float = math.inf) -> list
                     f"has {first_vehicle[1]}; the engine models one vehicle type"
                 )
         try:
-            entry_lane, _ = resolve_route(net, route)
-            flow = FlowSpec(
-                route=route,
-                start=start,
-                end=end,
-                interval=interval,
-                entry_lane=entry_lane,
-                vehicle=vehicle,
-            )
+            resolve_route(net, route)
+            flow = FlowSpec(route=route, start=start, end=end, interval=interval, vehicle=vehicle)
         except KeyError as exc:
             raise ValueError(f"{path}: flow record #{idx}: {exc.args[0]}") from exc
         except ValueError as exc:

@@ -395,6 +395,8 @@ def resolve_route(net: RoadNetwork, road_ids: list[str] | tuple[str, ...]) -> tu
             raise KeyError(f"route references unknown road {road_id!r}")
     roads = [net.roads[r] for r in road_ids]
     intersection_ids = {i.id for i in net.intersections}
+    if roads[0].start in intersection_ids:
+        raise ValueError(f"route must start at a boundary entry, but road {roads[0].id} starts at {roads[0].start}")
     if roads[-1].end in intersection_ids:
         raise ValueError(
             f"route must end at a boundary exit, but road {roads[-1].id} ends at {roads[-1].end}"

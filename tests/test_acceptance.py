@@ -58,7 +58,7 @@ from gridlight.flows import (
     syn_light_flows,
 )
 from gridlight.learner import QNetwork, Transition, forward_batch, train_step
-from gridlight.network import build_grid, lane_capacity, resolve_route, standard_phase_table
+from gridlight.network import build_grid, lane_capacity, standard_phase_table
 from gridlight.signalmath import (
     DEFAULT_KINEMATICS,
     MovementCounts,
@@ -307,9 +307,8 @@ def test_criterion_07_engine_invariants_fuzz():
         events = []
         for road_id, _ in net.entry_roads:
             route = straight_route(net, road_id)
-            entry_lane, _ = resolve_route(net, route)
             interval = int(rng.integers(2, 15))
-            events += [SpawnEvent(t, route, entry_lane) for t in range(0, 600, interval)]
+            events += [SpawnEvent(t, route) for t in range(0, 600, interval)]
         events.sort(key=lambda e: e.time)
         world = World(net, events)
         lanes = list(world.lanes.values())

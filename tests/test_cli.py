@@ -91,6 +91,15 @@ class TestRun:
         assert "checkpoint" in err and "'fixed'" in err, err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", [["run"], ["eval", "--checkpoint", "x.npz"]], ids=["run", "eval"])
+    def test_negative_seed_is_one_line(self, tmp_path, command):
+        config_path = tmp_path / "config.json"
+        write_config(config_path, horizon=30, controller=ControllerConfig(kind="dqn"))
+        out = tmp_path / "out"
+        code, err = _run_quietly([*command, "--config", str(config_path), "--seed", "-3", "--out", str(out)])
+        assert code == 1 and err.splitlines() == ["gridlight: error: --seed must be an integer >= 0, got -3"], (code, err)
+        assert not out.exists()
+
     def test_missing_config_fails(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 1
         assert "error" in capsys.readouterr().err
@@ -172,9 +181,11 @@ class TestConfigErrors:
             ({"obs_counts": "foo"}, ["obs_counts", "'foo'"]),
             ({"epsilon_start": 1.5}, ["epsilon_start 1.5"]),
             ({"epsilon_end": -0.1}, ["epsilon_end -0.1"]),
+            ({"seeds": [0, -1]}, ["'seeds'", "[0, -1]"]),
+            ({"seeds": [1, 1, 0]}, ["'seeds'", "[1, 1, 0]"]),
         ],
         ids=["eval-every-past-episodes", "buffer-below-batch", "buffer-equals-batch", "obs-counts-unknown",
-             "epsilon-start-above-one", "epsilon-end-below-zero"],
+             "epsilon-start-above-one", "epsilon-end-below-zero", "seed-negative", "seed-repeated"],
     )
     def test_untrainable_config_is_rejected_at_load(self, tmp_path, doc, named):
         doc = {"controller": {"kind": "dqn"}, "horizon": 30, "episodes": 2, "seeds": [0], **doc}
@@ -200,6 +211,26 @@ class TestConfigErrors:
         assert err.splitlines() == [
             f"gridlight: error: {flow_path}: flow record #0: no movement from road rd__b_w_0__i_0_0 to road rd__i_0_0__b_w_0"
         ]
+
+    def test_route_starting_inside_the_grid_is_one_line(self, tmp_path):
+        flow_path = tmp_path / "flows.json"
+        flow_path.write_text(json.dumps(
+            [{"route": ["rd__i_0_0__i_0_1", "rd__i_0_1__b_e_0"], "interval": 5, "startTime": 0, "endTime": 20}]
+        ))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "network": {"kind": "grid", "rows": 2, "cols": 2},
+            "flow": {"kind": "file", "path": str(flow_path)},
+            "horizon": 60,
+        }))
+        out = tmp_path / "out"
+        code, err = _run_quietly(["run", "--config", str(config_path), "--out", str(out)])
+        assert code == 1
+        assert err.splitlines() == [
+            f"gridlight: error: {flow_path}: flow record #0: route must start at a boundary entry, "
+            "but road rd__i_0_0__i_0_1 starts at i_0_0"
+        ]
+        assert not out.exists()
 
     def test_infinite_roadnet_length_is_one_line(self, tmp_path, capsys):
         roadnet_path = tmp_path / "roadnet.json"

@@ -367,12 +367,11 @@ class TestSpawning:
     def test_buffered_entry_keeps_scheduled_time(self):
         net = build_grid(1, 1, 300, 300)
         from gridlight.flows import straight_route
-        from gridlight.network import resolve_route
 
         road = next(r.id for r in net.roads.values() if r.end == "i_0_0" and r.heading == "E")
         route = straight_route(net, road)
         entry, _ = resolve_route(net, route)
-        events = [SpawnEvent(0, route, entry) for _ in range(5)]
+        events = [SpawnEvent(0, route) for _ in range(5)]
         world = World(net, events)
         world.step()
         assert world.entered_total == 5
@@ -383,6 +382,21 @@ class TestSpawning:
             world.step()
         assert world.buffered_count() == 0
 
+    @pytest.mark.parametrize(
+        "route,error,match",
+        [
+            (("nope", "rd__i_0_1__b_e_0"), KeyError, "unknown road 'nope'"),
+            (("rd__b_w_0__i_0_0", "rd__i_0_1__b_e_0"), ValueError, "are not connected"),
+            (("rd__i_0_0__i_0_1", "rd__i_0_1__b_e_0"), ValueError, "road rd__i_0_0__i_0_1 starts at i_0_0"),
+        ],
+        ids=["unknown-road", "disconnected", "interior-start"],
+    )
+    def test_bad_route_fails_when_the_world_is_built(self, route, error, match):
+        net = build_grid(1, 2, 300, 300)
+        good = ("rd__b_w_0__i_0_0", "rd__i_0_0__i_0_1", "rd__i_0_1__b_e_0")
+        with pytest.raises(error, match=match):
+            World(net, [SpawnEvent(0, good), SpawnEvent(50, route)])
+
     def test_spawned_vehicles_traverse_and_exit(self):
         net = build_grid(1, 1, 300, 300)
         road = next(
@@ -392,10 +406,7 @@ class TestSpawning:
         exit_road = next(
             r.id for r in net.roads.values() if r.start == "i_0_0" and r.heading == "E"
         )
-        from gridlight.network import resolve_route
-
-        entry, _ = resolve_route(net, (road, exit_road))
-        world = World(net, [SpawnEvent(0, (road, exit_road), entry)])
+        world = World(net, [SpawnEvent(0, (road, exit_road))])
         for _ in range(120):
             # hold phase 0; each boundary refreshes the discharge budget
             if world.needs_decision("i_0_0"):
@@ -421,13 +432,10 @@ class TestSpawning:
 def gen_syn_light_like(net, horizon):
     """Uniform straight demand on every entry of a small grid."""
     from gridlight.flows import expand_flows, FlowSpec, straight_route
-    from gridlight.network import resolve_route
 
     flows = []
     for road_id, _ in net.entry_roads:
-        route = straight_route(net, road_id)
-        entry_lane, _ = resolve_route(net, route)
-        flows.append(FlowSpec(route=route, start=0, end=horizon - 1, interval=20, entry_lane=entry_lane))
+        flows.append(FlowSpec(route=straight_route(net, road_id), start=0, end=horizon - 1, interval=20))
     return expand_flows(flows)
 
 
@@ -438,14 +446,10 @@ class TestInvariantsFuzz:
         events = []
         for road_id, _ in net.entry_roads:
             from gridlight.flows import straight_route
-            from gridlight.network import resolve_route
 
             route = straight_route(net, road_id)
-            entry_lane, _ = resolve_route(net, route)
             interval = int(rng.integers(2, 15))
-            events += [
-                SpawnEvent(t, route, entry_lane) for t in range(0, horizon, interval)
-            ]
+            events += [SpawnEvent(t, route) for t in range(0, horizon, interval)]
         events.sort(key=lambda e: e.time)
         world = World(net, events)
         last_pos: dict[int, tuple[str, float]] = {}
@@ -508,8 +512,7 @@ class TestSkipInvariants:
                     m = options[int(rng.integers(len(options)))]
                     road = net.road_of_lane(m.out_lane)
                     route.append(road.id)
-                entry_lane, _ = resolve_route(net, route)
-                events.append(SpawnEvent(t, tuple(route), entry_lane))
+                events.append(SpawnEvent(t, tuple(route)))
         events.sort(key=lambda e: e.time)
         return events
 
@@ -664,12 +667,10 @@ class TestOccupancyVector:
         events = []
         for road_id, _ in net.entry_roads:
             from gridlight.flows import straight_route
-            from gridlight.network import resolve_route
 
             route = straight_route(net, road_id)
-            entry_lane, _ = resolve_route(net, route)
             interval = int(rng.integers(2, 15))
-            events += [SpawnEvent(t, route, entry_lane) for t in range(0, 300, interval)]
+            events += [SpawnEvent(t, route) for t in range(0, 300, interval)]
         events.sort(key=lambda e: e.time)
         world = World(net, events)
         lane_ids = list(net.lanes)

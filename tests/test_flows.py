@@ -32,9 +32,10 @@ class TestSynLight:
         flows = syn_light_flows(grid)
         assert len(flows) == 12
         events = expand_flows(flows)
+        lane_of = {flow.route: resolve_route(grid, flow.route)[0] for flow in flows}
         per_lane = {}
         for ev in events:
-            per_lane.setdefault(ev.entry_lane, []).append(ev.time)
+            per_lane.setdefault(lane_of[ev.route], []).append(ev.time)
         assert len(per_lane) == 12
         for times in per_lane.values():
             assert times == list(range(0, 3600, 20))
@@ -68,11 +69,12 @@ class TestSynHeavy:
 
     def test_period_two_ns_rate(self, grid):
         events = gen_syn_heavy(grid)
+        lane_of = {route: resolve_route(grid, route)[0] for route in {e.route for e in events}}
         ns_lanes = {
             lane for lane, side in grid.boundary_entries if side in ("n", "s")
         }
         for lane in sorted(ns_lanes):
-            times = [e.time for e in events if e.entry_lane == lane and 900 <= e.time < 1800]
+            times = [e.time for e in events if lane_of[e.route] == lane and 900 <= e.time < 1800]
             if times:  # only the straight entry lane of each approach carries flow
                 assert len(times) == 450
                 assert times == list(range(900, 1800, 2))
@@ -159,13 +161,13 @@ class TestFlowSpecInvariants:
     def test_rejects_bad_interval(self, grid):
         flow = syn_light_flows(grid)[0]
         with pytest.raises(ValueError):
-            FlowSpec(route=flow.route, start=0, end=10, interval=0, entry_lane=flow.entry_lane)
+            FlowSpec(route=flow.route, start=0, end=10, interval=0)
 
     @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
     def test_rejects_non_finite_interval(self, grid, interval):
         flow = syn_light_flows(grid)[0]
         with pytest.raises(ValueError, match="finite"):
-            FlowSpec(route=flow.route, start=0, end=10, interval=interval, entry_lane=flow.entry_lane)
+            FlowSpec(route=flow.route, start=0, end=10, interval=interval)
 
     def test_departures_in_closed_form(self, grid):
         for flow in syn_heavy_flows(grid):
@@ -173,12 +175,11 @@ class TestFlowSpecInvariants:
 
     @pytest.mark.parametrize("interval", [1, 2.5, 7])
     def test_departures_before_until_in_closed_form(self, grid, interval):
-        route, entry_lane = syn_light_flows(grid)[0].route, syn_light_flows(grid)[0].entry_lane
-        flow = FlowSpec(route=route, start=10, end=60, interval=interval, entry_lane=entry_lane)
+        flow = FlowSpec(route=syn_light_flows(grid)[0].route, start=10, end=60, interval=interval)
         for until in (0, 10, 11, 30, 32.5, 60, 61, 1e9):
             assert flow.departures(until) == len(expand_flows([flow], until=until))
 
     def test_rejects_inverted_window(self, grid):
         flow = syn_light_flows(grid)[0]
         with pytest.raises(ValueError):
-            FlowSpec(route=flow.route, start=10, end=0, interval=5, entry_lane=flow.entry_lane)
+            FlowSpec(route=flow.route, start=10, end=0, interval=5)

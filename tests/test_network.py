@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridlight.engine import EXITED, World
+from gridlight.flows import SpawnEvent
 from gridlight.network import (
     APPROACHES,
     PHASE_COLUMNS,
@@ -263,11 +265,24 @@ class TestResolveRoute:
         assert entry_lane.endswith("_2")  # right-turn lane feeds the first hop
 
     def test_single_road_route(self):
-        net = build_grid(1, 1, 300, 300)
-        exit_road = next(r for r in net.roads.values() if r.start == "i_0_0")
-        entry_lane, movements = resolve_route(net, (exit_road.id,))
+        grid = build_grid(1, 1, 300, 300)
+        # a lone exit road starts inside the grid
+        exit_road = next(r for r in grid.roads.values() if r.start == "i_0_0")
+        with pytest.raises(ValueError, match=f"^route must start at a boundary entry, but road {exit_road.id} starts at i_0_0$"):
+            resolve_route(grid, (exit_road.id,))
+        # a road from one boundary node to another is a whole route on its own
+        roads = [(r.id, r.start, r.end, r.length, r.max_speed) for r in grid.roads.values()]
+        roads.append(("bypass", "b_w_0", "b_n_0", 300.0, 12.0))
+        net = assemble_network(grid.node_positions, set(grid.node_positions) - {"i_0_0"}, roads, l_v=5.0, l_g=2.5)
+        entry_lane, movements = resolve_route(net, ("bypass",))
         assert movements == []
-        assert entry_lane == exit_road.lane_for_turn(Turn.STRAIGHT)
+        assert entry_lane == net.roads["bypass"].lane_for_turn(Turn.STRAIGHT)
+        world = World(net, [SpawnEvent(0, ("bypass",))])
+        for _ in range(40):
+            world.step()
+        (veh,) = world.vehicles
+        assert veh.lane_id == entry_lane and veh.status == EXITED
+        assert world.conservation() == (1, 1) and world.exited_total == 1
 
     def test_rejects_unknown_road(self):
         net = build_grid(1, 1, 300, 300)

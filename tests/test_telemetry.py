@@ -18,7 +18,7 @@ import pytest
 
 from gridlight.engine import GREEN, YELLOW, StepTelemetry, World
 from gridlight.flows import SpawnEvent
-from gridlight.network import build_grid, resolve_route
+from gridlight.network import build_grid
 from gridlight.roadnet import load_roadnet, save_roadnet
 from gridlight.telemetry import TELEMETRY_HEADER, write_telemetry_csv
 
@@ -70,8 +70,7 @@ def test_telemetry_csv_matches_csv_writer(tmp_path):
     rng = np.random.default_rng(5)
     events = []
     for route in ROUTES:
-        entry_lane, _ = resolve_route(net, route)
-        events += [SpawnEvent(t, route, entry_lane) for t in range(0, 400, int(rng.integers(2, 6)))]
+        events += [SpawnEvent(t, route) for t in range(0, 400, int(rng.integers(2, 6)))]
     events.sort(key=lambda e: e.time)
     world = World(net, events)
 
