@@ -203,6 +203,8 @@ def main(argv: list[str] | None = None) -> int:
         # run and eval take --seed; a negative one would fail only once numpy draws from it
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed must be an integer >= 0, got {args.seed}")
+        if getattr(args, "jobs", 1) < 1:
+            raise ValueError(f"--jobs must be an integer >= 1, got {args.jobs}")
         return args.fn(args)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"gridlight: error: {str(exc).translate(_ESCAPED_BREAKS)}", file=sys.stderr)

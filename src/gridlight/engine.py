@@ -55,6 +55,9 @@ A tick skips work that cannot change anything, and each skip is exact:
 * Undue signals.  Each signal's next decision tick is kept in one array,
   set when its green is granted, so callers ask only the due signals.  A
   tick's signal update touches only the signals whose yellow ends in it.
+  The signal heads are the rows of one record array (``current_phase``,
+  ``yellow``): ``World.signals[id]`` is a live row, and a collected tick's
+  ``phases`` and ``yellow`` are copies of its two fields.
 
 Discharge slots are fixed when the world is built: per intersection, the
 movements of phases 0-3 in ``PHASE_COLUMNS`` row order, then the four
@@ -84,18 +87,12 @@ from .signalmath import DEFAULT_KINEMATICS, KinematicParams, MovementCounts, pla
 
 __all__ = [
     "Vehicle",
-    "SignalState",
     "StepTelemetry",
     "World",
     "movement_tables",
-    "GREEN",
-    "YELLOW",
     "OBS_SIZE",
     "OBS_COUNTS",
 ]
-
-GREEN = "green"
-YELLOW = "yellow"
 
 MOVING = "moving"
 QUEUED = "queued"
@@ -137,20 +134,6 @@ class Vehicle:
         return f"Vehicle({self.vid}, lane={self.lane_id}, pos={self.pos:.1f}, {self.status})"
 
 
-@dataclass
-class SignalState:
-    """Signal head of one intersection.
-
-    ``next_phase`` is the phase a yellow leads to.  The world keeps when the
-    green runs out (:meth:`World.needs_decision`) and files each yellow's
-    end under its tick, so a tick updates only the signals whose yellow ends.
-    """
-
-    current_phase: int = 0
-    mode: str = GREEN
-    next_phase: Optional[int] = None
-
-
 class _LaneState:
     """One lane's vehicles, front first, and what the tick loops keep about them.
 
@@ -190,9 +173,10 @@ class StepTelemetry:
 
     The discharge map is sparse (movements with at least one crossing).
     The three vectors are filled only when the step ran with
-    ``collect=True``: ``occupancy`` holds the vehicles on each lane in
-    ``net.lanes`` order, ``phases`` and ``yellow`` each signal's current
-    phase and whether it shows yellow, in ``net.intersections`` order.
+    ``collect=True``, as copies that later steps leave as they are:
+    ``occupancy`` holds the vehicles on each lane in ``net.lanes`` order,
+    ``phases`` and ``yellow`` the signal heads' two fields, each signal's
+    current phase and whether it shows yellow, in ``net.intersections`` order.
     """
 
     time: int
@@ -261,12 +245,17 @@ class World:
                 clear = clear_tables[lane.max_speed] = (kin, [0.0, platoon_clear_time(1, kin)])
             self.lanes[lane_id] = _LaneState(lane, lane_id in exit_lanes, index, clear)
         self._lane_list = list(self.lanes.values())
-        self.signals: dict[str, SignalState] = {i.id: SignalState() for i in net.intersections}
         self._signal_index = {inter.id: r for r, inter in enumerate(net.intersections)}
+        n = len(net.intersections)
+        heads = np.zeros(n, np.dtype((np.record, [("current_phase", np.int8), ("yellow", bool)])))
+        #: each intersection's signal head, a live row of ``heads``
+        self.signals: dict[str, np.record] = {iid: heads[r] for iid, r in self._signal_index.items()}
+        self._phase = heads["current_phase"]
+        self._yellow = heads["yellow"]
         #: tick at which each signal's green runs out, in net.intersections order
-        self._due = np.zeros(len(net.intersections), np.int64)
-        #: tick whose signal update ends a yellow -> (row, signal) of each such yellow
-        self._yellow_ends: dict[int, list[tuple[int, SignalState]]] = {}
+        self._due = np.zeros(n, np.int64)
+        #: tick whose signal update ends a yellow -> (row, next phase) of each such yellow
+        self._yellow_ends: dict[int, list[tuple[int, int]]] = {}
 
         # counts are read from one lane-occupancy vector through index tables;
         # it is kept at every append to and pop from a lane
@@ -366,16 +355,17 @@ class World:
         set to ``"queued"`` each counts the lane's leading vehicles whose
         status is queued: the queue standing at the stop line.
         """
+        r = self._signal_index[intersection_id]
         out = np.zeros(OBS_SIZE)
         if self.obs_counts == "queued":
             lanes = self._lane_list
             out[:12] = [
                 sum(1 for _ in takewhile(lambda veh: veh.status == QUEUED, lanes[k].vehicles))
-                for k in self._in_idx[self._signal_index[intersection_id]].tolist()
+                for k in self._in_idx[r].tolist()
             ]
         else:
-            out[:12] = self.incoming_occupancy(intersection_id)
-        out[12 + self.signals[intersection_id].current_phase] = 1.0
+            out[:12] = self._occupancy[self._in_idx[r]]
+        out[12 + self._phase[r]] = 1.0
         return out
 
     # -------------------------------------------------------------- decisions
@@ -406,16 +396,14 @@ class World:
             budget = min(len(svc.src.vehicles), out.lane.capacity - len(out.vehicles))
             svc.budget = float(budget)
             total += budget
-        sig = self.signals[intersection_id]
-        if phase == sig.current_phase:
+        if phase == self._phase[r]:
             self._due[r] = self.time + green_duration
         else:
-            sig.mode = YELLOW
-            sig.next_phase = phase
+            self._yellow[r] = True
             self._due[r] = self.time + self.yellow + green_duration
             self._open[r, : PHASE_COLUMNS.size] = False
             # the yellow shows for ticks time .. time + yellow - 1
-            self._yellow_ends.setdefault(self.time + self.yellow - 1, []).append((r, sig))
+            self._yellow_ends.setdefault(self.time + self.yellow - 1, []).append((r, phase))
         return total
 
     def needs_decision(self, intersection_id: str) -> bool:
@@ -440,10 +428,9 @@ class World:
         self._update_signals()
         telemetry = StepTelemetry(time=self.time, entered=entered, exited=exited, discharged=discharged)
         if collect:
-            signals = self.signals.values()
             telemetry.occupancy = self._occupancy.copy()
-            telemetry.phases = np.fromiter((s.current_phase for s in signals), np.int8, len(signals))
-            telemetry.yellow = np.fromiter((s.mode == YELLOW for s in signals), bool, len(signals))
+            telemetry.phases = self._phase.copy()
+            telemetry.yellow = self._yellow.copy()
         self.time += 1
         return telemetry
 
@@ -481,40 +468,6 @@ class World:
         if len(ls.vehicles) >= ls.lane.capacity:
             return False
         return not ls.vehicles or ls.vehicles[-1].pos >= self._headway - _EPS
-
-    def place_vehicle(
-        self,
-        lane_id: str,
-        pos: float = 0.0,
-        speed: float = 0.0,
-        route_roads: Optional[tuple[str, ...]] = None,
-    ) -> Vehicle:
-        """Put a vehicle directly onto a lane (test and scenario setup).
-
-        The vehicle is appended behind the lane's current occupants, so
-        ``pos`` must be below the rearmost occupant's position minus one
-        headway.  Without a route the vehicle follows each movement's
-        conventional outgoing lane until it reaches a boundary.
-        """
-        ls = self.lanes[lane_id]
-        if len(ls.vehicles) >= ls.lane.capacity:
-            raise ValueError(f"lane {lane_id} is at capacity")
-        if ls.vehicles and pos > ls.vehicles[-1].pos - self._headway + _EPS:
-            raise ValueError("placement would violate the standing headway")
-        if not 0 <= pos <= ls.lane.length:
-            raise ValueError("placement outside the lane")
-        movements: list[Movement] = []
-        if route_roads is not None:
-            _, movements = resolve_route(self.net, route_roads)
-        veh = Vehicle(len(self.vehicles), movements, lane_id, entered_at=self.time)
-        veh.status = MOVING
-        veh.pos = float(pos)
-        veh.speed = float(speed)
-        self.vehicles.append(veh)
-        self.entered_total += 1
-        ls.vehicles.append(veh)
-        self._occupancy[ls.index] += 1
-        return veh
 
     # ---------------------------------------------------------------- advance
 
@@ -699,11 +652,9 @@ class World:
 
     def _update_signals(self) -> None:
         """End the yellows that end in this tick; their greens start at the next."""
-        for r, sig in self._yellow_ends.pop(self.time, ()):
-            phase = sig.next_phase
-            sig.mode = GREEN
-            sig.current_phase = phase  # type: ignore[assignment]
-            sig.next_phase = None
+        for r, phase in self._yellow_ends.pop(self.time, ()):
+            self._yellow[r] = False
+            self._phase[r] = phase
             start = phase * self._phase_width
             self._open[r, start : start + self._phase_width] = True
             # a wake holds only under the clock and count it was set with, so

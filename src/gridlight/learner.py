@@ -266,10 +266,11 @@ def load_checkpoint(path: str) -> QNetwork:
     or whose parameters are not finite.
     """
     try:
-        data = np.load(path)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise ValueError("it holds one bare .npy array")
-        with data:
+        # np.load(path) hands its open file to NpzFile, which leaves it open if it fails
+        with open(path, "rb") as fh:
+            data = np.load(fh)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise ValueError("it holds one bare .npy array")
             arrays = {key: data[key] for key in data.files}
     except (EOFError, ValueError, zipfile.BadZipFile) as exc:  # e.g. an empty or a cut file
         raise ValueError(f"checkpoint {path}: not a readable .npz archive: {exc}") from exc

@@ -394,7 +394,7 @@ def resolve_route(net: RoadNetwork, road_ids: list[str] | tuple[str, ...]) -> tu
         if road_id not in net.roads:
             raise KeyError(f"route references unknown road {road_id!r}")
     roads = [net.roads[r] for r in road_ids]
-    intersection_ids = {i.id for i in net.intersections}
+    intersection_ids = net._by_id
     if roads[0].start in intersection_ids:
         raise ValueError(f"route must start at a boundary entry, but road {roads[0].id} starts at {roads[0].start}")
     if roads[-1].end in intersection_ids:

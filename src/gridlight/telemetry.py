@@ -32,7 +32,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .engine import GREEN, YELLOW, StepTelemetry, movement_tables
+from .engine import StepTelemetry, movement_tables
 from .network import PHASE_COLUMNS, RoadNetwork
 
 __all__ = [
@@ -45,6 +45,10 @@ __all__ = [
     "read_decisions_csv",
     "write_metrics_json",
 ]
+
+#: the ``mode`` column's text for a signal that shows green or yellow
+GREEN = "green"
+YELLOW = "yellow"
 
 LANE_COLUMNS = tuple(
     f"{side}_{turn}" for side in ("w", "e", "n", "s") for turn in ("l", "s", "r")

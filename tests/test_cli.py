@@ -607,6 +607,15 @@ class TestTrainCommand:
         assert len(done.stderr.splitlines()) == 1, done.stderr
         assert "episode 0" in done.stderr
 
+    @pytest.mark.parametrize("command,flag", [("train", "--config"), ("compare", "--configs")])
+    def test_jobs_below_one_is_one_line(self, tmp_path, command, flag):
+        config_path = tmp_path / "config.json"
+        write_config(config_path, horizon=30, controller=ControllerConfig(kind="dqn"), seeds=(0, 1))
+        out = tmp_path / "out"
+        code, err = _run_quietly([command, flag, str(config_path), "--jobs", "0", "--out", str(out)])
+        assert code == 1 and err.splitlines() == ["gridlight: error: --jobs must be an integer >= 1, got 0"], (code, err)
+        assert not out.exists()
+
 
 class TestCaseStudyCommand:
     def test_from_run_decisions(self, tmp_path):

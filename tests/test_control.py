@@ -20,6 +20,8 @@ from gridlight.learner import QNetwork
 from gridlight.network import build_grid, standard_phase_table
 from gridlight.signalmath import MovementCounts, phase_score, reward
 
+from helpers import place_vehicle
+
 
 @pytest.fixture(scope="module")
 def net():
@@ -139,7 +141,7 @@ class TestGreedyPrcol:
         lane = inter.incoming_lanes[1]
         length = net.lanes[lane].length
         for i in range(38):
-            w.place_vehicle(lane, pos=length - i * 7.5, speed=0.0)
+            place_vehicle(w, lane, pos=length - i * 7.5, speed=0.0)
         decision = ctrl.decide(w, "i_0_0")
         assert decision.phase == 0
         assert decision.green_duration == 20

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridlight.engine import EXITED, GREEN, QUEUED, YELLOW, World
+from gridlight.engine import EXITED, QUEUED, World
 from gridlight.flows import SpawnEvent, gen_syn_light
 from gridlight.network import Turn, assemble_network, build_grid, resolve_route, standard_phase_table
 from gridlight.signalmath import DEFAULT_KINEMATICS, MovementCounts, platoon_clear_time
+
+from helpers import place_vehicle
 
 
 def single() -> World:
@@ -34,7 +36,7 @@ def queue_up(world: World, lane_id: str, n: int) -> None:
     length = world.net.lanes[lane_id].length
     headway = world.k.headway
     for i in range(n):
-        world.place_vehicle(lane_id, pos=length - i * headway, speed=0.0)
+        place_vehicle(world, lane_id, pos=length - i * headway, speed=0.0)
 
 
 class TestStepBasics:
@@ -66,7 +68,7 @@ class TestStepBasics:
         world = single()
         lane = west_straight(world.net).in_lane
         for i in range(3):
-            world.place_vehicle(lane, pos=200 - 10 * i, speed=5.0)
+            place_vehicle(world, lane, pos=200 - 10 * i, speed=5.0)
         world.step()
         assert world.occupancy(lane) == 3
 
@@ -103,7 +105,7 @@ class TestPlatoonDischarge:
         assert world.net.road_of_lane(m.out_lane).end == "i_0_1"
         cap = world.net.lanes[m.out_lane].capacity
         queue_up(world, m.out_lane, cap)
-        world.place_vehicle(m.in_lane, pos=300.0, speed=0.0)
+        place_vehicle(world, m.in_lane, pos=300.0, speed=0.0)
         # park i_0_1 on the cross phase so the blockage never drains
         world.apply_decision("i_0_1", 1, 600)
         world.apply_decision("i_0_0", 0, 60)
@@ -118,7 +120,7 @@ class TestPlatoonDischarge:
         # the clock runs from the green's start (t=0 here), not the decision
         world = single()
         m = west_straight(world.net)
-        world.place_vehicle(m.in_lane, pos=300.0, speed=0.0)
+        place_vehicle(world, m.in_lane, pos=300.0, speed=0.0)
         world.step()
         world.apply_decision("i_0_0", 0, 10)
         svc = world.services[m.id]
@@ -153,7 +155,7 @@ class TestSameTickCrossing:
                 if primed and not lane.vehicles:
                     return
                 if not primed and (not lane.vehicles or lane.vehicles[-1].pos >= 60):
-                    world.place_vehicle(m.in_lane, pos=0.0, speed=0.0)
+                    place_vehicle(world, m.in_lane, pos=0.0, speed=0.0)
                 world.step()
             pytest.fail(f"{m.id} was not primed within 600 ticks")
 
@@ -164,11 +166,11 @@ class TestSameTickCrossing:
         assert world.time == 606
         east_in = a.movements[1].in_lane  # W straight at i_0_0
         west_in = b.movements[4].in_lane  # E straight at i_0_1
-        east = world.place_vehicle(
-            east_in, pos=300.0, route_roads=(road(east_in), road(later_right.in_lane), road(later_right.out_lane))
+        east = place_vehicle(
+            world, east_in, 300.0, route_roads=(road(east_in), road(later_right.in_lane), road(later_right.out_lane))
         )
-        west = world.place_vehicle(
-            west_in, pos=300.0, route_roads=(road(west_in), road(earlier_right.in_lane), road(earlier_right.out_lane))
+        west = place_vehicle(
+            world, west_in, 300.0, route_roads=(road(west_in), road(earlier_right.in_lane), road(earlier_right.out_lane))
         )
         world.step()
         world.apply_decision(a.id, 0, 10)
@@ -193,13 +195,13 @@ class TestSameTickCrossing:
 class TestSignals:
     @staticmethod
     def _states(world: World, ticks: int) -> list[tuple]:
-        """(mode, current phase, next phase, due) of i_0_0 before each of ``ticks`` steps, then after the last."""
+        """(yellow, current phase, due) of i_0_0 before each of ``ticks`` steps, then after the last."""
         sig = world.signals["i_0_0"]
         states = []
         for tick in range(ticks + 1):
             due = world.needs_decision("i_0_0")
             assert world.due_signals().tolist() == ([0] if due else [])
-            states.append((sig.mode, sig.current_phase, sig.next_phase, due))
+            states.append((bool(sig.yellow), int(sig.current_phase), due))
             if tick < ticks:
                 world.step()
         return states
@@ -207,20 +209,20 @@ class TestSignals:
     def test_same_phase_extends_without_yellow(self):
         world = single()
         world.apply_decision("i_0_0", 0, 10)
-        assert self._states(world, 10) == [(GREEN, 0, None, False)] * 10 + [(GREEN, 0, None, True)]
+        assert self._states(world, 10) == [(False, 0, False)] * 10 + [(False, 0, True)]
 
     def test_phase_change_inserts_yellow(self):
         world = single()
         world.apply_decision("i_0_0", 1, 10)
         assert self._states(world, 15) == (
-            [(YELLOW, 0, 1, False)] * 5 + [(GREEN, 1, None, False)] * 10 + [(GREEN, 1, None, True)]
+            [(True, 0, False)] * 5 + [(False, 1, False)] * 10 + [(False, 1, True)]
         )
 
     def test_one_second_yellow_switches_after_one_tick(self):
         world = World(build_grid(1, 1, 300, 300), yellow=1)
         world.apply_decision("i_0_0", 2, 3)
         assert self._states(world, 4) == (
-            [(YELLOW, 0, 2, False)] + [(GREEN, 2, None, False)] * 3 + [(GREEN, 2, None, True)]
+            [(True, 0, False)] + [(False, 2, False)] * 3 + [(False, 2, True)]
         )
 
     def test_extension_after_running_a_phase(self):
@@ -229,7 +231,7 @@ class TestSignals:
         for _ in range(15):  # 5 yellow + 10 green
             world.step()
         world.apply_decision("i_0_0", 3, 15)
-        assert self._states(world, 15) == [(GREEN, 3, None, False)] * 15 + [(GREEN, 3, None, True)]
+        assert self._states(world, 15) == [(False, 3, False)] * 15 + [(False, 3, True)]
 
     def test_switched_to_phase_waits_for_its_yellow_then_serves_its_budget(self):
         world = single()
@@ -238,7 +240,7 @@ class TestSignals:
         assert world.apply_decision("i_0_0", 1, 30) == 6
         length = world.net.lanes[north.in_lane].length
         for i in range(6, 10):  # arrivals after the decision are not in the budget
-            world.place_vehicle(north.in_lane, pos=length - i * world.k.headway, speed=0.0)
+            place_vehicle(world, north.in_lane, pos=length - i * world.k.headway, speed=0.0)
         svc = world.services[north.id]
         for _ in range(5):
             assert north.id not in world.step().discharged
@@ -273,13 +275,13 @@ class TestSignals:
         inter = world.net.intersections[0]
         straight = inter.movements[1]
         right = inter.movements[2]
-        world.place_vehicle(straight.in_lane, pos=300.0, speed=0.0)
-        world.place_vehicle(right.in_lane, pos=300.0, speed=0.0)
+        place_vehicle(world, straight.in_lane, pos=300.0, speed=0.0)
+        place_vehicle(world, right.in_lane, pos=300.0, speed=0.0)
         world.step()
         world.apply_decision("i_0_0", 1, 10)  # switch -> 5 s yellow
-        for _ in range(5):
+        for tick in range(5):
             tel = world.step()
-            assert world.signals["i_0_0"].mode in (YELLOW, GREEN)
+            assert world.signals["i_0_0"].yellow == (tick < 4)  # the fifth tick ends the yellow
             assert straight.id not in tel.discharged
         assert world.services[straight.id].cum_crossed == 0
         assert world.services[right.id].cum_crossed == 1  # right turns keep flowing
@@ -312,7 +314,7 @@ class TestObservation:
         inter = world.net.intersections[0]
         lane = inter.incoming_lanes[1]  # W straight
         for i in range(3):
-            world.place_vehicle(lane, pos=200 - 10 * i, speed=0.0)
+            place_vehicle(world, lane, pos=200 - 10 * i, speed=0.0)
         world.apply_decision("i_0_0", 2, 10)
         for _ in range(5):
             world.step()
@@ -326,7 +328,7 @@ class TestObservation:
         inter = world.net.intersections[0]
         for k, lane in enumerate(inter.incoming_lanes):
             if k % 2 == 0:
-                world.place_vehicle(lane, pos=150.0, speed=0.0)
+                place_vehicle(world, lane, pos=150.0, speed=0.0)
         obs = world.observe("i_0_0")
         total = sum(world.occupancy(l) for l in inter.incoming_lanes)
         assert obs[:12].sum() == total == 6
@@ -335,8 +337,8 @@ class TestObservation:
         net = build_grid(1, 1, 300, 300)
         world = World(net, obs_counts="queued")
         lane = net.intersections[0].incoming_lanes[1]
-        world.place_vehicle(lane, pos=300.0, speed=0.0)   # will queue
-        world.place_vehicle(lane, pos=10.0, speed=0.0)    # still rolling
+        place_vehicle(world, lane, pos=300.0, speed=0.0)   # will queue
+        place_vehicle(world, lane, pos=10.0, speed=0.0)    # still rolling
         world.step()
         obs = world.observe("i_0_0")
         assert obs[1] == 1.0
@@ -346,7 +348,7 @@ class TestObservation:
         lanes = world.net.intersections[0].incoming_lanes
         queue_up(world, lanes[1], 4)  # W straight, discharged by phase 0
         queue_up(world, lanes[7], 3)  # N straight, red throughout
-        world.place_vehicle(lanes[4], pos=100.0, speed=10.0)  # E straight, rolling
+        place_vehicle(world, lanes[4], pos=100.0, speed=10.0)  # E straight, rolling
         assert world.observe("i_0_0")[:12].tolist() == [0.0] * 12  # placed, not yet advanced
         world.step()
         world.apply_decision("i_0_0", 0, 10)
@@ -521,7 +523,7 @@ class TestSkipInvariants:
         # queued, yet the next tick still closes the gap
         world = single()
         lane = west_straight(world.net).in_lane
-        veh = world.place_vehicle(lane, pos=300.0 - world.k.accel - 5e-7, speed=0.0)
+        veh = place_vehicle(world, lane, pos=300.0 - world.k.accel - 5e-7, speed=0.0)
         world.step()
         assert veh.status == QUEUED and veh.pos < 300.0
         world.step()
@@ -534,7 +536,7 @@ class TestSkipInvariants:
             mid
             for inter, sig in zip(world.net.intersections, world.signals.values())
             for mid in (
-                *(phase_movement_ids(inter, sig.current_phase) if sig.mode == GREEN else ()),
+                *(phase_movement_ids(inter, sig.current_phase) if not sig.yellow else ()),
                 *(m.id for m in inter.movements if m.turn is Turn.RIGHT),
             )
         ]
@@ -622,7 +624,7 @@ class TestDischargeWake:
     def test_lone_approach_crosses_on_the_same_tick(self, pos, speed):
         worlds = single(), single()
         for world in worlds:
-            world.place_vehicle(west_straight(world.net).in_lane, pos=pos, speed=speed)
+            place_vehicle(world, west_straight(world.net).in_lane, pos=pos, speed=speed)
             world.apply_decision("i_0_0", 0, 60)
         crossed_at, skipping = self._beside_twin(*worlds, 60)
         assert len(crossed_at) == 1 and skipping > 0
@@ -642,7 +644,7 @@ class TestDischargeWake:
                 world.apply_decision("i_0_0", *plan[world.time])
 
         for world in worlds:
-            world.place_vehicle(m.in_lane, pos=0.0, speed=0.0)
+            place_vehicle(world, m.in_lane, pos=0.0, speed=0.0)
         world = worlds[0]
         before, _ = self._beside_twin(*worlds, 17, decide)
         assert before == [] and world._wake.flat[slot] > 18
@@ -674,6 +676,8 @@ class TestOccupancyVector:
         events.sort(key=lambda e: e.time)
         world = World(net, events)
         lane_ids = list(net.lanes)
+        heads = list(world.signals.values())  # live rows, read again after every step
+        kept = []
         placed = 0
         for tick in range(300):
             for inter in net.intersections:
@@ -683,8 +687,9 @@ class TestOccupancyVector:
             self._assert_matches_lanes(world)
             if tel.occupancy is not None:
                 assert tel.occupancy.tolist() == world.lane_occupancy().tolist()
-                assert tel.phases.tolist() == [s.current_phase for s in world.signals.values()]
-                assert tel.yellow.tolist() == [s.mode == YELLOW for s in world.signals.values()]
+                assert tel.phases.tolist() == [head.current_phase for head in heads]
+                assert tel.yellow.tolist() == [head.yellow for head in heads]
+                kept.append((tel, tel.phases.tolist(), tel.yellow.tolist()))
             for inter in net.intersections:
                 counts = world.movement_counts(inter.id)
                 assert counts.n_in.tolist() == [world.occupancy(m.in_lane) for m in inter.movements]
@@ -697,10 +702,14 @@ class TestOccupancyVector:
             )
             if room and rng.random() < 0.3:
                 world.lane_occupancy()
-                world.place_vehicle(lane_id, pos=0.0, speed=0.0)
+                place_vehicle(world, lane_id, pos=0.0, speed=0.0)
                 self._assert_matches_lanes(world)
                 placed += 1
         assert placed > 0
+        # a kept step's signal vectors are copies: the signals changed, the vectors did not
+        assert len({(tuple(phases), tuple(yellow)) for _, phases, yellow in kept}) > 2
+        for tel, phases, yellow in kept:
+            assert tel.phases.tolist() == phases and tel.yellow.tolist() == yellow
 
 
 class TestDeterminism:

@@ -423,6 +423,30 @@ class TestTrainMany:
         assert parallel == serial
         assert files[0] == files[1] == json.loads(json.dumps(serial))
 
+    def test_pool_never_outnumbers_the_seeds(self, monkeypatch):
+        # a stub pool that maps in this process: no worker is ever started
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiment.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        cfg = ExperimentConfig(horizon=30, controller=ControllerConfig(kind="dqn"), episodes=1, seeds=(0, 1, 2))
+        summary = train_many(cfg, jobs=500)
+        assert sizes == [3] and list(summary["per_seed"]) == ["0", "1", "2"]
+        train_many(dataclasses.replace(cfg, seeds=(0,)), jobs=500)
+        assert sizes == [3]  # a lone seed trains in this process, without a pool
+
 
 def synthetic_record(rng, phase=None, time=0):
     counts = [int(rng.integers(0, 20)) for _ in range(12)]

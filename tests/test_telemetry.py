@@ -16,11 +16,11 @@ import json
 import numpy as np
 import pytest
 
-from gridlight.engine import GREEN, YELLOW, StepTelemetry, World
+from gridlight.engine import StepTelemetry, World
 from gridlight.flows import SpawnEvent
 from gridlight.network import build_grid
 from gridlight.roadnet import load_roadnet, save_roadnet
-from gridlight.telemetry import TELEMETRY_HEADER, write_telemetry_csv
+from gridlight.telemetry import GREEN, TELEMETRY_HEADER, YELLOW, write_telemetry_csv
 
 ODD_ID = 'i,"0_1'
 #: junction renames of the 2x3 grid; i_1_2 keeps its plain id
@@ -85,7 +85,7 @@ def test_telemetry_csv_matches_csv_writer(tmp_path):
         for inter in net.intersections:
             sig = world.signals[inter.id]
             expected.append(
-                [tel.time, inter.id, sig.current_phase, sig.mode]
+                [tel.time, inter.id, int(sig.current_phase), YELLOW if sig.yellow else GREEN]
                 + [occupancy[lane_id] for lane_id in inter.incoming_lanes]
                 + [tel.discharged.get(m.id, 0) for m in inter.movements]
             )
