@@ -25,6 +25,7 @@ from .experiment import (
     ExperimentConfig,
     build_events,
     build_network,
+    check_target_sync,
     evaluate,
     run_single,
     train_many,
@@ -100,7 +101,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         if name in configs:
             raise ValueError(f"two configs are named {name!r}; each writes its outputs under its file's name")
         config = configs[name] = ExperimentConfig.from_json(path)
-        build_events(config, build_network(config))
+        try:
+            net = build_network(config)
+            build_events(config, net)
+            if config.controller.kind == "dqn":
+                check_target_sync(config, net)
+        except (ValueError, OSError) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     rows = []
     for name, config in configs.items():
         sub = os.path.join(args.out, name)
@@ -110,12 +117,15 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                 (name, summary["median_best_eval_travel_time"], summary["median_best_eval_throughput"])
             )
         else:
-            per_seed = [run_single(config, seed=s, out_dir=os.path.join(sub, f"seed_{s}")) for s in config.seeds]
+            # metrics only: a seed's world and decision log go before the next seed runs
+            per_seed = [
+                run_single(config, seed=s, out_dir=os.path.join(sub, f"seed_{s}")).metrics for s in config.seeds
+            ]
             rows.append(
                 (
                     name,
-                    statistics.median(r.metrics.average_travel_time for r in per_seed),
-                    statistics.median(r.metrics.throughput for r in per_seed),
+                    statistics.median(m.average_travel_time for m in per_seed),
+                    statistics.median(m.throughput for m in per_seed),
                 )
             )
     width = max(len(name) for name, _, _ in rows)

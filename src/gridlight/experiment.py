@@ -48,7 +48,7 @@ from .learner import (
     train_step,
 )
 from .network import PHASE_COLUMNS, RoadNetwork, build_grid
-from .roadnet import _finite, load_roadnet
+from .roadnet import _finite, _load_json, load_roadnet
 from .signalmath import DEFAULT_KINEMATICS, KinematicParams, reward
 from .telemetry import (
     DecisionRecord,
@@ -69,6 +69,7 @@ __all__ = [
     "build_events",
     "run_episode",
     "run_single",
+    "check_target_sync",
     "train",
     "train_many",
     "evaluate",
@@ -163,8 +164,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """The config in ``path``; a fault in the file raises a ``ValueError`` naming it."""
+        doc = _load_json(path)
+        try:
+            return cls.from_dict(doc)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
     def fingerprint(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -423,6 +428,8 @@ def run_episode(
     ]
     # per intersection: its last decision, the services it granted and their crossings then
     open_records: dict[str, tuple[DecisionRecord, tuple, int]] = {}
+    # each distinct count row once: most decisions repeat a row an earlier one saw
+    count_rows: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def crossings(services: tuple) -> int:
         return sum(svc.cum_crossed for svc in services)
@@ -459,6 +466,7 @@ def run_episode(
                     pending[iid] = (obs, decision.phase)
                 if record:
                     granted = grants[row][decision.phase]
+                    counts = tuple(world.incoming_occupancy(iid).tolist())
                     rec = DecisionRecord(
                         time=world.time,
                         intersection=iid,
@@ -467,7 +475,7 @@ def run_episode(
                         # world.signals[iid].yellow, read from the field: an np.record
                         # attribute costs about 2 us of Python per read
                         switched=bool(world._yellow[row]),
-                        counts=tuple(world.incoming_occupancy(iid).tolist()),
+                        counts=count_rows.setdefault(counts, counts),
                         ideal_npass=ideal_npass,
                     )
                     decisions.append(rec)
@@ -568,6 +576,24 @@ class TrainRun:
     wall_clock: float
 
 
+def check_target_sync(config: ExperimentConfig, net: RoadNetwork) -> None:
+    """Reject a ``target_sync`` that no run of ``config`` on ``net`` reaches.
+
+    An intersection decides at most once per shortest green (``green_fixed``
+    or ``green_min``, by the duration mode) and trains at most once per
+    decision, so a run takes at most ``episodes x intersections x
+    ceil(horizon / shortest green)`` train steps.
+    """
+    controller = config.controller
+    shortest = controller.green_fixed if controller.duration_mode == "fixed" else controller.green_min
+    most = config.episodes * len(net.intersections) * -(-config.horizon // shortest)
+    if config.target_sync > most:
+        raise ValueError(
+            f"target_sync ({config.target_sync}) exceeds the {most} train steps a run takes at most, "
+            "so the target network would never sync"
+        )
+
+
 def train(
     config: ExperimentConfig,
     seed: int,
@@ -599,6 +625,7 @@ def train(
     )
     action_rng = np.random.default_rng(ss_actions)
     scenario = _build_scenario(config)
+    check_target_sync(config, scenario.net)
     sched = EpsilonSchedule(
         config.epsilon_start, config.epsilon_end, config.epsilon_horizon or config.episodes
     )
@@ -619,21 +646,24 @@ def train(
             result = run_episode(
                 config, controller, scenario=scenario, learner_ctx=ctx, seed=seed, record=False
             )
-        if not all(map(math.isfinite, result.losses)):
+        # keep the numbers, not the world: the next episode builds its own
+        metrics, losses = result.metrics, result.losses
+        del result
+        if not all(map(math.isfinite, losses)):
             raise RuntimeError(f"training diverged: non-finite loss in episode {ep} (seed {seed})")
         if not all(np.isfinite(a).all() for a in (*net.weights, *net.biases)):
             raise RuntimeError(f"training diverged: non-finite weights after episode {ep} (seed {seed})")
         row = {
             "episode": ep,
             "epsilon": eps,
-            "avg_travel_time": result.metrics.average_travel_time,
-            "throughput": result.metrics.throughput,
-            "mean_loss": statistics.fmean(result.losses) if result.losses else 0.0,
+            "avg_travel_time": metrics.average_travel_time,
+            "throughput": metrics.throughput,
+            "mean_loss": statistics.fmean(losses) if losses else 0.0,
             "train_steps": ctx.train_steps,
             "eval_travel_time": None,
         }
-        if result.metrics.average_travel_time < best_train_tt:
-            best_train_tt = result.metrics.average_travel_time
+        if metrics.average_travel_time < best_train_tt:
+            best_train_tt = metrics.average_travel_time
             if config.eval_every is None:
                 best_net = net.copy()
         if config.eval_every is not None and (ep + 1) % config.eval_every == 0:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .network import RoadNetwork, Turn, resolve_route
-from .roadnet import _positive
+from .roadnet import _load_json, _positive
 
 __all__ = [
     "MAX_FLOW_EVENTS",
@@ -75,7 +75,7 @@ class FlowSpec:
         return (self.end - self.start) // self.interval + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpawnEvent:
     """A single scheduled vehicle: departure time and road route (its entry lane comes from the route)."""
 
@@ -231,8 +231,7 @@ def load_flow_file(path: str, net: RoadNetwork, until: float = math.inf) -> list
     more than :data:`MAX_FLOW_EVENTS` departures before ``until`` (a run's
     horizon) in total.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _load_json(path)
     if not isinstance(doc, list):
         raise ValueError(f"{path}: expected a JSON array of flow records")
     flows: list[FlowSpec] = []

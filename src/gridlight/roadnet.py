@@ -65,6 +65,15 @@ def _positive(what: str, value: Any, error: type[ValueError] = ValueError) -> fl
     return number
 
 
+def _load_json(path: str, error: type[ValueError] = ValueError) -> Any:
+    """The JSON document in ``path``; a file that is not UTF-8 JSON raises ``error`` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"{path}: {exc}") from exc
+
+
 def load_roadnet(path: str, l_v: float = 5.0, l_g: float = 2.5) -> RoadNetwork:
     """Load a roadnet JSON file and map it onto a :class:`RoadNetwork`.
 
@@ -72,8 +81,7 @@ def load_roadnet(path: str, l_v: float = 5.0, l_g: float = 2.5) -> RoadNetwork:
     vehicle length / minimum gap.  Every fault raises a one-line
     :class:`RoadnetFormatError` naming the file and the record.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _load_json(path, RoadnetFormatError)
     if not isinstance(doc, dict) or "intersections" not in doc or "roads" not in doc:
         raise RoadnetFormatError(f"{path}: expected object with intersections and roads")
     for key in ("intersections", "roads"):

@@ -64,7 +64,7 @@ DECISIONS_HEADER = (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class DecisionRecord:
     """One controller decision plus the interval outcome it produced."""
 
@@ -259,18 +259,22 @@ def write_decisions_csv(path: str, records: Iterable[DecisionRecord]) -> None:
 
 def read_decisions_csv(path: str) -> list[DecisionRecord]:
     """Read a decisions file; a malformed row raises a one-line ``ValueError``
-    naming it, counted as a line of the file."""
+    naming it, counted as a line of the file, and so does a file that is not
+    UTF-8, naming the file."""
     records: list[DecisionRecord] = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != DECISIONS_HEADER:
-            raise ValueError(f"{path}: not a decisions CSV (unexpected header)")
-        for row in reader:
-            try:
-                records.append(_decision_record(row))
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {reader.line_num}: {exc}") from None
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or tuple(header) != DECISIONS_HEADER:
+                raise ValueError(f"{path}: not a decisions CSV (unexpected header)")
+            for row in reader:
+                try:
+                    records.append(_decision_record(row))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: row {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return records
 
 

@@ -1,6 +1,7 @@
 """CLI tests: subcommand wiring, output files, reproducibility, exit codes."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
+from gridlight import cli
 from gridlight.cli import main
 from gridlight.control import ControllerConfig
 from gridlight.engine import OBS_SIZE
@@ -537,6 +540,40 @@ class TestCheckpointFuzz:
         assert code == 0 or (code == 1 and len(err.splitlines()) == 1), (code, err)
 
 
+_FILE_FAULTS = {
+    "not-utf8": lambda raw: raw[:1] + b"\xff" + raw[1:],
+    "cut-short": lambda raw: raw[: len(raw) // 2],
+}
+
+
+class TestUnreadableFiles:
+    """A file that is not UTF-8, or is cut short, is rejected in one line naming it."""
+
+    @pytest.mark.parametrize("fault", sorted(_FILE_FAULTS))
+    @pytest.mark.parametrize("loader", ["config", "roadnet", "flows", "decisions"])
+    def test_names_the_file(self, tmp_path, loader, fault):
+        roadnet, flows = _loader_inputs()
+        paths = {name: tmp_path / f"{name}.json" for name in ("config", "roadnet", "flows")}
+        paths["decisions"] = tmp_path / "decisions.csv"
+        config = {
+            "network": {"kind": "roadnet", "path": str(paths["roadnet"])},
+            "flow": {"kind": "file", "path": str(paths["flows"])},
+            "horizon": 30,
+        }
+        good = ["5", "i_0_0", "1", "10", "1", "4", "3"] + ["2"] * 12
+        raws = {name: json.dumps(doc).encode() for name, doc in zip(paths, (config, roadnet, flows))}
+        raws["decisions"] = "".join(",".join(row) + "\r\n" for row in (DECISIONS_HEADER, good)).encode()
+        for name, raw in raws.items():
+            paths[name].write_bytes(_FILE_FAULTS[fault](raw) if name == loader else raw)
+        if loader == "decisions":
+            argv = ["case-study", "--telemetry", str(paths["decisions"])]
+        else:
+            argv = ["run", "--config", str(paths["config"])]
+        code, err = _run_quietly(argv + ["--out", str(tmp_path / "out")])
+        assert code == 1 and len(err.splitlines()) == 1, (code, err)
+        assert err.startswith(f"gridlight: error: {paths[loader]}: "), err
+
+
 class TestEval:
     def test_eval_checkpoint(self, tmp_path):
         config_path = tmp_path / "config.json"
@@ -692,8 +729,13 @@ class TestCompare:
         [
             ({"horizon": "10"}, "horizon"),
             ({"flow": {"kind": "file", "path": "missing.json"}}, "missing.json"),
+            ({"network": {"kind": "hex"}}, "'hex'"),
+            (
+                {"controller": {"kind": "dqn"}, "episodes": 2, "horizon": 300, "target_sync": 100_000},
+                "target_sync (100000) exceeds the 540 train steps",
+            ),
         ],
-        ids=["bad-key", "missing-flow-file"],
+        ids=["bad-key", "missing-flow-file", "bad-network", "target-sync-never-fires"],
     )
     def test_bad_later_config_fails_before_any_runs(self, tmp_path, doc, named):
         good = tmp_path / "good.json"
@@ -703,8 +745,27 @@ class TestCompare:
         out = tmp_path / "cmp"
         code, err = _run_quietly(["compare", "--configs", str(good), str(bad), "--out", str(out)])
         assert code == 1 and len(err.splitlines()) == 1, (code, err)
-        assert named in err, err
+        assert err.startswith(f"gridlight: error: {bad}: ") and named in err, err
         assert not out.exists()
+
+    def test_keeps_no_earlier_seed_world(self, tmp_path, monkeypatch):
+        config = tmp_path / "fixed.json"
+        write_config(config, horizon=30, seeds=(0, 1, 2))
+        worlds: list[weakref.ref] = []
+        alive: list[int] = []
+        run_single = cli.run_single
+
+        def spy(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in worlds))
+            result = run_single(*args, **kwargs)
+            worlds.append(weakref.ref(result.world))
+            return result
+
+        monkeypatch.setattr(cli, "run_single", spy)
+        code, _ = _run_quietly(["compare", "--configs", str(config), "--out", str(tmp_path / "cmp")])
+        assert code == 0
+        assert alive == [0, 0, 0]
 
 
 class TestParser:

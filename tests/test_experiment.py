@@ -22,6 +22,7 @@ from gridlight.experiment import (
     build_events,
     build_network,
     case_study,
+    check_target_sync,
     evaluate,
     run_episode,
     run_single,
@@ -30,6 +31,7 @@ from gridlight.experiment import (
     train_many,
     write_case_study,
 )
+from gridlight.flows import SpawnEvent
 from gridlight.learner import QNetwork, save_checkpoint
 from gridlight.signalmath import DEFAULT_KINEMATICS
 from gridlight.telemetry import DecisionRecord, read_decisions_csv, write_decisions_csv
@@ -143,7 +145,7 @@ class TestRunEpisode:
         a = run_single(cfg, seed=0)
         b = run_single(cfg, seed=0)
         assert a.metrics.to_dict() == b.metrics.to_dict()
-        assert [r.__dict__ for r in a.decisions] == [r.__dict__ for r in b.decisions]
+        assert a.decisions and a.decisions == b.decisions
 
     def test_throughput_bounded_by_demand(self):
         cfg = ExperimentConfig(horizon=900)
@@ -265,6 +267,40 @@ class TestStreaming:
         assert len(rows[1:]) % 9 == 0
         assert not (tmp_path / "metrics.json").exists()
         assert not (tmp_path / "decisions.csv").exists()
+
+
+class TestMemory:
+    """An episode keeps each fact once, and a run holds one world at a time."""
+
+    def test_records_and_events_have_no_dict(self):
+        record = DecisionRecord(0, "i_0_0", 0, 10, False, (0,) * 12, 0)
+        event = SpawnEvent(0, ("rd",))
+        assert not hasattr(record, "__dict__") and not hasattr(event, "__dict__")
+
+    def test_equal_count_rows_are_one_object(self):
+        decisions = run_single(ExperimentConfig(horizon=600), seed=0).decisions
+        rows = {rec.counts for rec in decisions}
+        assert len(rows) < len(decisions)
+        assert len({id(rec.counts) for rec in decisions}) == len(rows)
+
+    def test_training_frees_each_world_before_the_next(self, monkeypatch):
+        worlds: list[weakref.ref] = []
+        alive: list[int] = []
+
+        class Watched(World):
+            def __init__(self, *args, **kwargs):
+                gc.collect()
+                alive.append(sum(ref() is not None for ref in worlds))
+                super().__init__(*args, **kwargs)
+                worlds.append(weakref.ref(self))
+
+        monkeypatch.setattr(experiment, "World", Watched)
+        cfg = ExperimentConfig(
+            horizon=60, controller=ControllerConfig(kind="dqn"), episodes=3, seeds=(0,), eval_every=2
+        )
+        train(cfg, seed=0)
+        # three learning episodes, one interim and two final greedy evaluations
+        assert alive == [0] * 6
 
 
 class TestFileBasedInputs:
@@ -390,6 +426,31 @@ class TestTrain:
     def test_rejects_non_dqn(self):
         with pytest.raises(ValueError):
             train(ExperimentConfig(), seed=0)
+
+    def test_target_sync_that_never_fires_is_rejected_before_any_episode(self, monkeypatch):
+        cfg = ExperimentConfig(
+            horizon=300, controller=ControllerConfig(kind="dqn"), episodes=2, seeds=(0,), target_sync=100_000
+        )
+        monkeypatch.setattr(experiment, "run_episode", lambda *args, **kwargs: pytest.fail("an episode ran"))
+        with pytest.raises(ValueError, match=r"target_sync \(100000\) exceeds the 540 train steps") as info:
+            train(cfg, seed=0)
+        assert len(str(info.value).splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "controller,bound",
+        [
+            # 1 episode x 9 intersections x ceil(30 / 10) decisions
+            (ControllerConfig(kind="dqn"), 27),
+            # ceil(30 / 7) = 5 decisions: a dynamic green is at least green_min
+            (ControllerConfig(kind="dqn", duration_mode="dynamic", green_fixed=30, green_min=7), 45),
+        ],
+        ids=["fixed", "dynamic"],
+    )
+    def test_target_sync_at_the_bound_is_accepted(self, controller, bound):
+        cfg = ExperimentConfig(horizon=30, controller=controller, episodes=1, seeds=(0,), target_sync=bound)
+        assert len(train(cfg, seed=0).curve) == 1
+        with pytest.raises(ValueError, match=f"target_sync \\({bound + 1}\\) exceeds the {bound} train steps"):
+            check_target_sync(dataclasses.replace(cfg, target_sync=bound + 1), build_network(cfg))
 
     def test_diverging_loss_stops_at_its_episode(self):
         cfg = ExperimentConfig(
