@@ -10,13 +10,16 @@ length).
 A decision is a (phase, green duration) pair.  Each controller has its own
 phase rule and all four share one duration rule: a fixed setting, or the
 kinematic clearance of the chosen phase's queues clamped to the configured
-range, as ``duration_mode`` says.
+range, as ``duration_mode`` says.  The three classic controllers decide a
+tick's due intersections as one block of movement counts, row for row the
+decisions each would get alone; the DQN decides each from its own
+observation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +31,9 @@ from .signalmath import (
     KinematicParams,
     REWARD_KINDS,
     MovementCounts,
+    clearance_green,
     green_duration,
+    phase_n_pass,
     phase_score,
 )
 
@@ -39,6 +44,7 @@ __all__ = [
     "MaxPressureController",
     "GreedyPrcolController",
     "DQNController",
+    "best_phase",
     "decide_maxpressure",
     "decide_greedy",
     "decide_dqn",
@@ -86,13 +92,19 @@ class ControllerConfig:
             raise ValueError("green durations must be positive and ordered")
 
 
+def best_phase(counts: MovementCounts, phase_columns, metric: str) -> np.ndarray:
+    """Per count row, the phase with the best score under ``metric``; ties go
+    to the lowest index.  A block of rows gives one phase per row."""
+    return np.argmax(phase_score(counts, phase_columns, metric), axis=-1)
+
+
 def decide_greedy(counts: MovementCounts, phase_columns, metric: str) -> int:
     """Phase with the best score under ``metric``; ties go to the lowest index.
 
     ``phase_columns`` holds, per phase, the positions in ``counts`` of the
     movements it grants green (see :func:`gridlight.signalmath.phase_score`).
     """
-    return int(np.argmax(phase_score(counts, phase_columns, metric)))
+    return int(best_phase(counts, phase_columns, metric))
 
 
 def decide_maxpressure(counts: MovementCounts, phase_columns) -> int:
@@ -110,31 +122,56 @@ def decide_dqn(net: QNetwork, s: np.ndarray, eps: float, rng: np.random.Generato
 
 
 class _Controller:
-    """The duration rule every controller shares; subclasses supply the phase rule."""
+    """A classic controller: a phase rule over the movement counts (or, for
+    fixed time, none) and the shared duration rule.
+
+    :meth:`score` decides a block of intersections at once: a tick's due
+    intersections, one count row each.  Each ``decide`` of that tick then
+    takes its own row's phase and green from the block; called for an
+    intersection outside a block, it scores a block of one.  A row is taken
+    once, so a second call gathers its counts anew.
+    """
+
+    #: the phase score ``best_phase`` maximises; None when the phase rule reads no counts
+    metric: Optional[str] = None
 
     def __init__(self, config: ControllerConfig, kinematics: KinematicParams = DEFAULT_KINEMATICS):
         self.config = config
         self.kinematics = kinematics
+        # the last block: its world and tick, and per intersection (phase, per-phase largest n_pass)
+        self._block: tuple[Optional[World], int, dict[str, tuple]] = (None, -1, {})
+        # each decision made, by (phase, the phase's largest n_pass or None for fixed greens)
+        self._decisions: dict[tuple[int, Optional[int]], Decision] = {}
 
-    def _decision(
-        self,
-        world: World,
-        intersection_id: str,
-        phase: int,
-        counts: Optional[MovementCounts] = None,
-    ) -> Decision:
-        if self.config.duration_mode == "fixed":
-            return Decision(phase, self.config.green_fixed)
-        if counts is None:
-            counts = world.movement_counts(intersection_id)
-        green = green_duration(
-            counts,
-            PHASE_COLUMNS[phase],
-            self.kinematics,
-            self.config.green_min,
-            self.config.green_max,
-        )
-        return Decision(phase, green)
+    def score(self, world: World, intersection_ids: Sequence[str], counts: MovementCounts) -> None:
+        """Decide ``intersection_ids`` at once; row ``i`` of ``counts`` belongs to the ``i``-th."""
+        rows = len(intersection_ids)
+        phases = worst = [None] * rows
+        if self.metric is not None:
+            phases = np.atleast_1d(best_phase(counts, PHASE_COLUMNS, self.metric)).tolist()
+        if self.config.duration_mode == "dynamic":
+            worst = np.atleast_2d(phase_n_pass(counts, PHASE_COLUMNS)).tolist()
+        self._block = (world, world.time, dict(zip(intersection_ids, zip(phases, worst))))
+
+    def _row(self, world: World, intersection_id: str) -> tuple:
+        """The intersection's (phase, per-phase largest n_pass) from this tick's block."""
+        block_world, time, rows = self._block
+        if block_world is not world or time != world.time or intersection_id not in rows:
+            self.score(world, (intersection_id,), world.movement_counts(intersection_id))
+            rows = self._block[2]
+        return rows.pop(intersection_id)
+
+    def _decision(self, phase: int, worst: Optional[list[int]]) -> Decision:
+        # immutable, and a function of the phase and its largest n_pass alone: made once each
+        most = None if worst is None else worst[phase]
+        decision = self._decisions.get((phase, most))
+        if decision is None:
+            config = self.config
+            green = config.green_fixed
+            if most is not None:
+                green = clearance_green(most, self.kinematics, config.green_min, config.green_max)
+            decision = self._decisions[phase, most] = Decision(phase, green)
+        return decision
 
 
 class FixedTimeController(_Controller):
@@ -147,28 +184,29 @@ class FixedTimeController(_Controller):
     def decide(self, world: World, intersection_id: str, obs: Optional[np.ndarray] = None) -> Decision:
         nxt = self._cycle.get(intersection_id, 0)
         self._cycle[intersection_id] = (nxt + 1) % 4
-        return self._decision(world, intersection_id, nxt)
+        _, worst = self._row(world, intersection_id)
+        return self._decision(nxt, worst)
 
 
 class MaxPressureController(_Controller):
     """Grant green to the max-pressure phase."""
 
+    metric = "pressure"
+
     def decide(self, world: World, intersection_id: str, obs: Optional[np.ndarray] = None) -> Decision:
-        counts = world.movement_counts(intersection_id)
-        phase = decide_maxpressure(counts, PHASE_COLUMNS)
-        return self._decision(world, intersection_id, phase, counts)
+        return self._decision(*self._row(world, intersection_id))
 
 
 class GreedyPrcolController(_Controller):
     """Pick the phase with the highest spillback-aware score each boundary."""
 
+    metric = "prcol"
+
     def decide(self, world: World, intersection_id: str, obs: Optional[np.ndarray] = None) -> Decision:
-        counts = world.movement_counts(intersection_id)
-        phase = decide_greedy(counts, PHASE_COLUMNS, "prcol")
-        return self._decision(world, intersection_id, phase, counts)
+        return self._decision(*self._row(world, intersection_id))
 
 
-class DQNController(_Controller):
+class DQNController:
     """Epsilon-greedy policy over a Q-network, one shared net for all junctions."""
 
     def __init__(
@@ -179,7 +217,8 @@ class DQNController(_Controller):
         eps: float = 0.0,
         kinematics: KinematicParams = DEFAULT_KINEMATICS,
     ):
-        super().__init__(config, kinematics)
+        self.config = config
+        self.kinematics = kinematics
         self.net = net
         self.rng = rng
         self.eps = eps
@@ -188,7 +227,12 @@ class DQNController(_Controller):
         if obs is None:
             obs = world.observe(intersection_id)
         phase = decide_dqn(self.net, obs * self.config.obs_scale, self.eps, self.rng)
-        return self._decision(world, intersection_id, phase)
+        config = self.config
+        if config.duration_mode == "fixed":
+            return Decision(phase, config.green_fixed)
+        counts = world.movement_counts(intersection_id)
+        green = green_duration(counts, PHASE_COLUMNS[phase], self.kinematics, config.green_min, config.green_max)
+        return Decision(phase, green)
 
 
 def build_controller(

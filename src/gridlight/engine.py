@@ -155,12 +155,12 @@ class _LaneState:
 class _Service:
     """One movement's discharge record: its lanes, platoon clock, budget and totals."""
 
-    __slots__ = ("mid", "src", "out_lane", "clock_start", "crossed", "budget", "cum_crossed")
+    __slots__ = ("mid", "src", "out", "clock_start", "crossed", "budget", "cum_crossed")
 
-    def __init__(self, mid: str, src: _LaneState, out_lane: str, budget: float):
+    def __init__(self, mid: str, src: _LaneState, out: _LaneState, budget: float):
         self.mid = mid
         self.src = src
-        self.out_lane = out_lane
+        self.out = out
         self.clock_start = 0
         self.crossed = 0
         self.budget = budget
@@ -245,6 +245,8 @@ class World:
                 clear = clear_tables[lane.max_speed] = (kin, [0.0, platoon_clear_time(1, kin)])
             self.lanes[lane_id] = _LaneState(lane, lane_id in exit_lanes, index, clear)
         self._lane_list = list(self.lanes.values())
+        #: per lane, what the advance reads: (vehicles, is_exit, max_speed, length)
+        self._lane_fields = [(ls.vehicles, ls.is_exit, ls.lane.max_speed, ls.lane.length) for ls in self._lane_list]
         self._signal_index = {inter.id: r for r, inter in enumerate(net.intersections)}
         n = len(net.intersections)
         heads = np.zeros(n, np.dtype((np.record, [("current_phase", np.int8), ("yellow", bool)])))
@@ -269,7 +271,9 @@ class World:
         self._in_idx, self._out_idx, self._n_max = movement_tables(net)
 
         self.services: dict[str, _Service] = {
-            m.id: _Service(m.id, self.lanes[m.in_lane], m.out_lane, math.inf if m.turn is Turn.RIGHT else 0.0)
+            m.id: _Service(
+                m.id, self.lanes[m.in_lane], self.lanes[m.out_lane], math.inf if m.turn is Turn.RIGHT else 0.0
+            )
             for inter in net.intersections
             for m in inter.movements
         }
@@ -279,6 +283,11 @@ class World:
         self._phase_width = width = PHASE_COLUMNS.shape[1]
         columns = PHASE_COLUMNS.ravel().tolist() + [movement_column(a, Turn.RIGHT) for a in APPROACHES]
         self._slots = [self.services[inter.movements[c].id] for inter in net.intersections for c in columns]
+        #: per intersection and phase, the services the phase grants, in phase order
+        self._grants = [
+            [tuple(self._slots[base + k : base + k + width]) for k in range(0, PHASE_COLUMNS.size, width)]
+            for base in range(0, len(self._slots), len(columns))
+        ]
         slot_lanes = [svc.src.index for svc in self._slots]
         self._slot_lane = np.array(slot_lanes, np.int64).reshape(len(net.intersections), -1)
         #: which slots may discharge: the right turns, and the green phase's movements
@@ -325,10 +334,6 @@ class World:
         """
         return self._occupancy_view
 
-    def incoming_occupancy(self, intersection_id: str) -> np.ndarray:
-        """Occupancy of the intersection's 12 incoming lanes, canonical order."""
-        return self.lane_occupancy()[self._in_idx[self._signal_index[intersection_id]]]
-
     def on_network_count(self) -> int:
         return int(self._occupancy.sum())
 
@@ -341,10 +346,19 @@ class World:
         Each field is a 12-vector in canonical (W, E, N, S) x (left,
         straight, right) order.
         """
-        r = self._signal_index[intersection_id]
-        occupancy = self.lane_occupancy()
+        return self.movement_block(self._signal_index[intersection_id])
+
+    def movement_block(self, rows) -> MovementCounts:
+        """Current movement counts of the intersections at ``rows`` of ``net.intersections``.
+
+        Each field holds one row per intersection, the 12-vector
+        :meth:`movement_counts` gives for it; an int ``rows`` gives that
+        vector alone.  All rows are read in one gather from the occupancy
+        vector.
+        """
+        occupancy = self._occupancy
         return MovementCounts._unchecked(
-            occupancy[self._in_idx[r]], occupancy[self._out_idx[r]], self._n_max[r]
+            occupancy[self._in_idx[rows]], occupancy[self._out_idx[rows]], self._n_max[rows]
         )
 
     def observe(self, intersection_id: str) -> np.ndarray:
@@ -391,8 +405,8 @@ class World:
                 f"decision for {intersection_id} requested before its green elapsed"
             )
         total = 0
-        for svc in self._granted(r, phase):
-            out = self.lanes[svc.out_lane]
+        for svc in self._grants[r][phase]:
+            out = svc.out
             budget = min(len(svc.src.vehicles), out.lane.capacity - len(out.vehicles))
             svc.budget = float(budget)
             total += budget
@@ -472,54 +486,75 @@ class World:
     # ---------------------------------------------------------------- advance
 
     def _advance_all(self) -> int:
+        """Advance every unsettled lane: its leader, then its followers.
+
+        The leader's only limit is the stop line, or on an exit lane none:
+        there, each leader that reaches the end leaves and the next vehicle
+        leads.  A follower stops one headway behind the vehicle ahead, and
+        queues when that vehicle queued and it lands within 1e-6 of its limit.
+        """
         exited = 0
         headway = self._headway
         accel = self.k.accel
-        lanes = self._lane_list
+        fields = self._lane_fields
         settled_counts = self._settled
         unsettled = np.flatnonzero(settled_counts < self._occupancy)
         for index, start in zip(unsettled.tolist(), settled_counts[unsettled].tolist()):
-            ls = lanes[index]
-            vehicles = ls.vehicles
-            settled = start
-            is_exit = ls.is_exit
-            vmax = ls.lane.max_speed
-            stop = ls.lane.length
-            # the settled prefix would recompute to the same bits: start behind it
-            if settled:
-                prev_pos: Optional[float] = vehicles[settled - 1].pos
-                prev_queued = True
-                moving = islice(vehicles, settled, None)
-            else:
-                prev_pos = None
-                prev_queued = False
-                moving = vehicles
-            qlen = settled
+            vehicles, is_exit, vmax, stop = fields[index]
+            settled = qlen = start
             n_exit = 0
-            for veh in moving:
+            # the settled prefix would recompute to the same bits: start behind it
+            if start:
+                followers = islice(vehicles, start, None)
+                prev_pos = vehicles[start - 1].pos
+                queued = True
+            else:
+                followers = iter(vehicles)
+                queued = False
+                for veh in followers:
+                    pos = veh.pos
+                    speed = veh.speed + accel
+                    if speed > vmax:
+                        speed = vmax
+                    new_pos = pos + speed
+                    if is_exit:
+                        veh.speed = new_pos - pos
+                        veh.pos = new_pos
+                        if new_pos >= stop - _EPS:
+                            veh.status = EXITED
+                            veh.exited_at = self.time + 1
+                            n_exit += 1
+                            # the follower leads now
+                            continue
+                        veh.status = MOVING
+                    else:
+                        if new_pos > stop:
+                            new_pos = stop
+                        veh.speed = new_pos - pos
+                        veh.pos = new_pos
+                        queued = new_pos >= stop - 1e-6
+                        if queued:
+                            veh.status = QUEUED
+                            veh.speed = 0.0
+                            qlen = 1
+                            if new_pos == stop:
+                                settled = 1
+                        else:
+                            veh.status = MOVING
+                    prev_pos = new_pos
+                    break
+            for veh in followers:
+                pos = veh.pos
                 speed = veh.speed + accel
                 if speed > vmax:
                     speed = vmax
-                new_pos = veh.pos + speed
-                if prev_pos is None:
-                    limit = math.inf if is_exit else stop
-                else:
-                    limit = prev_pos - headway
+                new_pos = pos + speed
+                limit = prev_pos - headway
                 if new_pos > limit:
                     new_pos = limit
-                veh.speed = new_pos - veh.pos
+                veh.speed = new_pos - pos
                 veh.pos = new_pos
-                if is_exit and new_pos >= stop - _EPS and prev_pos is None:
-                    veh.status = EXITED
-                    veh.exited_at = self.time + 1
-                    n_exit += 1
-                    # leave prev_pos None: the follower is now unconstrained
-                    continue
-                if prev_pos is None:
-                    is_queued = not is_exit and new_pos >= stop - 1e-6
-                else:
-                    is_queued = prev_queued and new_pos >= prev_pos - headway - 1e-6
-                if is_queued:
+                if queued and new_pos >= limit - 1e-6:
                     veh.status = QUEUED
                     veh.speed = 0.0
                     qlen += 1
@@ -528,8 +563,8 @@ class World:
                         settled = qlen
                 else:
                     veh.status = MOVING
+                    queued = False
                 prev_pos = new_pos
-                prev_queued = is_queued
             if n_exit:
                 for _ in range(n_exit):
                     vehicles.popleft()
@@ -541,11 +576,6 @@ class World:
         return exited
 
     # -------------------------------------------------------------- discharge
-
-    def _granted(self, r: int, phase: int) -> list[_Service]:
-        """The services of intersection ``r``'s phase ``phase``, in phase order."""
-        base = r * self._slot_lane.shape[1] + phase * self._phase_width
-        return self._slots[base : base + self._phase_width]
 
     def _discharge_all(self) -> dict[str, int]:
         """Discharge every open, due movement whose source lane holds a vehicle.
@@ -605,10 +635,9 @@ class World:
                 self._wake_flat[s] = self.time + max(1, int((slot_pos - head.pos) / vmax))
                 break
             if head.route_idx + 1 < len(head.route):
-                dest_id = head.route[head.route_idx + 1].in_lane
+                dest = self.lanes[head.route[head.route_idx + 1].in_lane]
             else:
-                dest_id = svc.out_lane
-            dest = self.lanes[dest_id]
+                dest = svc.out
             if len(dest.vehicles) >= dest.lane.capacity:
                 break
             clear_dist = (j - 1) * headway + k.vehicle_length
@@ -632,7 +661,7 @@ class World:
             src.vehicles.popleft()
             if head.route_idx < len(head.route):
                 head.route_idx += 1
-            head.lane_id = dest_id
+            head.lane_id = dest.lane.id
             head.pos = entry_pos
             head.speed = v_cross
             head.status = MOVING
@@ -663,7 +692,7 @@ class World:
             self._wake[r, start : start + self._phase_width] = (
                 self.time + 1 + self._first_wait[r, start : start + self._phase_width]
             )
-            for svc in self._granted(r, phase):
+            for svc in self._grants[r][phase]:
                 svc.clock_start = self.time + 1
                 svc.crossed = 0
 

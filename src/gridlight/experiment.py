@@ -18,7 +18,6 @@ byte-identical metrics and telemetry files.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import dataclasses
 import hashlib
@@ -47,7 +46,7 @@ from .learner import (
     sync_target,
     train_step,
 )
-from .network import PHASE_COLUMNS, RoadNetwork, build_grid
+from .network import RoadNetwork, build_grid
 from .roadnet import _finite, _load_json, load_roadnet
 from .signalmath import DEFAULT_KINEMATICS, KinematicParams, reward
 from .telemetry import (
@@ -421,25 +420,34 @@ def run_episode(
     pending: dict[str, tuple[np.ndarray, int]] = {}
     # only the DQN and its learner read the observation
     observing = learner_ctx is not None or isinstance(controller, DQNController)
-    # per intersection and phase: the services the phase grants
-    grants = [
-        [tuple(world.services[inter.movements[j].id] for j in columns) for columns in PHASE_COLUMNS.tolist()]
-        for inter in net.intersections
-    ]
+    # a classic controller decides each tick's due intersections as one block
+    score = getattr(controller, "score", None)
+    gather = record or score is not None
+    # per intersection and phase: the two services the phase grants
+    grants = world._grants
     # per intersection: its last decision, the services it granted and their crossings then
     open_records: dict[str, tuple[DecisionRecord, tuple, int]] = {}
     # each distinct count row once: most decisions repeat a row an earlier one saw
     count_rows: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def crossings(services: tuple) -> int:
-        return sum(svc.cum_crossed for svc in services)
+        a, b = services
+        return a.cum_crossed + b.cum_crossed
 
-    intersections = net.intersections
+    ids = [inter.id for inter in net.intersections]
 
     def ticks(collect: bool) -> Iterator[StepTelemetry]:
         for _ in range(config.horizon):
-            for row in world.due_signals().tolist():
-                iid = intersections[row].id
+            due = world.due_signals()
+            rows = due.tolist()
+            if gather and rows:
+                # a decision changes no occupancy: one gather serves the whole tick
+                block = world.movement_block(due)
+                if score is not None:
+                    score(world, [ids[row] for row in rows], block)
+                block_rows = block.n_in.tolist()
+            for k, row in enumerate(rows):
+                iid = ids[row]
                 obs = world.observe(iid) * obs_scale if observing else None
                 if iid in pending:
                     s_prev, a_prev = pending.pop(iid)
@@ -466,7 +474,7 @@ def run_episode(
                     pending[iid] = (obs, decision.phase)
                 if record:
                     granted = grants[row][decision.phase]
-                    counts = tuple(world.incoming_occupancy(iid).tolist())
+                    counts = tuple(block_rows[k])
                     rec = DecisionRecord(
                         time=world.time,
                         intersection=iid,
@@ -741,6 +749,9 @@ def train_many(
     # a pool forks all its workers at the first task: no more than there are seeds
     workers = min(jobs, len(tasks))
     if workers > 1:
+        # imported here: a run without a pool never loads it
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = dict(pool.map(_train_worker, tasks))
     else:

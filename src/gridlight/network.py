@@ -143,6 +143,8 @@ class RoadNetwork:
 
     def __post_init__(self) -> None:
         self._by_id = {i.id: i for i in self.intersections}
+        #: each route :func:`resolve_route` resolved on this network, by its road ids
+        self._routes: dict[tuple[str, ...], tuple[str, list[Movement]]] = {}
         self._lane_road = {
             lane_id: road for road in self.roads.values() for lane_id in road.lane_ids
         }
@@ -387,7 +389,13 @@ def resolve_route(net: RoadNetwork, road_ids: list[str] | tuple[str, ...]) -> tu
     road, and each road must reach the next through a movement of the real
     intersection between them.  The entry lane is the first road's lane that
     feeds the first movement (the straight lane for a single-road route).
+    Each route is resolved once per network: later calls return the same
+    entry lane and movement list, which callers must not change.
     """
+    route = tuple(road_ids)
+    resolved = net._routes.get(route)
+    if resolved is not None:
+        return resolved
     if not road_ids:
         raise ValueError("route is empty")
     for road_id in road_ids:
@@ -417,4 +425,5 @@ def resolve_route(net: RoadNetwork, road_ids: list[str] | tuple[str, ...]) -> tu
         entry_lane = movements[0].in_lane
     else:
         entry_lane = roads[0].lane_for_turn(Turn.STRAIGHT)
-    return entry_lane, movements
+    resolved = net._routes[route] = (entry_lane, movements)
+    return resolved

@@ -10,7 +10,10 @@ variants used by the learning controllers.
 
 All functions are pure and operate on plain value objects, so they are safe
 to call from anywhere.  Movement counts are vectors: one element per
-movement, so an intersection's 12 movements are scored in one call.
+movement, so an intersection's 12 movements are scored in one call.  The
+per-phase functions also take a block of count rows, one intersection per
+row, and give each row the bits it gets alone: every value is elementwise
+or a sum or maximum over one phase's movements.
 """
 
 from __future__ import annotations
@@ -29,7 +32,9 @@ __all__ = [
     "pressure",
     "phase_score",
     "n_pass",
+    "phase_n_pass",
     "platoon_clear_time",
+    "clearance_green",
     "green_duration",
     "reward",
     "REWARD_KINDS",
@@ -128,8 +133,9 @@ def phase_score(counts: MovementCounts, columns, metric: str) -> np.ndarray:
 
     ``columns`` holds one row of movement positions in ``counts`` per
     phase (the movements the phase grants green); the result has one score
-    per row.  ``metric`` is ``"prcol"`` or ``"pressure"``.  Right-turn
-    movements never appear in a phase.
+    per row, and one such row per count row when ``counts`` is a block.
+    ``metric`` is ``"prcol"`` or ``"pressure"``.  Right-turn movements
+    never appear in a phase.
     """
     if metric == "prcol":
         fn = prcol
@@ -137,7 +143,7 @@ def phase_score(counts: MovementCounts, columns, metric: str) -> np.ndarray:
         fn = pressure
     else:
         raise ValueError(f"unknown phase metric {metric!r}")
-    return fn(counts)[columns].sum(axis=-1)
+    return fn(counts)[..., columns].sum(axis=-1)
 
 
 def platoon_clear_time(n: int, k: KinematicParams = DEFAULT_KINEMATICS) -> float:
@@ -159,6 +165,21 @@ def platoon_clear_time(n: int, k: KinematicParams = DEFAULT_KINEMATICS) -> float
     return k.max_speed / k.accel + (dist - accel_dist) / k.max_speed
 
 
+def phase_n_pass(counts: MovementCounts, columns) -> np.ndarray:
+    """Per phase, the largest :func:`n_pass` over the movements it grants.
+
+    ``columns`` is laid out as for :func:`phase_score`; a phase with no
+    movements gets 0.
+    """
+    return np.max(n_pass(counts)[..., columns], axis=-1, initial=0)
+
+
+def clearance_green(worst: int, k: KinematicParams = DEFAULT_KINEMATICS, t_min: int = 10, t_max: int = 20) -> int:
+    """Whole seconds for ``worst`` standing vehicles to clear, clamped to ``[t_min, t_max]``."""
+    t = math.ceil(platoon_clear_time(worst, k))
+    return min(max(t, t_min), t_max)
+
+
 def green_duration(
     counts: MovementCounts,
     columns,
@@ -174,9 +195,7 @@ def green_duration(
     """
     if t_min > t_max:
         raise ValueError("t_min must be <= t_max")
-    worst = int(np.max(n_pass(counts)[columns], initial=0))
-    t = math.ceil(platoon_clear_time(worst, k))
-    return min(max(t, t_min), t_max)
+    return clearance_green(int(phase_n_pass(counts, columns)), k, t_min, t_max)
 
 
 REWARD_KINDS = ("prcol", "pressure", "queue")

@@ -3,9 +3,13 @@ oracle, epsilon-greedy behaviour, spillback avoidance, duration invariants."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
 from gridlight.control import (
     ControllerConfig,
+    Decision,
     DQNController,
     FixedTimeController,
     GreedyPrcolController,
@@ -17,8 +21,8 @@ from gridlight.control import (
 )
 from gridlight.engine import World
 from gridlight.learner import QNetwork
-from gridlight.network import build_grid, standard_phase_table
-from gridlight.signalmath import MovementCounts, phase_score, reward
+from gridlight.network import PHASE_COLUMNS, build_grid, standard_phase_table
+from gridlight.signalmath import DEFAULT_KINEMATICS, MovementCounts, green_duration, phase_score, reward
 
 from helpers import place_vehicle
 
@@ -148,6 +152,60 @@ class TestGreedyPrcol:
         # empty intersection clamps to the minimum
         w2 = World(net)
         assert ctrl.decide(w2, "i_0_0").green_duration == 10
+
+
+@st.composite
+def count_blocks(draw):
+    """(n_in, n_out, n_max) blocks of 1-6 intersections: small counts for ties,
+    rows of zeros, and outgoing lanes that are empty, half full or full."""
+    rows = draw(st.integers(1, 6))
+    n_max = draw(npst.arrays(np.int64, (rows, 12), elements=st.sampled_from([1, 2, 40])))
+    fill = draw(npst.arrays(np.float64, (rows, 12), elements=st.sampled_from([0.0, 0.5, 1.0])))
+    n_in = draw(npst.arrays(np.int64, (rows, 12), elements=st.integers(0, 3) | st.integers(0, 40)))
+    n_in[draw(npst.arrays(bool, rows))] = 0
+    return n_in, (n_max * fill).astype(np.int64), n_max
+
+
+class TestBlockScoring:
+    """A tick's due intersections are scored as one block; each row must decide as it would alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(block=count_blocks())
+    def test_block_row_equals_the_row_alone(self, block):
+        net = build_grid(1, 1, 300, 300)
+        n_in, n_out, n_max = block
+        counts = MovementCounts(n_in, n_out, n_max)
+        # ids no world knows: a decide that left the block would fail to gather
+        ids = [f"row{i}" for i in range(len(n_in))]
+        for kind, metric in (("maxpressure", "pressure"), ("greedy_prcol", "prcol"), ("fixed", None)):
+            scores = None if metric is None else phase_score(counts, PHASE_COLUMNS, metric)
+            for mode in ("fixed", "dynamic"):
+                config = ControllerConfig(kind=kind, duration_mode=mode)
+                ctrl = build_controller(config)
+                world = World(net)
+                ctrl.score(world, ids, counts)
+                for i, iid in enumerate(ids):
+                    row = MovementCounts(n_in[i], n_out[i], n_max[i])
+                    phase = 0
+                    if metric is not None:
+                        assert scores[i].tobytes() == phase_score(row, PHASE_COLUMNS, metric).tobytes()
+                        phase = decide_greedy(row, PHASE_COLUMNS, metric)
+                    green = config.green_fixed
+                    if mode == "dynamic":
+                        green = green_duration(
+                            row, PHASE_COLUMNS[phase], DEFAULT_KINEMATICS, config.green_min, config.green_max
+                        )
+                    assert ctrl.decide(world, iid) == Decision(phase, green)
+
+    def test_a_row_is_taken_once(self, net):
+        w = World(net)
+        ctrl = MaxPressureController(ControllerConfig(kind="maxpressure"))
+        n_in = np.zeros((1, 12), dtype=int)
+        n_in[0, phase_columns(net.intersections[0])[2]] = 5
+        ctrl.score(w, ["i_0_0"], MovementCounts(n_in, np.zeros_like(n_in), np.full_like(n_in, 40)))
+        assert ctrl.decide(w, "i_0_0").phase == 2
+        # the block row is spent: the next call reads the empty world
+        assert ctrl.decide(w, "i_0_0").phase == 0
 
 
 class TestDQNDecide:

@@ -1,6 +1,8 @@
 """Experiment-layer tests: metric definitions, config round trips, episode
 determinism, training/evaluation consistency, and case-study aggregation."""
 
+import collections
+import concurrent.futures
 import csv
 import dataclasses
 import gc
@@ -14,7 +16,14 @@ import numpy as np
 import pytest
 
 from gridlight import experiment, telemetry
-from gridlight.control import ControllerConfig, FixedTimeController
+from gridlight.control import (
+    ControllerConfig,
+    DQNController,
+    FixedTimeController,
+    GreedyPrcolController,
+    MaxPressureController,
+    build_controller,
+)
 from gridlight.engine import World
 from gridlight.experiment import (
     ExperimentConfig,
@@ -187,6 +196,31 @@ class TestRunEpisode:
         assert result.decisions
         expected = [(d.time, d.intersection) for d in result.decisions] if kind == "dqn" else []
         assert observed == expected
+
+    @pytest.mark.parametrize("mode", ["fixed", "dynamic"])
+    @pytest.mark.parametrize("kind", ["fixed", "maxpressure", "greedy_prcol", "dqn"])
+    def test_one_hooked_call_per_decision(self, kind, mode, monkeypatch):
+        # the benchmark hooks each controller class's decide and World.apply_decision:
+        # a decision scored in a block must still pass through both, once
+        calls = collections.Counter()
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[owner.__name__, name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for cls in (FixedTimeController, MaxPressureController, GreedyPrcolController, DQNController):
+            spy(cls, "decide")
+        spy(World, "apply_decision")
+        cfg = ExperimentConfig(horizon=300, controller=ControllerConfig(kind=kind, duration_mode=mode))
+        decisions = run_single(cfg, 0).decisions
+        own = type(build_controller(cfg.controller, net=QNetwork())).__name__
+        assert decisions
+        assert calls == {(own, "decide"): len(decisions), ("World", "apply_decision"): len(decisions)}
 
     def test_interval_outcomes_are_recorded(self):
         cfg = ExperimentConfig(horizon=300)
@@ -501,7 +535,7 @@ class TestTrainMany:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(experiment.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         cfg = ExperimentConfig(horizon=30, controller=ControllerConfig(kind="dqn"), episodes=1, seeds=(0, 1, 2))
         summary = train_many(cfg, jobs=500)
         assert sizes == [3] and list(summary["per_seed"]) == ["0", "1", "2"]
