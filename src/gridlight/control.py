@@ -1,23 +1,22 @@
 """Signal controllers.
 
-Four controller families share one decision interface: a cyclic fixed-time
-plan, the classic max-pressure rule, a greedy rule over the spillback-aware
-movement score (a diagnostic baseline that isolates the score from any
-learning), and an epsilon-greedy DQN controller whose reward is pluggable
-(spillback-aware PRCOL, PressLight-style pressure, or CoLight-style queue
-length).
+Four controller families share one shape, a phase rule and one duration
+rule: a cyclic fixed-time plan, the classic max-pressure rule, a greedy
+rule over the spillback-aware movement score (a diagnostic baseline that
+isolates the score from any learning), and an epsilon-greedy DQN over its
+observation, whose reward is pluggable (spillback-aware PRCOL,
+PressLight-style pressure, or CoLight-style queue length).
 
-A decision is a (phase, green duration) pair.  Each controller has its own
-phase rule and all four share one duration rule: a fixed setting, or the
-kinematic clearance of the chosen phase's queues clamped to the configured
-range, as ``duration_mode`` says.  The three classic controllers decide a
-tick's due intersections as one block of movement counts, row for row the
-decisions each would get alone; the DQN decides each from its own
-observation.
+A decision is a (phase, green duration) pair.  The duration rule is a
+fixed setting, or the kinematic clearance of the chosen phase's queues
+clamped to the configured range, as ``duration_mode`` says.  Every
+controller decides a tick's due intersections as one block of movement
+counts, row for row the decisions each would get alone.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -32,7 +31,6 @@ from .signalmath import (
     REWARD_KINDS,
     MovementCounts,
     clearance_green,
-    green_duration,
     phase_n_pass,
     phase_score,
 )
@@ -90,6 +88,8 @@ class ControllerConfig:
             raise ValueError(f"unknown duration mode {self.duration_mode!r}")
         if not (0 < self.green_min <= self.green_max) or self.green_fixed < 1:
             raise ValueError("green durations must be positive and ordered")
+        if not self.obs_scale > 0:  # zero would zero the observation, phase one-hot too
+            raise ValueError(f"obs_scale must be > 0, got {self.obs_scale}")
 
 
 def best_phase(counts: MovementCounts, phase_columns, metric: str) -> np.ndarray:
@@ -122,8 +122,7 @@ def decide_dqn(net: QNetwork, s: np.ndarray, eps: float, rng: np.random.Generato
 
 
 class _Controller:
-    """A classic controller: a phase rule over the movement counts (or, for
-    fixed time, none) and the shared duration rule.
+    """A controller: a phase rule and the shared duration rule.
 
     :meth:`score` decides a block of intersections at once: a tick's due
     intersections, one count row each.  Each ``decide`` of that tick then
@@ -138,40 +137,31 @@ class _Controller:
     def __init__(self, config: ControllerConfig, kinematics: KinematicParams = DEFAULT_KINEMATICS):
         self.config = config
         self.kinematics = kinematics
-        # the last block: its world and tick, and per intersection (phase, per-phase largest n_pass)
-        self._block: tuple[Optional[World], int, dict[str, tuple]] = (None, -1, {})
-        # each decision made, by (phase, the phase's largest n_pass or None for fixed greens)
-        self._decisions: dict[tuple[int, Optional[int]], Decision] = {}
+        # the last block: its world, held weakly (no controller keeps a world alive), tick and rows
+        self._block: tuple[Optional[weakref.ref], int, dict[str, tuple]] = (None, -1, {})
 
     def score(self, world: World, intersection_ids: Sequence[str], counts: MovementCounts) -> None:
         """Decide ``intersection_ids`` at once; row ``i`` of ``counts`` belongs to the ``i``-th."""
-        rows = len(intersection_ids)
-        phases = worst = [None] * rows
+        phases = worst = [None] * len(intersection_ids)
         if self.metric is not None:
             phases = np.atleast_1d(best_phase(counts, PHASE_COLUMNS, self.metric)).tolist()
         if self.config.duration_mode == "dynamic":
             worst = np.atleast_2d(phase_n_pass(counts, PHASE_COLUMNS)).tolist()
-        self._block = (world, world.time, dict(zip(intersection_ids, zip(phases, worst))))
+        self._block = (weakref.ref(world), world.time, dict(zip(intersection_ids, zip(phases, worst))))
 
     def _row(self, world: World, intersection_id: str) -> tuple:
         """The intersection's (phase, per-phase largest n_pass) from this tick's block."""
         block_world, time, rows = self._block
-        if block_world is not world or time != world.time or intersection_id not in rows:
+        if intersection_id not in rows or block_world() is not world or time != world.time:
             self.score(world, (intersection_id,), world.movement_counts(intersection_id))
             rows = self._block[2]
         return rows.pop(intersection_id)
 
     def _decision(self, phase: int, worst: Optional[list[int]]) -> Decision:
-        # immutable, and a function of the phase and its largest n_pass alone: made once each
-        most = None if worst is None else worst[phase]
-        decision = self._decisions.get((phase, most))
-        if decision is None:
-            config = self.config
-            green = config.green_fixed
-            if most is not None:
-                green = clearance_green(most, self.kinematics, config.green_min, config.green_max)
-            decision = self._decisions[phase, most] = Decision(phase, green)
-        return decision
+        config = self.config
+        if worst is None:
+            return Decision(phase, config.green_fixed)
+        return Decision(phase, clearance_green(worst[phase], self.kinematics, config.green_min, config.green_max))
 
 
 class FixedTimeController(_Controller):
@@ -184,8 +174,7 @@ class FixedTimeController(_Controller):
     def decide(self, world: World, intersection_id: str, obs: Optional[np.ndarray] = None) -> Decision:
         nxt = self._cycle.get(intersection_id, 0)
         self._cycle[intersection_id] = (nxt + 1) % 4
-        _, worst = self._row(world, intersection_id)
-        return self._decision(nxt, worst)
+        return self._decision(nxt, self._row(world, intersection_id)[1])
 
 
 class MaxPressureController(_Controller):
@@ -206,7 +195,7 @@ class GreedyPrcolController(_Controller):
         return self._decision(*self._row(world, intersection_id))
 
 
-class DQNController:
+class DQNController(_Controller):
     """Epsilon-greedy policy over a Q-network, one shared net for all junctions."""
 
     def __init__(
@@ -217,8 +206,7 @@ class DQNController:
         eps: float = 0.0,
         kinematics: KinematicParams = DEFAULT_KINEMATICS,
     ):
-        self.config = config
-        self.kinematics = kinematics
+        super().__init__(config, kinematics)
         self.net = net
         self.rng = rng
         self.eps = eps
@@ -227,12 +215,7 @@ class DQNController:
         if obs is None:
             obs = world.observe(intersection_id)
         phase = decide_dqn(self.net, obs * self.config.obs_scale, self.eps, self.rng)
-        config = self.config
-        if config.duration_mode == "fixed":
-            return Decision(phase, config.green_fixed)
-        counts = world.movement_counts(intersection_id)
-        green = green_duration(counts, PHASE_COLUMNS[phase], self.kinematics, config.green_min, config.green_max)
-        return Decision(phase, green)
+        return self._decision(phase, self._row(world, intersection_id)[1])
 
 
 def build_controller(

@@ -239,9 +239,7 @@ class World:
         for index, (lane_id, lane) in enumerate(net.lanes.items()):
             clear = clear_tables.get(lane.max_speed)
             if clear is None:
-                kin = kinematics
-                if lane.max_speed != kinematics.max_speed:
-                    kin = replace(kinematics, max_speed=lane.max_speed)
+                kin = replace(kinematics, max_speed=lane.max_speed)
                 clear = clear_tables[lane.max_speed] = (kin, [0.0, platoon_clear_time(1, kin)])
             self.lanes[lane_id] = _LaneState(lane, lane_id in exit_lanes, index, clear)
         self._lane_list = list(self.lanes.values())
@@ -262,8 +260,6 @@ class World:
         # counts are read from one lane-occupancy vector through index tables;
         # it is kept at every append to and pop from a lane
         self._occupancy = np.zeros(len(net.lanes), np.int64)
-        self._occupancy_view = self._occupancy.view()
-        self._occupancy_view.flags.writeable = False
         #: per lane, the leading vehicles that stand exactly at their limit (the
         #: stop line, or one headway behind the vehicle ahead); a lane whose
         #: vehicles are all settled is not advanced
@@ -324,15 +320,6 @@ class World:
     def occupancy(self, lane_id: str) -> int:
         """Vehicles currently on the lane (entry buffers excluded)."""
         return len(self.lanes[lane_id].vehicles)
-
-    def lane_occupancy(self) -> np.ndarray:
-        """Vehicles on every lane, in ``net.lanes`` order (entry buffers excluded).
-
-        Returns the live vector the world keeps up to date at every append
-        to and pop from a lane, as a read-only view: it changes as the
-        world steps, so copy it to keep a snapshot.
-        """
-        return self._occupancy_view
 
     def on_network_count(self) -> int:
         return int(self._occupancy.sum())

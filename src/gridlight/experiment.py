@@ -48,7 +48,7 @@ from .learner import (
 )
 from .network import RoadNetwork, build_grid
 from .roadnet import _finite, _load_json, load_roadnet
-from .signalmath import DEFAULT_KINEMATICS, KinematicParams, reward
+from .signalmath import DEFAULT_KINEMATICS, MAX_HORIZON, KinematicParams, reward
 from .telemetry import (
     DecisionRecord,
     write_decisions_csv,
@@ -286,7 +286,7 @@ _SPEC_KEYS = {
 #: The largest value of each config key that sizes the work; for a list
 #: of sizes, the most entries and the largest entry.
 _LIMITS = {
-    "horizon": 1_000_000,
+    "horizon": MAX_HORIZON,
     "episodes": 100_000,
     "buffer_capacity": 1_000_000,
     "network.rows": 100,
@@ -341,15 +341,24 @@ def build_events(
     """
     kind, spec = _spec(config, "flow")
     kin = config.kinematics
-    if kind == "syn-light":
-        return gen_syn_light(net, config.horizon), kin
-    if kind == "syn-heavy":
-        return gen_syn_heavy(net, config.horizon), kin
-    flows = load_flow_file(spec["path"], net, until=config.horizon)
-    overrides = next((f.vehicle for f in flows if f.vehicle), None)
-    if overrides:
-        kin = dataclasses.replace(kin, **{VEHICLE_FIELDS[key]: value for key, value in overrides.items()})
-    return expand_flows(flows, until=config.horizon), kin
+    if kind != "file":
+        events = (gen_syn_light if kind == "syn-light" else gen_syn_heavy)(net, config.horizon)
+    else:
+        flows = load_flow_file(spec["path"], net, until=config.horizon)
+        idx, vehicle = next(((idx, f.vehicle) for idx, f in enumerate(flows) if f.vehicle), (0, None))
+        if vehicle:
+            try:
+                kin = dataclasses.replace(kin, **{VEHICLE_FIELDS[key]: value for key, value in vehicle.items()})
+            except ValueError as exc:
+                raise ValueError(f"{spec['path']}: flow record #{idx} vehicle {vehicle}: {exc}") from None
+        events = expand_flows(flows, until=config.horizon)
+    # each road's speed meets the vehicles' kinematics here first
+    for speed, road in {road.max_speed: road for road in net.roads.values()}.items():
+        try:
+            dataclasses.replace(kin, max_speed=speed)
+        except ValueError as exc:
+            raise ValueError(f"road {road.id} maxSpeed {speed:g}: {exc}") from None
+    return events, kin
 
 
 class Scenario(NamedTuple):
@@ -391,14 +400,14 @@ def run_episode(
 ) -> EpisodeResult:
     """One full episode under the given controller.
 
-    At every green expiry the intersection is observed (for a DQN
-    controller or a learner only; the others are passed ``obs=None``), the
-    previous action's reward is computed from the fresh movement counts and
-    (when a ``learner_ctx`` is given) stored and trained on, and the
-    controller's new decision is applied.  Returns metrics, the per-step
-    training losses and, when ``record`` is set, the decision log; ``steps``
-    is always ``None``.  ``scenario`` is built from the config when not
-    given.
+    Each tick the controller scores the due intersections' counts as one
+    block.  Then each due intersection is observed (for a DQN controller or
+    a learner only; the others are passed ``obs=None``), the previous
+    action's reward is computed from its row and (when a ``learner_ctx`` is
+    given) stored and trained on, and the controller's new decision is
+    applied.  Returns metrics, the per-step training losses and, when
+    ``record`` is set, the decision log; ``steps`` is always ``None``.
+    ``scenario`` is built from the config when not given.
 
     With ``out_dir``, ``telemetry.csv`` is written as the ticks run, a few
     at a time, then ``decisions.csv`` and, last, ``metrics.json``: a
@@ -420,9 +429,6 @@ def run_episode(
     pending: dict[str, tuple[np.ndarray, int]] = {}
     # only the DQN and its learner read the observation
     observing = learner_ctx is not None or isinstance(controller, DQNController)
-    # a classic controller decides each tick's due intersections as one block
-    score = getattr(controller, "score", None)
-    gather = record or score is not None
     # per intersection and phase: the two services the phase grants
     grants = world._grants
     # per intersection: its last decision, the services it granted and their crossings then
@@ -440,18 +446,18 @@ def run_episode(
         for _ in range(config.horizon):
             due = world.due_signals()
             rows = due.tolist()
-            if gather and rows:
+            if rows:
                 # a decision changes no occupancy: one gather serves the whole tick
                 block = world.movement_block(due)
-                if score is not None:
-                    score(world, [ids[row] for row in rows], block)
-                block_rows = block.n_in.tolist()
+                controller.score(world, [ids[row] for row in rows], block)
+                if record:
+                    block_rows = block.n_in.tolist()
             for k, row in enumerate(rows):
                 iid = ids[row]
                 obs = world.observe(iid) * obs_scale if observing else None
                 if iid in pending:
                     s_prev, a_prev = pending.pop(iid)
-                    r = reward(world.movement_counts(iid), reward_kind)
+                    r = reward(block.row(k), reward_kind)
                     learner_ctx.buffer.push(Transition(s_prev, a_prev, r, obs, False))
                     batch = learner_ctx.buffer.sample(config.batch_size, learner_ctx.sample_rng)
                     if batch is not None:

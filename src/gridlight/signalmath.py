@@ -41,6 +41,18 @@ __all__ = [
 ]
 
 
+def _clear_time(dist: float, accel: float, max_speed: float) -> float:
+    """Seconds for a platoon standing at the stop line to move its rear ``dist`` metres."""
+    accel_dist = max_speed**2 / (2.0 * accel)
+    if dist <= accel_dist:
+        return math.sqrt(2.0 * dist / accel)
+    return max_speed / accel + (dist - accel_dist) / max_speed
+
+
+#: The longest horizon a run may have, in seconds
+MAX_HORIZON = 1_000_000
+
+
 @dataclass(frozen=True)
 class KinematicParams:
     """Uniform vehicle kinematics: acceleration, top speed, length, min gap."""
@@ -54,6 +66,17 @@ class KinematicParams:
         for name in ("accel", "max_speed", "vehicle_length", "min_gap"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"KinematicParams.{name} must be finite and > 0")
+        # a lone vehicle must clear the stop line within a run's longest horizon
+        try:
+            lone = _clear_time(self.vehicle_length, self.accel, self.max_speed)
+        except OverflowError:  # max_speed**2
+            raise ValueError(f"max_speed {self.max_speed:g} m/s is too large for the clearance law to square") from None
+        if not lone <= MAX_HORIZON:
+            raise ValueError(
+                f"accel {self.accel:g} m/s^2, max_speed {self.max_speed:g} m/s and vehicle_length "
+                f"{self.vehicle_length:g} m leave one vehicle {lone:.3g} s to clear the stop line, "
+                f"past the {MAX_HORIZON} s horizon cap"
+            )
 
     @property
     def headway(self) -> float:
@@ -107,6 +130,10 @@ class MovementCounts:
         counts.__dict__.update(n_in=n_in, n_out=n_out, n_max=n_max)
         return counts
 
+    def row(self, k: int) -> "MovementCounts":
+        """Row ``k`` of a block: the counts of its ``k``-th intersection."""
+        return MovementCounts._unchecked(self.n_in[k], self.n_out[k], self.n_max[k])
+
 
 def prcol(c: MovementCounts):
     """Pressure with remaining capacity of the outgoing lane.
@@ -158,11 +185,7 @@ def platoon_clear_time(n: int, k: KinematicParams = DEFAULT_KINEMATICS) -> float
         raise ValueError("vehicle count must be >= 0")
     if n == 0:
         return 0.0
-    dist = (n - 1) * k.headway + k.vehicle_length
-    accel_dist = k.max_speed**2 / (2.0 * k.accel)
-    if dist <= accel_dist:
-        return math.sqrt(2.0 * dist / k.accel)
-    return k.max_speed / k.accel + (dist - accel_dist) / k.max_speed
+    return _clear_time((n - 1) * k.headway + k.vehicle_length, k.accel, k.max_speed)
 
 
 def phase_n_pass(counts: MovementCounts, columns) -> np.ndarray:

@@ -42,3 +42,8 @@ def place_vehicle(
     ls.vehicles.append(veh)
     world._occupancy[ls.index] += 1
     return veh
+
+
+def lane_occupancy(world: World) -> list[int]:
+    """The vehicles on every lane, in ``net.lanes`` order, as the world's occupancy vector counts them."""
+    return world._occupancy.tolist()

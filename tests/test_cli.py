@@ -151,6 +151,9 @@ class TestConfigErrors:
             ({"network": {"kind": "grid", "cols": 10**9}}, ["network.cols", "100"]),
             ({"hidden_sizes": [8] * 9}, ["hidden_sizes", "8 sizes"]),
             ({"hidden_sizes": [32, 4097]}, ["hidden_sizes", "4096"]),
+            ({"kinematics": {"accel": 1e-300}}, ["accel 1e-300", "1000000 s"]),
+            ({"kinematics": {"max_speed": 1e160}}, ["max_speed 1e+160"]),
+            ({"controller": {"kind": "dqn", "obs_scale": 0.0}}, ["obs_scale", "> 0"]),
         ],
         ids=[
             "controller-not-object", "controller-unknown-key", "kinematics-not-object",
@@ -163,7 +166,8 @@ class TestConfigErrors:
             "green-fixed-beyond-int64", "network-unknown-key", "flow-unknown-key", "vehicles-too-small-to-count",
             "horizon-past-limit", "episodes-past-limit", "buffer-capacity-past-limit",
             "network-rows-past-limit", "network-cols-past-limit", "hidden-sizes-too-many",
-            "hidden-size-past-limit",
+            "hidden-size-past-limit", "accel-too-small-to-clear", "max-speed-past-square",
+            "obs-scale-zero",
         ],
     )
     def test_bad_config_is_one_line(self, tmp_path, capsys, doc, named):
@@ -249,6 +253,20 @@ class TestConfigErrors:
         assert len(err.splitlines()) == 1
         assert doc["roads"][0]["id"] in err, err
 
+    def test_roadnet_speed_past_the_clearance_law_is_one_line(self, tmp_path, capsys):
+        roadnet_path = tmp_path / "roadnet.json"
+        save_roadnet(build_grid(1, 1, 300, 300), str(roadnet_path))
+        doc = json.loads(roadnet_path.read_text())
+        doc["roads"][0]["maxSpeed"] = 1e160
+        roadnet_path.write_text(json.dumps(doc))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"network": {"kind": "roadnet", "path": str(roadnet_path)}}))
+        code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert doc["roads"][0]["id"] in err and "maxSpeed 1e+160" in err, err
+
     def test_infinite_flow_vehicle_speed_is_one_line(self, tmp_path, capsys):
         flow_path = tmp_path / "flows.json"
         save_flow_file(syn_light_flows(build_grid(3, 3, 300, 300)), str(flow_path))
@@ -262,6 +280,20 @@ class TestConfigErrors:
         assert code == 1
         assert len(err.splitlines()) == 1
         assert "#0" in err and "maxSpeed" in err, err
+
+    def test_flow_vehicle_too_slow_to_clear_is_one_line(self, tmp_path, capsys):
+        flow_path = tmp_path / "flows.json"
+        save_flow_file(syn_light_flows(build_grid(3, 3, 300, 300)), str(flow_path))
+        doc = json.loads(flow_path.read_text())
+        doc[2]["vehicle"] = {"acceleration": 1e-300}
+        flow_path.write_text(json.dumps(doc))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"flow": {"kind": "file", "path": str(flow_path)}, "horizon": 60}))
+        code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert "#2" in err and "acceleration" in err and "1000000 s" in err, err
 
     def test_differing_flow_vehicles_are_one_line(self, tmp_path, capsys):
         flow_path = tmp_path / "flows.json"

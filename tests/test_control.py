@@ -177,11 +177,15 @@ class TestBlockScoring:
         counts = MovementCounts(n_in, n_out, n_max)
         # ids no world knows: a decide that left the block would fail to gather
         ids = [f"row{i}" for i in range(len(n_in))]
-        for kind, metric in (("maxpressure", "pressure"), ("greedy_prcol", "prcol"), ("fixed", None)):
+        # the DQN's observations: each row's incoming counts and a phase one-hot
+        obs = np.hstack([n_in, np.eye(4)[np.arange(len(n_in)) % 4]]).astype(float)
+        qnet = QNetwork(rng=np.random.default_rng(7))
+        kinds = (("maxpressure", "pressure"), ("greedy_prcol", "prcol"), ("fixed", None), ("dqn", None))
+        for kind, metric in kinds:
             scores = None if metric is None else phase_score(counts, PHASE_COLUMNS, metric)
             for mode in ("fixed", "dynamic"):
-                config = ControllerConfig(kind=kind, duration_mode=mode)
-                ctrl = build_controller(config)
+                config = ControllerConfig(kind=kind, duration_mode=mode, obs_scale=0.5)
+                ctrl = build_controller(config, net=qnet, eps=0.0)
                 world = World(net)
                 ctrl.score(world, ids, counts)
                 for i, iid in enumerate(ids):
@@ -190,12 +194,14 @@ class TestBlockScoring:
                     if metric is not None:
                         assert scores[i].tobytes() == phase_score(row, PHASE_COLUMNS, metric).tobytes()
                         phase = decide_greedy(row, PHASE_COLUMNS, metric)
+                    elif kind == "dqn":
+                        phase = decide_dqn(qnet, obs[i] * 0.5, 0.0, np.random.default_rng(0))
                     green = config.green_fixed
                     if mode == "dynamic":
                         green = green_duration(
                             row, PHASE_COLUMNS[phase], DEFAULT_KINEMATICS, config.green_min, config.green_max
                         )
-                    assert ctrl.decide(world, iid) == Decision(phase, green)
+                    assert ctrl.decide(world, iid, obs[i]) == Decision(phase, green)
 
     def test_a_row_is_taken_once(self, net):
         w = World(net)

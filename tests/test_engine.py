@@ -14,7 +14,7 @@ from gridlight.flows import SpawnEvent, gen_syn_light
 from gridlight.network import Turn, assemble_network, build_grid, resolve_route, standard_phase_table
 from gridlight.signalmath import DEFAULT_KINEMATICS, MovementCounts, platoon_clear_time
 
-from helpers import place_vehicle
+from helpers import lane_occupancy, place_vehicle
 
 
 def single() -> World:
@@ -578,7 +578,7 @@ class TestSkipInvariants:
                     if m.turn is not Turn.RIGHT:
                         assert world.services[m.id].budget <= world.occupancy(m.in_lane)
             assert self._state(world) == self._state(twin)
-            assert world.lane_occupancy().tolist() == [len(ls.vehicles) for ls in world.lanes.values()]
+            assert lane_occupancy(world) == [len(ls.vehicles) for ls in world.lanes.values()]
             for ls in world.lanes.values():
                 limit = ls.lane.length
                 for veh in list(ls.vehicles)[: world._settled[ls.index]]:
@@ -660,7 +660,7 @@ class TestOccupancyVector:
 
     @staticmethod
     def _assert_matches_lanes(world: World) -> None:
-        assert world.lane_occupancy().tolist() == [len(ls.vehicles) for ls in world.lanes.values()]
+        assert lane_occupancy(world) == [len(ls.vehicles) for ls in world.lanes.values()]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_after_every_tick_and_placement(self, seed):
@@ -686,7 +686,7 @@ class TestOccupancyVector:
             tel = world.step(collect=tick % 2 == 0)
             self._assert_matches_lanes(world)
             if tel.occupancy is not None:
-                assert tel.occupancy.tolist() == world.lane_occupancy().tolist()
+                assert tel.occupancy.tolist() == lane_occupancy(world)
                 assert tel.phases.tolist() == [head.current_phase for head in heads]
                 assert tel.yellow.tolist() == [head.yellow for head in heads]
                 kept.append((tel, tel.phases.tolist(), tel.yellow.tolist()))
@@ -694,14 +694,13 @@ class TestOccupancyVector:
                 counts = world.movement_counts(inter.id)
                 assert counts.n_in.tolist() == [world.occupancy(m.in_lane) for m in inter.movements]
                 assert counts.n_out.tolist() == [world.occupancy(m.out_lane) for m in inter.movements]
-            # placements between ticks invalidate the vector read just before them
+            # a placement between ticks is counted at once
             lane_id = lane_ids[int(rng.integers(len(lane_ids)))]
             ls = world.lanes[lane_id]
             room = len(ls.vehicles) < ls.lane.capacity and (
                 not ls.vehicles or ls.vehicles[-1].pos >= world.k.headway
             )
             if room and rng.random() < 0.3:
-                world.lane_occupancy()
                 place_vehicle(world, lane_id, pos=0.0, speed=0.0)
                 self._assert_matches_lanes(world)
                 placed += 1

@@ -285,6 +285,9 @@ class TestStreaming:
             def __init__(self, inner):
                 self.inner = inner
 
+            def score(self, world, intersection_ids, counts):
+                self.inner.score(world, intersection_ids, counts)
+
             def decide(self, world, intersection_id, obs):
                 if world.time >= 100:
                     raise RuntimeError("controller fault at t=100")
@@ -460,6 +463,24 @@ class TestTrain:
     def test_rejects_non_dqn(self):
         with pytest.raises(ValueError):
             train(ExperimentConfig(), seed=0)
+
+    @pytest.mark.parametrize("mode", ["fixed", "dynamic"])
+    def test_counts_are_read_only_for_the_terminal_rewards(self, mode, monkeypatch):
+        # a tick's rewards and greens come from its one gather of the due rows, so
+        # only the episode's end reads an intersection's counts: its terminal reward
+        read = []
+        movement_counts = World.movement_counts
+
+        def spy(world, intersection_id):
+            read.append((world.time, intersection_id))
+            return movement_counts(world, intersection_id)
+
+        monkeypatch.setattr(World, "movement_counts", spy)
+        cfg = ExperimentConfig(
+            horizon=300, controller=ControllerConfig(kind="dqn", duration_mode=mode), episodes=1, seeds=(0,)
+        )
+        train(cfg, seed=0)
+        assert sorted(read) == [(300, f"i_{r}_{c}") for r in range(3) for c in range(3)]
 
     def test_target_sync_that_never_fires_is_rejected_before_any_episode(self, monkeypatch):
         cfg = ExperimentConfig(
