@@ -24,9 +24,10 @@ The model is a point queue with physical extent and kinematic travel:
 * Vehicles spawn onto boundary entry lanes at lane speed; when the entry is
   blocked they wait in an unbounded buffer and their scheduled entry time
   still anchors their travel time.  Vehicles leave the network at the end
-  of boundary exit lanes.  Each event's route is resolved, to its entry
-  lane and movement chain, when the world is built, so a route the network
-  cannot carry fails there and not at the tick its vehicle departs.
+  of boundary exit lanes.  Each distinct route of the spawn schedule is
+  resolved, to its entry lane and movement chain, when the world is built,
+  so a route the network cannot carry fails there and not at the tick its
+  vehicle departs.
 
 A tick skips work that cannot change anything, and each skip is exact:
 
@@ -81,7 +82,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .flows import SpawnEvent
+from .flows import Schedule, SpawnEvent
 from .network import APPROACHES, PHASE_COLUMNS, Movement, RoadNetwork, Turn, movement_column, resolve_route
 from .signalmath import DEFAULT_KINEMATICS, KinematicParams, MovementCounts, platoon_clear_time
 
@@ -210,7 +211,9 @@ class World:
     """Mutable simulation state bound to one immutable road network.
 
     The network is taken as well formed: :func:`gridlight.network.assemble_network`
-    builds every network so by construction.
+    builds every network so by construction.  ``events`` is a
+    :class:`gridlight.flows.Schedule`, which the world reads as it is, or any
+    iterable of :class:`gridlight.flows.SpawnEvent`, which becomes one.
     """
 
     def __init__(
@@ -302,11 +305,13 @@ class World:
             self._lane_slot[svc.src.index] = s
 
         # spawn schedule, each distinct route resolved once, and entry buffers
-        self._events = sorted(events, key=lambda e: e.time)
+        schedule = Schedule.of(events)
+        self._times = schedule.times
+        self._route_index = schedule.route_index
+        self._route_table = [resolve_route(net, route) for route in schedule.routes]
         self._next_event = 0
-        self._routes: dict[tuple[str, ...], tuple[str, list[Movement]]] = {
-            route: resolve_route(net, route) for route in dict.fromkeys(ev.route for ev in self._events)
-        }
+        #: no departure is due before this tick
+        self._next_time = self.time
         self._buffers: dict[str, deque[Vehicle]] = {
             lane_id: deque() for lane_id, _ in net.boundary_entries
         }
@@ -439,16 +444,21 @@ class World:
 
     def _spawn(self) -> int:
         entered = 0
-        events = self._events
-        while self._next_event < len(events) and events[self._next_event].time <= self.time:
-            ev = events[self._next_event]
-            self._next_event += 1
-            entry_lane, movements = self._routes[ev.route]
-            veh = Vehicle(len(self.vehicles), movements, entry_lane, entered_at=ev.time)
-            self.vehicles.append(veh)
-            self.entered_total += 1
-            entered += 1
-            self._buffers[entry_lane].append(veh)
+        if self._next_time <= self.time:
+            # each departure is due at its own tick: times are >= 0 and every
+            # tick takes all that are due, so a vehicle enters at self.time
+            times = self._times
+            first = self._next_event
+            self._next_event = last = int(times.searchsorted(self.time, "right"))
+            self._next_time = int(times[last]) if last < len(times) else math.inf
+            route_table = self._route_table
+            for r in self._route_index[first:last].tolist():
+                entry_lane, movements = route_table[r]
+                veh = Vehicle(len(self.vehicles), movements, entry_lane, entered_at=self.time)
+                self.vehicles.append(veh)
+                self._buffers[entry_lane].append(veh)
+            entered = last - first
+            self.entered_total += entered
         for lane_id, buf in self._buffers.items():
             if not buf:
                 continue

@@ -34,7 +34,7 @@ import numpy as np
 
 from .control import ControllerConfig, DQNController, build_controller
 from .engine import OBS_COUNTS, OBS_SIZE, StepTelemetry, World
-from .flows import VEHICLE_FIELDS, SpawnEvent, expand_flows, gen_syn_heavy, gen_syn_light, load_flow_file
+from .flows import VEHICLE_FIELDS, Schedule, expand_flows, gen_syn_heavy, gen_syn_light, load_flow_file
 from .learner import (
     EpsilonSchedule,
     QNetwork,
@@ -332,8 +332,8 @@ def build_network(config: ExperimentConfig) -> RoadNetwork:
 
 def build_events(
     config: ExperimentConfig, net: RoadNetwork
-) -> tuple[list[SpawnEvent], KinematicParams]:
-    """Demand events before the horizon, plus the effective kinematics.
+) -> tuple[Schedule, KinematicParams]:
+    """The schedule of departures before the horizon, plus the effective kinematics.
 
     Flow files may carry vehicle fields, one map shared by every record
     that has one (the loader rejects a file whose maps differ); it
@@ -365,7 +365,7 @@ class Scenario(NamedTuple):
     """What an episode runs on: a network, its demand, the kinematics."""
 
     net: RoadNetwork
-    events: list[SpawnEvent]
+    events: Schedule
     kinematics: KinematicParams
 
 

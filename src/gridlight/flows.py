@@ -2,7 +2,8 @@
 
 A :class:`FlowSpec` describes one periodic stream of identical vehicles
 (route over roads, start/end window, headway); expanding a list of specs
-yields the individual :class:`SpawnEvent` timeline consumed by the engine.
+yields the :class:`Schedule` the engine spawns from: every departure's
+time and route index as arrays, and the distinct routes once.
 
 The two synthetic demand patterns target the 3x3 grid with uniform 300 m
 lanes: a light pattern with one vehicle per entry every 20 s, and a heavy
@@ -19,8 +20,11 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
+
+import numpy as np
 
 from .network import RoadNetwork, Turn, resolve_route
 from .roadnet import _load_json, _positive
@@ -30,6 +34,7 @@ __all__ = [
     "VEHICLE_FIELDS",
     "FlowSpec",
     "SpawnEvent",
+    "Schedule",
     "straight_route",
     "syn_light_flows",
     "syn_heavy_flows",
@@ -68,11 +73,35 @@ class FlowSpec:
         if self.start > self.end:
             raise ValueError("flow start must be <= end")
 
-    def departures(self, until: float = math.inf) -> float:
-        """How many vehicles the stream sends before ``until``, in closed form."""
-        if until <= self.end:
-            return max(0, math.ceil((until - self.start) / self.interval))
-        return (self.end - self.start) // self.interval + 1
+    def departures(self, until: float = math.inf) -> int:
+        """How many departures :func:`expand_flows` builds for the stream before ``until``.
+
+        Closed form: the window over the interval, moved to the first ``k``
+        whose ``start + k * interval`` fails the expansion's own test, as
+        float rounding in that sum may shift it.  A count past 2**53, more
+        than any schedule holds, is the window over the interval alone.
+        """
+        start, end, interval = self.start, self.end, self.interval
+
+        def departs(k: int) -> bool:
+            t = start + k * interval
+            return t <= end and t < until
+
+        estimate = (min(until, end) - start) / interval
+        if not estimate < 2**53:
+            return int(min(estimate, 2.0**63))
+        # departs(k) for every k < lo, and not departs(hi)
+        lo = hi = int(estimate) if estimate > 0 else 0
+        step = 1
+        while departs(hi):
+            lo, hi, step = hi + 1, hi + step, 2 * step
+        step = 1
+        while lo > 0 and not departs(lo - 1):
+            hi, lo, step = lo - 1, max(0, lo - step), 2 * step
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if departs(mid) else (lo, mid)
+        return hi
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,6 +110,62 @@ class SpawnEvent:
 
     time: int
     route: tuple[str, ...]
+
+
+class Schedule(Sequence):
+    """A scenario's departures held as arrays, the timeline the engine spawns from.
+
+    ``times`` is every departure's tick (int64, at least 0, in time order)
+    and ``route_index`` its route's position in ``routes``, the distinct
+    routes in first-use order.  The constructor sorts the departures by time
+    once, stably, so departures at equal times keep the order they were
+    given in; both arrays are then read-only.  Read as a sequence, a
+    schedule is the :class:`SpawnEvent` records it describes, each built
+    when it is read.
+    """
+
+    __slots__ = ("times", "route_index", "routes")
+
+    def __init__(self, times: np.ndarray, route_index: np.ndarray, routes: tuple[tuple[str, ...], ...]):
+        order = np.argsort(times, kind="stable")
+        self.times = np.asarray(times, np.int64)[order]
+        self.route_index = np.asarray(route_index, np.intp)[order]
+        if len(self.times) and self.times[0] < 0:
+            raise ValueError(f"departure times must be >= 0, got {self.times[0]}")
+        self.times.flags.writeable = self.route_index.flags.writeable = False
+        self.routes = routes
+
+    @classmethod
+    def of(cls, events: Iterable[SpawnEvent]) -> "Schedule":
+        """``events`` as a schedule; a schedule is returned as it is."""
+        if isinstance(events, Schedule):
+            return events
+        routes: dict[tuple[str, ...], int] = {}
+        times, index = [], []
+        for ev in events:
+            times.append(ev.time)
+            index.append(routes.setdefault(ev.route, len(routes)))
+        return cls(np.array(times, np.int64), np.array(index, np.intp), tuple(routes))
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self._events(self.times[i], self.route_index[i]))
+        return SpawnEvent(int(self.times[i]), self.routes[self.route_index[i]])
+
+    def __iter__(self):
+        return self._events(self.times, self.route_index)
+
+    def _events(self, times: np.ndarray, route_index: np.ndarray):
+        routes = self.routes
+        return (SpawnEvent(t, routes[r]) for t, r in zip(times.tolist(), route_index.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
 
 
 def straight_route(net: RoadNetwork, entry_road_id: str) -> tuple[str, ...]:
@@ -156,32 +241,35 @@ def syn_heavy_flows(net: RoadNetwork, horizon: int = 3600) -> list[FlowSpec]:
     return flows
 
 
-def expand_flows(flows: Iterable[FlowSpec], until: float = math.inf) -> list[SpawnEvent]:
-    """Expand periodic flows into individual spawn events, sorted by time.
+def expand_flows(flows: Iterable[FlowSpec], until: float = math.inf) -> Schedule:
+    """Expand periodic flows into the schedule of their departures.
 
-    Departures at or after ``until`` (a run's horizon) would never spawn and
-    are not built.
+    Departure ``k`` of a flow leaves at ``int(start + k * interval)``, for
+    every ``k`` whose sum is at most ``end`` and before ``until`` (a run's
+    horizon; later departures would never spawn and are not built).
+    Departures at equal times keep the order of their flows.
     """
-    events: list[SpawnEvent] = []
+    routes: dict[tuple[str, ...], int] = {}
+    times = [np.zeros(0, np.int64)]
+    index = [np.zeros(0, np.intp)]
     for flow in flows:
-        k = 0
-        while True:
-            t = flow.start + k * flow.interval
-            if t > flow.end or t >= until:
-                break
-            events.append(SpawnEvent(time=int(t), route=flow.route))
-            k += 1
-    events.sort(key=lambda e: e.time)
-    return events
+        n = flow.departures(until)
+        if not n:
+            continue
+        if flow.start + (n - 1) * flow.interval >= 2**63:
+            raise ValueError(f"flow departures run past 2**63 s: {flow.start} + {n - 1} x {flow.interval}")
+        times.append((flow.start + np.arange(n) * flow.interval).astype(np.int64))
+        index.append(np.full(n, routes.setdefault(flow.route, len(routes)), np.intp))
+    return Schedule(np.concatenate(times), np.concatenate(index), tuple(routes))
 
 
-def gen_syn_light(net: RoadNetwork, horizon: int = 3600) -> list[SpawnEvent]:
-    """All spawn events of the light synthetic pattern (2160 on 3600 s)."""
+def gen_syn_light(net: RoadNetwork, horizon: int = 3600) -> Schedule:
+    """All departures of the light synthetic pattern (2160 on 3600 s)."""
     return expand_flows(syn_light_flows(net, horizon))
 
 
-def gen_syn_heavy(net: RoadNetwork, horizon: int = 3600) -> list[SpawnEvent]:
-    """All spawn events of the heavy synthetic pattern (8640 on 3600 s)."""
+def gen_syn_heavy(net: RoadNetwork, horizon: int = 3600) -> Schedule:
+    """All departures of the heavy synthetic pattern (8640 on 3600 s)."""
     return expand_flows(syn_heavy_flows(net, horizon))
 
 
@@ -235,7 +323,7 @@ def load_flow_file(path: str, net: RoadNetwork, until: float = math.inf) -> list
     if not isinstance(doc, list):
         raise ValueError(f"{path}: expected a JSON array of flow records")
     flows: list[FlowSpec] = []
-    departures = 0.0
+    departures = 0
     first_vehicle: Optional[tuple[int, dict]] = None
     for idx, rec in enumerate(doc):
         try:

@@ -166,12 +166,16 @@ class RoadNetwork:
         return seen
 
 
+#: most vehicles a lane may hold: the engine keeps counts as int64
+_MAX_COUNT = int(np.iinfo(np.int64).max)
+
+
 def lane_capacity(length: float, l_v: float, l_g: float) -> int:
     """Vehicles of length ``l_v`` with minimum gap ``l_g`` that fit on ``length``."""
     if not 0 < length < math.inf or l_v <= 0 or l_g <= 0:
         raise ValueError("lane length must be finite and > 0, vehicle length and gap > 0")
     ratio = length / (l_v + l_g)
-    if ratio > np.iinfo(np.int64).max:  # the engine keeps counts as int64
+    if ratio > _MAX_COUNT:
         raise ValueError(f"a {length} m lane holds more vehicles than a count can store")
     # tolerant floor: exact ratios like 300 / 7.5 must not fall prey to float dust
     return int(math.floor(ratio + 1e-9))

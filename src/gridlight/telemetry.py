@@ -152,10 +152,11 @@ class _RowTables:
             for r, inter in enumerate(net.intersections)
             for j, m in enumerate(inter.movements)
         }
+        labels = [_csv_field(inter.id) for inter in net.intersections]
         self.prefixes = _token_table(
             [
-                f"{_csv_field(inter.id)},{phase},{YELLOW if yellow else GREEN},".encode()
-                for inter in net.intersections
+                f"{label},{phase},{YELLOW if yellow else GREEN},".encode()
+                for label in labels
                 for phase in range(self.n_phases)
                 for yellow in (False, True)
             ]

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridlight import engine
 from gridlight.engine import EXITED, QUEUED, World
-from gridlight.flows import SpawnEvent, gen_syn_light
+from gridlight.flows import FlowSpec, SpawnEvent, expand_flows, gen_syn_heavy, gen_syn_light, straight_route
 from gridlight.network import Turn, assemble_network, build_grid, resolve_route, standard_phase_table
 from gridlight.signalmath import DEFAULT_KINEMATICS, MovementCounts, platoon_clear_time
 
@@ -420,6 +421,64 @@ class TestSpawning:
         # 600 m of driving plus one stop-line clearance
         assert 55 <= veh.exited_at <= 75
         assert world.exited_total == 1
+
+    def test_schedule_and_its_events_step_alike(self, tmp_path):
+        from gridlight.telemetry import write_telemetry_csv
+
+        net = build_grid(2, 2, 200, 150)
+        routes = [straight_route(net, road_id) for road_id, _ in net.entry_roads]
+        # fractional intervals, equal start times and one route fed by two flows
+        flows = [FlowSpec(route, start=i % 3, end=250, interval=2.5 + i % 4) for i, route in enumerate(routes)]
+        flows.append(FlowSpec(routes[0], start=1, end=200, interval=3))
+        schedule = expand_flows(flows)
+        worlds = [World(net, schedule), World(net, list(schedule))]
+        steps: list[list] = [[], []]
+        for t in range(300):
+            for world, log in zip(worlds, steps):
+                for inter in net.intersections:
+                    if world.needs_decision(inter.id):
+                        world.apply_decision(inter.id, (t // 7) % 4, 8)
+                log.append(world.step())
+            a, b = steps[0][-1], steps[1][-1]
+            assert (a.time, a.entered, a.exited, a.discharged) == (b.time, b.entered, b.exited, b.discharged)
+            for field in ("occupancy", "phases", "yellow"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
+        fields = ("vid", "lane_id", "pos", "speed", "status", "entered_at", "exited_at", "route_idx")
+        states = [[tuple(getattr(v, f) for f in fields) for v in world.vehicles] for world in worlds]
+        assert states[0] == states[1] and len(states[0]) == len(schedule)
+        paths = [tmp_path / "schedule.csv", tmp_path / "events.csv"]
+        for path, log in zip(paths, steps):
+            write_telemetry_csv(str(path), net, log)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_a_schedule_builds_no_event_and_resolves_each_route_once(self, monkeypatch):
+        net = build_grid(3, 3, 300, 300)
+        schedule = gen_syn_heavy(net)
+        made = []
+        init = SpawnEvent.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(args)
+            init(self, *args, **kwargs)
+
+        resolved = []
+        resolve = engine.resolve_route
+
+        def counting_resolve(net, route):
+            resolved.append(route)
+            return resolve(net, route)
+
+        monkeypatch.setattr(SpawnEvent, "__init__", counting_init)
+        monkeypatch.setattr(engine, "resolve_route", counting_resolve)
+        world = World(net, schedule)
+        for _ in range(120):
+            world.step()
+        assert world.entered_total == 12 * 12 and made == []
+        assert len(schedule.routes) == 12 and sorted(resolved) == sorted(schedule.routes)
+        # the spies see what a list of events costs
+        first = schedule[:5]
+        World(net, first)
+        assert len(made) == 5 and len(resolved) == 12 + len({ev.route for ev in first})
 
     def test_conservation_counter(self):
         net = build_grid(1, 1, 300, 300)

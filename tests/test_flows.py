@@ -2,12 +2,17 @@
 round trips and error reporting."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridlight.flows import (
     MAX_FLOW_EVENTS,
     FlowSpec,
+    Schedule,
+    SpawnEvent,
     expand_flows,
     gen_syn_heavy,
     gen_syn_light,
@@ -22,6 +27,46 @@ from gridlight.network import Turn, build_grid, resolve_route
 @pytest.fixture(scope="module")
 def grid():
     return build_grid(3, 3, 300, 300)
+
+
+def reference_expand(flows, until=math.inf) -> list[SpawnEvent]:
+    """Departures one loop step at a time, one event each, sorted once by time.
+
+    The plain reading of a flow that :func:`expand_flows` must reproduce:
+    departure ``k`` leaves at ``int(start + k * interval)`` while the sum
+    is at most ``end`` and before ``until``.
+    """
+    events = []
+    for flow in flows:
+        k = 0
+        while True:
+            t = flow.start + k * flow.interval
+            if t > flow.end or t >= until:
+                break
+            events.append(SpawnEvent(time=int(t), route=flow.route))
+            k += 1
+    events.sort(key=lambda e: e.time)
+    return events
+
+
+#: a few routes, so that several flows share one
+_ROUTES = [("a",), ("b", "c"), ("d", "e", "f")]
+_INTERVALS = st.one_of(
+    st.integers(1, 40),
+    st.sampled_from([0.1, 0.3, 0.7, 2.5, 7.3]),
+    st.floats(0.2, 40, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _flows(draw) -> list[FlowSpec]:
+    flows = []
+    for _ in range(draw(st.integers(0, 6))):
+        # starts on a coarse grid, so that flows often depart at equal times
+        start = draw(st.one_of(st.sampled_from([0, 10, 30]), st.integers(0, 300)))
+        end = draw(st.integers(start, start + 300))
+        flows.append(FlowSpec(route=draw(st.sampled_from(_ROUTES)), start=start, end=end, interval=draw(_INTERVALS)))
+    return flows
 
 
 class TestSynLight:
@@ -173,13 +218,67 @@ class TestFlowSpecInvariants:
         for flow in syn_heavy_flows(grid):
             assert flow.departures() == len(expand_flows([flow]))
 
-    @pytest.mark.parametrize("interval", [1, 2.5, 7])
+    @pytest.mark.parametrize("interval", [1, 2.5, 7, 0.1])
     def test_departures_before_until_in_closed_form(self, grid, interval):
         flow = FlowSpec(route=syn_light_flows(grid)[0].route, start=10, end=60, interval=interval)
         for until in (0, 10, 11, 30, 32.5, 60, 61, 1e9):
             assert flow.departures(until) == len(expand_flows([flow], until=until))
 
+    def test_departures_count_what_is_built_as_an_int(self):
+        flow = FlowSpec(route=("a",), start=0, end=1, interval=0.1)
+        assert flow.departures() == len(reference_expand([flow])) == 11
+        assert type(flow.departures()) is int and type(flow.departures(0.5)) is int
+
     def test_rejects_inverted_window(self, grid):
         flow = syn_light_flows(grid)[0]
         with pytest.raises(ValueError):
             FlowSpec(route=flow.route, start=10, end=0, interval=5)
+
+
+class TestSchedule:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        flows=_flows(),
+        until=st.one_of(st.just(math.inf), st.integers(0, 700), st.floats(0, 700, allow_nan=False)),
+    )
+    def test_expansion_matches_the_reference_loop(self, flows, until):
+        schedule = expand_flows(flows, until=until)
+        assert list(schedule) == reference_expand(flows, until)
+        for flow in flows:
+            assert flow.departures(until) == len(reference_expand([flow], until))
+        # each distinct route of a departure once, in first-use order
+        assert schedule.routes == tuple(dict.fromkeys(flow.route for flow in flows if flow.departures(until)))
+
+    def test_equal_times_keep_flow_order(self):
+        first = FlowSpec(route=("a",), start=0, end=9, interval=3)
+        second = FlowSpec(route=("b",), start=0, end=9, interval=1.5)
+        third = FlowSpec(route=("a",), start=3, end=9, interval=3)
+        schedule = expand_flows([first, second, third])
+        assert [(e.time, e.route) for e in schedule if e.time == 3] == [(3, ("a",)), (3, ("b",)), (3, ("a",))]
+        assert schedule.routes == (("a",), ("b",))
+        assert schedule == reference_expand([first, second, third])
+
+    def test_reads_as_its_events(self, grid):
+        flows = syn_light_flows(grid)[:2]
+        schedule = expand_flows(flows)
+        events = reference_expand(flows)
+        assert len(schedule) == len(events) == 360
+        assert (schedule[0], schedule[-1]) == (events[0], events[-1])
+        assert schedule[5:9] == events[5:9]
+        assert schedule == events and list(schedule) == events and schedule != events[1:]
+        assert Schedule.of(events) == schedule and Schedule.of(schedule) is schedule
+        assert schedule.routes == tuple(flow.route for flow in flows)
+        with pytest.raises(IndexError):
+            schedule[len(schedule)]
+        with pytest.raises(ValueError, match="read-only"):
+            schedule.times[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            schedule.route_index[0] = 1
+
+    def test_rejects_departures_off_the_tick_range(self):
+        with pytest.raises(ValueError, match="departure times must be >= 0, got -1"):
+            Schedule.of([SpawnEvent(3, ("a",)), SpawnEvent(-1, ("a",))])
+        with pytest.raises(ValueError, match="departure times must be >= 0"):
+            expand_flows([FlowSpec(route=("a",), start=-5, end=5, interval=2)])
+        with pytest.raises(ValueError, match="past 2\\*\\*63"):
+            expand_flows([FlowSpec(route=("a",), start=2**63 - 2, end=2**63 + 10, interval=1.5)])
