@@ -43,8 +43,6 @@ __all__ = [
     "GreedyPrcolController",
     "DQNController",
     "best_phase",
-    "decide_maxpressure",
-    "decide_greedy",
     "decide_dqn",
     "build_controller",
 ]
@@ -96,20 +94,6 @@ def best_phase(counts: MovementCounts, phase_columns, metric: str) -> np.ndarray
     """Per count row, the phase with the best score under ``metric``; ties go
     to the lowest index.  A block of rows gives one phase per row."""
     return np.argmax(phase_score(counts, phase_columns, metric), axis=-1)
-
-
-def decide_greedy(counts: MovementCounts, phase_columns, metric: str) -> int:
-    """Phase with the best score under ``metric``; ties go to the lowest index.
-
-    ``phase_columns`` holds, per phase, the positions in ``counts`` of the
-    movements it grants green (see :func:`gridlight.signalmath.phase_score`).
-    """
-    return int(best_phase(counts, phase_columns, metric))
-
-
-def decide_maxpressure(counts: MovementCounts, phase_columns) -> int:
-    """Classic rule: grant green to the phase with the largest total pressure."""
-    return decide_greedy(counts, phase_columns, "pressure")
 
 
 def decide_dqn(net: QNetwork, s: np.ndarray, eps: float, rng: np.random.Generator) -> int:

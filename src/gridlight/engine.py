@@ -78,11 +78,11 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 from itertools import islice, takewhile
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .flows import Schedule, SpawnEvent
+from .flows import Schedule
 from .network import APPROACHES, PHASE_COLUMNS, Movement, RoadNetwork, Turn, movement_column, resolve_route
 from .signalmath import DEFAULT_KINEMATICS, KinematicParams, MovementCounts, platoon_clear_time
 
@@ -108,6 +108,9 @@ OBS_SIZE = 16
 OBS_COUNTS = ("occupancy", "queued")
 
 _EPS = 1e-9
+
+#: the schedule of a world built without one
+NO_DEPARTURES = Schedule(np.zeros(0, np.int64), np.zeros(0, np.intp), ())
 
 
 def _clearance_wait(t_j: float) -> int:
@@ -211,15 +214,14 @@ class World:
     """Mutable simulation state bound to one immutable road network.
 
     The network is taken as well formed: :func:`gridlight.network.assemble_network`
-    builds every network so by construction.  ``events`` is a
-    :class:`gridlight.flows.Schedule`, which the world reads as it is, or any
-    iterable of :class:`gridlight.flows.SpawnEvent`, which becomes one.
+    builds every network so by construction.  ``schedule`` is the
+    :class:`gridlight.flows.Schedule` of departures; without one, nothing departs.
     """
 
     def __init__(
         self,
         net: RoadNetwork,
-        events: Iterable[SpawnEvent] = (),
+        schedule: Schedule = NO_DEPARTURES,
         kinematics: KinematicParams = DEFAULT_KINEMATICS,
         yellow: int = 5,
         obs_counts: str = "occupancy",
@@ -305,7 +307,6 @@ class World:
             self._lane_slot[svc.src.index] = s
 
         # spawn schedule, each distinct route resolved once, and entry buffers
-        schedule = Schedule.of(events)
         self._times = schedule.times
         self._route_index = schedule.route_index
         self._route_table = [resolve_route(net, route) for route in schedule.routes]
@@ -411,9 +412,6 @@ class World:
             # the yellow shows for ticks time .. time + yellow - 1
             self._yellow_ends.setdefault(self.time + self.yellow - 1, []).append((r, phase))
         return total
-
-    def needs_decision(self, intersection_id: str) -> bool:
-        return bool(self._due[self._signal_index[intersection_id]] <= self.time)
 
     def due_signals(self) -> np.ndarray:
         """Positions in ``net.intersections`` of the signals whose green has run out."""
@@ -692,12 +690,3 @@ class World:
             for svc in self._grants[r][phase]:
                 svc.clock_start = self.time + 1
                 svc.crossed = 0
-
-    # ------------------------------------------------------------ accounting
-
-    def conservation(self) -> tuple[int, int]:
-        """(entered_total, on_network + buffered + exited_total) — must match."""
-        return (
-            self.entered_total,
-            self.on_network_count() + self.buffered_count() + self.exited_total,
-        )

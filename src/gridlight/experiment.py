@@ -22,6 +22,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import logging
 import math
 import os
 import statistics
@@ -36,7 +37,6 @@ from .control import ControllerConfig, DQNController, build_controller
 from .engine import OBS_COUNTS, OBS_SIZE, StepTelemetry, World
 from .flows import VEHICLE_FIELDS, Schedule, expand_flows, gen_syn_heavy, gen_syn_light, load_flow_file
 from .learner import (
-    EpsilonSchedule,
     QNetwork,
     ReplayBuffer,
     Transition,
@@ -75,6 +75,8 @@ __all__ = [
     "case_study",
     "write_case_study",
 ]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -640,9 +642,6 @@ def train(
     action_rng = np.random.default_rng(ss_actions)
     scenario = _build_scenario(config)
     check_target_sync(config, scenario.net)
-    sched = EpsilonSchedule(
-        config.epsilon_start, config.epsilon_end, config.epsilon_horizon or config.episodes
-    )
 
     def greedy(qnet: QNetwork) -> MetricsReport:
         controller = build_controller(config.controller, scenario.kinematics, net=qnet)
@@ -653,7 +652,7 @@ def train(
     best_eval_tt = float("inf")
     best_net = net.copy()
     for ep in range(config.episodes):
-        eps = epsilon(sched, ep)
+        eps = epsilon(config.epsilon_start, config.epsilon_end, config.epsilon_horizon or config.episodes, ep)
         controller = DQNController(net, config.controller, action_rng, eps, scenario.kinematics)
         # a diverging network overflows; the check below reports it once, by episode
         with np.errstate(over="ignore", invalid="ignore"):
@@ -729,7 +728,14 @@ def _write_train_outputs(out_dir: str, config: ExperimentConfig, run: TrainRun) 
 def _train_worker(args: tuple[dict, int, Optional[str]]) -> tuple[int, dict]:
     doc, seed, out_dir = args
     config = ExperimentConfig.from_dict(doc)
-    run = train(config, seed, out_dir=out_dir)
+
+    def progress(row: dict) -> None:
+        log.info(
+            "seed %d episode %d: epsilon %.3f, travel time %.2f s, mean loss %.4g",
+            seed, row["episode"], row["epsilon"], row["avg_travel_time"], row["mean_loss"],
+        )
+
+    run = train(config, seed, out_dir=out_dir, progress=progress)
     return seed, {
         "final_eval": run.final_eval.to_dict(),
         "best_eval": run.best_eval.to_dict(),

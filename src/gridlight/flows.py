@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -33,7 +32,6 @@ __all__ = [
     "MAX_FLOW_EVENTS",
     "VEHICLE_FIELDS",
     "FlowSpec",
-    "SpawnEvent",
     "Schedule",
     "straight_route",
     "syn_light_flows",
@@ -47,7 +45,7 @@ __all__ = [
 
 
 #: Most departures before the horizon a flow file may describe in total; a
-#: file over it is rejected before any event is built, so a tiny interval
+#: file over it is rejected before any departure is expanded, so a tiny interval
 #: cannot exhaust memory.
 MAX_FLOW_EVENTS = 1_000_000
 
@@ -104,24 +102,14 @@ class FlowSpec:
         return hi
 
 
-@dataclass(frozen=True, slots=True)
-class SpawnEvent:
-    """A single scheduled vehicle: departure time and road route (its entry lane comes from the route)."""
-
-    time: int
-    route: tuple[str, ...]
-
-
-class Schedule(Sequence):
+class Schedule:
     """A scenario's departures held as arrays, the timeline the engine spawns from.
 
     ``times`` is every departure's tick (int64, at least 0, in time order)
     and ``route_index`` its route's position in ``routes``, the distinct
     routes in first-use order.  The constructor sorts the departures by time
     once, stably, so departures at equal times keep the order they were
-    given in; both arrays are then read-only.  Read as a sequence, a
-    schedule is the :class:`SpawnEvent` records it describes, each built
-    when it is read.
+    given in; both arrays are then read-only.
     """
 
     __slots__ = ("times", "route_index", "routes")
@@ -135,37 +123,8 @@ class Schedule(Sequence):
         self.times.flags.writeable = self.route_index.flags.writeable = False
         self.routes = routes
 
-    @classmethod
-    def of(cls, events: Iterable[SpawnEvent]) -> "Schedule":
-        """``events`` as a schedule; a schedule is returned as it is."""
-        if isinstance(events, Schedule):
-            return events
-        routes: dict[tuple[str, ...], int] = {}
-        times, index = [], []
-        for ev in events:
-            times.append(ev.time)
-            index.append(routes.setdefault(ev.route, len(routes)))
-        return cls(np.array(times, np.int64), np.array(index, np.intp), tuple(routes))
-
     def __len__(self) -> int:
         return len(self.times)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(self._events(self.times[i], self.route_index[i]))
-        return SpawnEvent(int(self.times[i]), self.routes[self.route_index[i]])
-
-    def __iter__(self):
-        return self._events(self.times, self.route_index)
-
-    def _events(self, times: np.ndarray, route_index: np.ndarray):
-        routes = self.routes
-        return (SpawnEvent(t, routes[r]) for t, r in zip(times.tolist(), route_index.tolist()))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and list(self) == list(other)
 
 
 def straight_route(net: RoadNetwork, entry_road_id: str) -> tuple[str, ...]:

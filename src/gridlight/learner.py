@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import zipfile
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -22,7 +21,6 @@ __all__ = [
     "QNetwork",
     "Transition",
     "ReplayBuffer",
-    "EpsilonSchedule",
     "forward",
     "forward_batch",
     "train_step",
@@ -219,29 +217,12 @@ class ReplayBuffer:
         return self._size
 
 
-@dataclass(frozen=True)
-class EpsilonSchedule:
-    """Linear exploration decay over a training run."""
-
-    start: float = 0.8
-    end: float = 0.2
-    horizon: int = 100
-
-    def __post_init__(self) -> None:
-        if self.start < self.end:
-            raise ValueError("epsilon schedule must be non-increasing")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-
-
-def epsilon(sched: EpsilonSchedule, episode: int) -> float:
-    """Exploration rate for an episode: linear from start to end, then flat."""
-    if episode < 0:
-        raise ValueError("episode index must be >= 0")
-    if sched.horizon == 1 or episode >= sched.horizon - 1:
-        return sched.end
-    frac = episode / (sched.horizon - 1)
-    return sched.start + (sched.end - sched.start) * frac
+def epsilon(start: float, end: float, horizon: int, episode: int) -> float:
+    """Exploration rate for an episode: linear from ``start`` at episode 0 to
+    ``end`` at episode ``horizon - 1``, then flat."""
+    if horizon == 1 or episode >= horizon - 1:
+        return end
+    return start + (end - start) * (episode / (horizon - 1))
 
 
 def save_checkpoint(net: QNetwork, path: str) -> None:

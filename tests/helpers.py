@@ -1,6 +1,6 @@
-"""Test set-up that a running world has no path for.
+"""Test set-up that a running world has no path for, and test-side readings.
 
-A ``World`` changes only through its spawn events, decisions and ``step``.
+A ``World`` changes only through its schedule, decisions and ``step``.
 The tests also stage exact queues and rolling vehicles, and
 :func:`place_vehicle` writes those straight into the world's lanes.
 """
@@ -8,6 +8,7 @@ The tests also stage exact queues and rolling vehicles, and
 from typing import Optional
 
 from gridlight.engine import _EPS, MOVING, Vehicle, World
+from gridlight.flows import Schedule
 from gridlight.network import resolve_route
 
 
@@ -47,3 +48,9 @@ def place_vehicle(
 def lane_occupancy(world: World) -> list[int]:
     """The vehicles on every lane, in ``net.lanes`` order, as the world's occupancy vector counts them."""
     return world._occupancy.tolist()
+
+
+def departures(schedule: Schedule) -> list[tuple[int, tuple[str, ...]]]:
+    """Each departure of ``schedule`` as a (time, route) pair, in schedule order."""
+    routes = schedule.routes
+    return [(t, routes[r]) for t, r in zip(schedule.times.tolist(), schedule.route_index.tolist())]

@@ -659,22 +659,46 @@ class TestEval:
 
 
 class TestTrainCommand:
-    def test_numeric_fault_is_one_line(self, tmp_path):
-        # run as a process: numpy's overflow warnings would reach its stderr
+    @staticmethod
+    def _train_process(config_path, out, log_level=None) -> subprocess.CompletedProcess:
+        """``gridlight train`` in a process of its own, at ``GRIDLIGHT_LOG=log_level`` when given."""
         root = pathlib.Path(__file__).resolve().parents[1]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        env.pop("GRIDLIGHT_LOG", None)
+        if log_level is not None:
+            env["GRIDLIGHT_LOG"] = log_level
+        return subprocess.run(
+            [sys.executable, "-m", "gridlight.cli", "train", "--config", str(config_path), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+
+    def test_numeric_fault_is_one_line(self, tmp_path):
+        # run as a process: numpy's overflow warnings would reach its stderr
         config_path = tmp_path / "config.json"
         write_config(
             config_path, horizon=600, controller=ControllerConfig(kind="dqn"), episodes=2, seeds=(0,), lr=1e6
         )
-        done = subprocess.run(
-            [sys.executable, "-m", "gridlight.cli", "train", "--config", str(config_path), "--out", str(tmp_path / "o")],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
+        done = self._train_process(config_path, tmp_path / "o")
         assert done.returncode == 1
         assert len(done.stderr.splitlines()) == 1, done.stderr
         assert "episode 0" in done.stderr
+
+    def test_progress_is_logged_per_episode_at_info(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        write_config(config_path, horizon=120, controller=ControllerConfig(kind="dqn"), episodes=2, seeds=(0,))
+        quiet = self._train_process(config_path, tmp_path / "quiet")
+        assert quiet.returncode == 0 and quiet.stderr == "", quiet.stderr
+        loud = self._train_process(config_path, tmp_path / "loud", log_level="info")
+        assert loud.returncode == 0, loud.stderr
+        lines = [line for line in loud.stderr.splitlines() if "gridlight.experiment INFO" in line]
+        assert [line.split("INFO ", 1)[1].split(":")[0] for line in lines] == [
+            "seed 0 episode 0", "seed 0 episode 1"
+        ], loud.stderr
+        assert all(f in lines[0] for f in ("epsilon 0.800", "travel time", "mean loss")), lines[0]
+        # the log changes no artifact
+        for name in ("metrics.json", "learning_curve.csv"):
+            assert (tmp_path / "quiet" / "seed_0" / name).read_bytes() == (tmp_path / "loud" / "seed_0" / name).read_bytes()
 
     @pytest.mark.parametrize("command,flag", [("train", "--config"), ("compare", "--configs")])
     def test_jobs_below_one_is_one_line(self, tmp_path, command, flag):

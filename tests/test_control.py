@@ -14,10 +14,9 @@ from gridlight.control import (
     FixedTimeController,
     GreedyPrcolController,
     MaxPressureController,
+    best_phase,
     build_controller,
     decide_dqn,
-    decide_greedy,
-    decide_maxpressure,
 )
 from gridlight.engine import World
 from gridlight.learner import QNetwork
@@ -95,11 +94,11 @@ class TestMaxPressure:
         n_in = np.zeros(12, dtype=int)
         n_in[columns[0]] = 10
         counts = MovementCounts(n_in, np.zeros(12, dtype=int), np.full(12, 40))
-        assert decide_maxpressure(counts, columns) == 0
+        assert best_phase(counts, columns, "pressure") == 0
 
     def test_all_zero_tie_breaks_low(self, net):
         inter = net.intersections[0]
-        assert decide_maxpressure(uniform(0, 0, 40), phase_columns(inter)) == 0
+        assert best_phase(uniform(0, 0, 40), phase_columns(inter), "pressure") == 0
 
     def test_matches_brute_force_enumeration(self, net):
         inter = net.intersections[0]
@@ -109,7 +108,7 @@ class TestMaxPressure:
             counts = random_counts(rng, inter)
             scores = [float(phase_score(counts, [cols], "pressure")[0]) for cols in columns]
             best = scores.index(max(scores))  # first maximum = lowest index
-            assert decide_maxpressure(counts, columns) == best
+            assert best_phase(counts, columns, "pressure") == best
 
     def test_scale_invariance(self, net):
         inter = net.intersections[0]
@@ -119,7 +118,7 @@ class TestMaxPressure:
             draws = np.array([(rng.integers(0, 10), rng.integers(0, 10)) for _ in inter.movements])
             base = MovementCounts(draws[:, 0], draws[:, 1], np.full(12, 100))
             tripled = MovementCounts(base.n_in * 3, base.n_out * 3, np.full(12, 300))
-            assert decide_maxpressure(base, columns) == decide_maxpressure(tripled, columns)
+            assert best_phase(base, columns, "pressure") == best_phase(tripled, columns, "pressure")
 
 
 class TestGreedyPrcol:
@@ -134,7 +133,7 @@ class TestGreedyPrcol:
             counts = random_counts(rng, inter, blocked_phase=blocked, positive_phase=positive)
             for j in columns[blocked]:
                 assert phase_score(counts, [[j]], "prcol")[0] == 0.0
-            assert decide_greedy(counts, columns, "prcol") != blocked
+            assert best_phase(counts, columns, "prcol") != blocked
 
     def test_dynamic_durations_stay_in_range(self, net):
         w = World(net)
@@ -193,7 +192,7 @@ class TestBlockScoring:
                     phase = 0
                     if metric is not None:
                         assert scores[i].tobytes() == phase_score(row, PHASE_COLUMNS, metric).tobytes()
-                        phase = decide_greedy(row, PHASE_COLUMNS, metric)
+                        phase = int(best_phase(row, PHASE_COLUMNS, metric))
                     elif kind == "dqn":
                         phase = decide_dqn(qnet, obs[i] * 0.5, 0.0, np.random.default_rng(0))
                     green = config.green_fixed

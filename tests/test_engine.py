@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from gridlight import engine
 from gridlight.engine import EXITED, QUEUED, World
-from gridlight.flows import FlowSpec, SpawnEvent, expand_flows, gen_syn_heavy, gen_syn_light, straight_route
+from gridlight.flows import FlowSpec, Schedule, expand_flows, gen_syn_heavy, straight_route
 from gridlight.network import Turn, assemble_network, build_grid, resolve_route, standard_phase_table
 from gridlight.signalmath import DEFAULT_KINEMATICS, MovementCounts, platoon_clear_time
 
@@ -200,8 +200,7 @@ class TestSignals:
         sig = world.signals["i_0_0"]
         states = []
         for tick in range(ticks + 1):
-            due = world.needs_decision("i_0_0")
-            assert world.due_signals().tolist() == ([0] if due else [])
+            due = world.due_signals().tolist() == [0]
             states.append((bool(sig.yellow), int(sig.current_phase), due))
             if tick < ticks:
                 world.step()
@@ -374,8 +373,8 @@ class TestSpawning:
         road = next(r.id for r in net.roads.values() if r.end == "i_0_0" and r.heading == "E")
         route = straight_route(net, road)
         entry, _ = resolve_route(net, route)
-        events = [SpawnEvent(0, route) for _ in range(5)]
-        world = World(net, events)
+        # five departures at the same tick
+        world = World(net, Schedule(np.zeros(5, np.int64), np.zeros(5, np.intp), (route,)))
         world.step()
         assert world.entered_total == 5
         assert world.occupancy(entry) == 1  # one per tick fits the spacing gate
@@ -398,7 +397,7 @@ class TestSpawning:
         net = build_grid(1, 2, 300, 300)
         good = ("rd__b_w_0__i_0_0", "rd__i_0_0__i_0_1", "rd__i_0_1__b_e_0")
         with pytest.raises(error, match=match):
-            World(net, [SpawnEvent(0, good), SpawnEvent(50, route)])
+            World(net, Schedule(np.array([0, 50]), np.array([0, 1]), (good, route)))
 
     def test_spawned_vehicles_traverse_and_exit(self):
         net = build_grid(1, 1, 300, 300)
@@ -409,10 +408,10 @@ class TestSpawning:
         exit_road = next(
             r.id for r in net.roads.values() if r.start == "i_0_0" and r.heading == "E"
         )
-        world = World(net, [SpawnEvent(0, (road, exit_road))])
+        world = World(net, expand_flows([FlowSpec((road, exit_road), start=0, end=0, interval=1)]))
         for _ in range(120):
             # hold phase 0; each boundary refreshes the discharge budget
-            if world.needs_decision("i_0_0"):
+            if world.due_signals().size:
                 world.apply_decision("i_0_0", 0, 10)
             world.step()
         veh = world.vehicles[0]
@@ -422,45 +421,9 @@ class TestSpawning:
         assert 55 <= veh.exited_at <= 75
         assert world.exited_total == 1
 
-    def test_schedule_and_its_events_step_alike(self, tmp_path):
-        from gridlight.telemetry import write_telemetry_csv
-
-        net = build_grid(2, 2, 200, 150)
-        routes = [straight_route(net, road_id) for road_id, _ in net.entry_roads]
-        # fractional intervals, equal start times and one route fed by two flows
-        flows = [FlowSpec(route, start=i % 3, end=250, interval=2.5 + i % 4) for i, route in enumerate(routes)]
-        flows.append(FlowSpec(routes[0], start=1, end=200, interval=3))
-        schedule = expand_flows(flows)
-        worlds = [World(net, schedule), World(net, list(schedule))]
-        steps: list[list] = [[], []]
-        for t in range(300):
-            for world, log in zip(worlds, steps):
-                for inter in net.intersections:
-                    if world.needs_decision(inter.id):
-                        world.apply_decision(inter.id, (t // 7) % 4, 8)
-                log.append(world.step())
-            a, b = steps[0][-1], steps[1][-1]
-            assert (a.time, a.entered, a.exited, a.discharged) == (b.time, b.entered, b.exited, b.discharged)
-            for field in ("occupancy", "phases", "yellow"):
-                assert np.array_equal(getattr(a, field), getattr(b, field))
-        fields = ("vid", "lane_id", "pos", "speed", "status", "entered_at", "exited_at", "route_idx")
-        states = [[tuple(getattr(v, f) for f in fields) for v in world.vehicles] for world in worlds]
-        assert states[0] == states[1] and len(states[0]) == len(schedule)
-        paths = [tmp_path / "schedule.csv", tmp_path / "events.csv"]
-        for path, log in zip(paths, steps):
-            write_telemetry_csv(str(path), net, log)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-
-    def test_a_schedule_builds_no_event_and_resolves_each_route_once(self, monkeypatch):
+    def test_a_schedule_resolves_each_route_once(self, monkeypatch):
         net = build_grid(3, 3, 300, 300)
         schedule = gen_syn_heavy(net)
-        made = []
-        init = SpawnEvent.__init__
-
-        def counting_init(self, *args, **kwargs):
-            made.append(args)
-            init(self, *args, **kwargs)
-
         resolved = []
         resolve = engine.resolve_route
 
@@ -468,17 +431,12 @@ class TestSpawning:
             resolved.append(route)
             return resolve(net, route)
 
-        monkeypatch.setattr(SpawnEvent, "__init__", counting_init)
         monkeypatch.setattr(engine, "resolve_route", counting_resolve)
         world = World(net, schedule)
         for _ in range(120):
             world.step()
-        assert world.entered_total == 12 * 12 and made == []
+        assert world.entered_total == 12 * 12
         assert len(schedule.routes) == 12 and sorted(resolved) == sorted(schedule.routes)
-        # the spies see what a list of events costs
-        first = schedule[:5]
-        World(net, first)
-        assert len(made) == 5 and len(resolved) == 12 + len({ev.route for ev in first})
 
     def test_conservation_counter(self):
         net = build_grid(1, 1, 300, 300)
@@ -486,8 +444,7 @@ class TestSpawning:
         world.apply_decision("i_0_0", 0, 20)
         for _ in range(120):
             world.step()
-            a, b = world.conservation()
-            assert a == b
+            assert world.entered_total == world.on_network_count() + world.buffered_count() + world.exited_total
 
 
 def gen_syn_light_like(net, horizon):
@@ -504,26 +461,21 @@ class TestInvariantsFuzz:
     def _run_fuzzed_episode(self, seed: int, horizon: int = 300) -> None:
         rng = np.random.default_rng(seed)
         net = build_grid(1, 2, 120, 90)
-        events = []
-        for road_id, _ in net.entry_roads:
-            from gridlight.flows import straight_route
-
-            route = straight_route(net, road_id)
-            interval = int(rng.integers(2, 15))
-            events += [SpawnEvent(t, route) for t in range(0, horizon, interval)]
-        events.sort(key=lambda e: e.time)
-        world = World(net, events)
+        flows = [
+            FlowSpec(straight_route(net, road_id), start=0, end=horizon - 1, interval=int(rng.integers(2, 15)))
+            for road_id, _ in net.entry_roads
+        ]
+        world = World(net, expand_flows(flows))
         last_pos: dict[int, tuple[str, float]] = {}
         vmax = DEFAULT_KINEMATICS.max_speed
         for _ in range(horizon):
-            for inter in net.intersections:
-                if world.needs_decision(inter.id):
-                    world.apply_decision(
-                        inter.id, int(rng.integers(4)), int(rng.integers(10, 21))
-                    )
+            for r in world.due_signals().tolist():
+                inter = net.intersections[r]
+                world.apply_decision(
+                    inter.id, int(rng.integers(4)), int(rng.integers(10, 21))
+                )
             world.step(collect=False)
-            entered, accounted = world.conservation()
-            assert entered == accounted
+            assert world.entered_total == world.on_network_count() + world.buffered_count() + world.exited_total
             for lane_id, ls in world.lanes.items():
                 cap = ls.lane.capacity
                 assert len(ls.vehicles) <= cap, f"lane {lane_id} over capacity"
@@ -562,7 +514,8 @@ class TestSkipInvariants:
     @staticmethod
     def _random_events(net, rng, horizon):
         junctions = {inter.id for inter in net.intersections}
-        events = []
+        routes: dict[tuple[str, ...], int] = {}
+        times, index = [], []
         for road_id, _ in net.entry_roads:
             interval = int(rng.integers(1, 7))
             for t in range(0, horizon, interval):
@@ -573,9 +526,9 @@ class TestSkipInvariants:
                     m = options[int(rng.integers(len(options)))]
                     road = net.road_of_lane(m.out_lane)
                     route.append(road.id)
-                events.append(SpawnEvent(t, tuple(route)))
-        events.sort(key=lambda e: e.time)
-        return events
+                times.append(t)
+                index.append(routes.setdefault(tuple(route), len(routes)))
+        return Schedule(np.array(times, np.int64), np.array(index, np.intp), tuple(routes))
 
     def test_queued_short_of_the_stop_line_keeps_moving(self):
         # within the 1e-6 queue tolerance of the stop line, but not on it:
@@ -618,11 +571,11 @@ class TestSkipInvariants:
         world, twin = World(net, events), World(net, events)
         headway = world.k.headway
         for _ in range(horizon):
-            for inter in net.intersections:
-                if world.needs_decision(inter.id):
-                    phase, green = int(rng.integers(4)), int(rng.integers(1, 21))
-                    world.apply_decision(inter.id, phase, green)
-                    twin.apply_decision(inter.id, phase, green)
+            for r in world.due_signals().tolist():
+                inter = net.intersections[r]
+                phase, green = int(rng.integers(4)), int(rng.integers(1, 21))
+                world.apply_decision(inter.id, phase, green)
+                twin.apply_decision(inter.id, phase, green)
             twin._settled[:] = 0
             twin._wake[:] = 0
             open_movements = self._open_movements(world)
@@ -643,8 +596,7 @@ class TestSkipInvariants:
                 for veh in list(ls.vehicles)[: world._settled[ls.index]]:
                     assert veh.status == QUEUED and veh.speed == 0.0 and veh.pos == limit
                     limit = veh.pos - headway
-            due = [world.needs_decision(inter.id) for inter in net.intersections]
-            assert world.due_signals().tolist() == [r for r, d in enumerate(due) if d]
+            assert world.due_signals().tolist() == [r for r, d in enumerate(world._due) if d <= world.time]
             for inter in net.intersections:
                 counts = world.movement_counts(inter.id)
                 MovementCounts(counts.n_in, counts.n_out, counts.n_max)
@@ -725,23 +677,19 @@ class TestOccupancyVector:
     def test_after_every_tick_and_placement(self, seed):
         rng = np.random.default_rng(20_000 + seed)
         net = build_grid(1, 2, 120, 90)
-        events = []
-        for road_id, _ in net.entry_roads:
-            from gridlight.flows import straight_route
-
-            route = straight_route(net, road_id)
-            interval = int(rng.integers(2, 15))
-            events += [SpawnEvent(t, route) for t in range(0, 300, interval)]
-        events.sort(key=lambda e: e.time)
-        world = World(net, events)
+        flows = [
+            FlowSpec(straight_route(net, road_id), start=0, end=299, interval=int(rng.integers(2, 15)))
+            for road_id, _ in net.entry_roads
+        ]
+        world = World(net, expand_flows(flows))
         lane_ids = list(net.lanes)
         heads = list(world.signals.values())  # live rows, read again after every step
         kept = []
         placed = 0
         for tick in range(300):
-            for inter in net.intersections:
-                if world.needs_decision(inter.id):
-                    world.apply_decision(inter.id, int(rng.integers(4)), int(rng.integers(10, 21)))
+            for r in world.due_signals().tolist():
+                inter = net.intersections[r]
+                world.apply_decision(inter.id, int(rng.integers(4)), int(rng.integers(10, 21)))
             tel = world.step(collect=tick % 2 == 0)
             self._assert_matches_lanes(world)
             if tel.occupancy is not None:
@@ -778,10 +726,10 @@ class TestDeterminism:
         stream = []
         cycle = {i.id: 0 for i in net.intersections}
         for _ in range(200):
-            for inter in net.intersections:
-                if world.needs_decision(inter.id):
-                    world.apply_decision(inter.id, cycle[inter.id], 10)
-                    cycle[inter.id] = (cycle[inter.id] + 1) % 4
+            for r in world.due_signals().tolist():
+                inter = net.intersections[r]
+                world.apply_decision(inter.id, cycle[inter.id], 10)
+                cycle[inter.id] = (cycle[inter.id] + 1) % 4
             tel = world.step()
             stream.append(
                 (

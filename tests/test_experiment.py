@@ -40,7 +40,7 @@ from gridlight.experiment import (
     train_many,
     write_case_study,
 )
-from gridlight.flows import SpawnEvent
+from gridlight.flows import FlowSpec, expand_flows
 from gridlight.learner import QNetwork, save_checkpoint
 from gridlight.signalmath import DEFAULT_KINEMATICS
 from gridlight.telemetry import DecisionRecord, read_decisions_csv, write_decisions_csv
@@ -143,7 +143,7 @@ class TestRunEpisode:
         cfg = ExperimentConfig(horizon=120)
         net = build_network(cfg)
         result = run_episode(
-            cfg, FixedTimeController(cfg.controller), scenario=(net, [], cfg.kinematics)
+            cfg, FixedTimeController(cfg.controller), scenario=(net, expand_flows([]), cfg.kinematics)
         )
         assert result.metrics.throughput == 0
         assert result.metrics.average_travel_time == 0.0
@@ -311,8 +311,8 @@ class TestMemory:
 
     def test_records_and_events_have_no_dict(self):
         record = DecisionRecord(0, "i_0_0", 0, 10, False, (0,) * 12, 0)
-        event = SpawnEvent(0, ("rd",))
-        assert not hasattr(record, "__dict__") and not hasattr(event, "__dict__")
+        schedule = expand_flows([FlowSpec(("rd",), start=0, end=9, interval=1)])
+        assert not hasattr(record, "__dict__") and not hasattr(schedule, "__dict__")
 
     def test_equal_count_rows_are_one_object(self):
         decisions = run_single(ExperimentConfig(horizon=600), seed=0).decisions
@@ -399,7 +399,7 @@ class TestFileBasedInputs:
         cfg = ExperimentConfig(flow={"kind": "file", "path": str(flow_path)}, horizon=30)
         events, _ = build_events(cfg, build_grid(3, 3, 300, 300))
         # 0..29 every second; 1, 3.5, 6, ... 28.5 every 2.5 s, spawning at the whole second
-        assert [e.time for e in events] == sorted(list(range(30)) + [int(1 + 2.5 * k) for k in range(12)])
+        assert events.times.tolist() == sorted(list(range(30)) + [int(1 + 2.5 * k) for k in range(12)])
 
     def test_event_cap_counts_departures_before_the_horizon(self, tmp_path):
         from gridlight.flows import load_flow_file
@@ -412,7 +412,7 @@ class TestFileBasedInputs:
         cfg = ExperimentConfig(flow={"kind": "file", "path": str(flow_path)}, horizon=30)
         net = build_grid(3, 3, 300, 300)
         events, _ = build_events(cfg, net)
-        assert [e.time for e in events] == list(range(30))
+        assert events.times.tolist() == list(range(30))
         with pytest.raises(ValueError, match="1e\\+06 departures, over the limit of 1000000"):
             load_flow_file(str(flow_path), net)
 

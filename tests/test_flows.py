@@ -4,6 +4,7 @@ round trips and error reporting."""
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,6 @@ from gridlight.flows import (
     MAX_FLOW_EVENTS,
     FlowSpec,
     Schedule,
-    SpawnEvent,
     expand_flows,
     gen_syn_heavy,
     gen_syn_light,
@@ -23,14 +23,16 @@ from gridlight.flows import (
 )
 from gridlight.network import Turn, build_grid, resolve_route
 
+from helpers import departures
+
 
 @pytest.fixture(scope="module")
 def grid():
     return build_grid(3, 3, 300, 300)
 
 
-def reference_expand(flows, until=math.inf) -> list[SpawnEvent]:
-    """Departures one loop step at a time, one event each, sorted once by time.
+def reference_expand(flows, until=math.inf) -> list[tuple[int, tuple[str, ...]]]:
+    """Departures one loop step at a time, one (time, route) pair each, sorted once by time.
 
     The plain reading of a flow that :func:`expand_flows` must reproduce:
     departure ``k`` leaves at ``int(start + k * interval)`` while the sum
@@ -43,9 +45,9 @@ def reference_expand(flows, until=math.inf) -> list[SpawnEvent]:
             t = flow.start + k * flow.interval
             if t > flow.end or t >= until:
                 break
-            events.append(SpawnEvent(time=int(t), route=flow.route))
+            events.append((int(t), flow.route))
             k += 1
-    events.sort(key=lambda e: e.time)
+    events.sort(key=lambda e: e[0])
     return events
 
 
@@ -79,8 +81,8 @@ class TestSynLight:
         events = expand_flows(flows)
         lane_of = {flow.route: resolve_route(grid, flow.route)[0] for flow in flows}
         per_lane = {}
-        for ev in events:
-            per_lane.setdefault(lane_of[ev.route], []).append(ev.time)
+        for time, route in departures(events):
+            per_lane.setdefault(lane_of[route], []).append(time)
         assert len(per_lane) == 12
         for times in per_lane.values():
             assert times == list(range(0, 3600, 20))
@@ -97,7 +99,7 @@ class TestSynLight:
             gen_syn_light(small)
 
     def test_deterministic(self, grid):
-        assert gen_syn_light(grid) == gen_syn_light(grid)
+        assert departures(gen_syn_light(grid)) == departures(gen_syn_light(grid))
 
 
 class TestSynHeavy:
@@ -105,29 +107,26 @@ class TestSynHeavy:
         assert len(gen_syn_heavy(grid)) == 8640
 
     def test_period_structure(self, grid):
-        events = gen_syn_heavy(grid)
-        p1 = [e for e in events if 0 <= e.time < 900]
-        p2 = [e for e in events if 900 <= e.time < 1800]
-        p3 = [e for e in events if 1800 <= e.time < 2700]
-        p4 = [e for e in events if 2700 <= e.time < 3600]
-        assert (len(p1), len(p2), len(p3), len(p4)) == (1080, 3240, 1080, 3240)
+        times = gen_syn_heavy(grid).times
+        per_period = [int(((start <= times) & (times < start + 900)).sum()) for start in (0, 900, 1800, 2700)]
+        assert per_period == [1080, 3240, 1080, 3240]
 
     def test_period_two_ns_rate(self, grid):
-        events = gen_syn_heavy(grid)
-        lane_of = {route: resolve_route(grid, route)[0] for route in {e.route for e in events}}
+        events = departures(gen_syn_heavy(grid))
+        lane_of = {route: resolve_route(grid, route)[0] for _, route in events}
         ns_lanes = {
             lane for lane, side in grid.boundary_entries if side in ("n", "s")
         }
         for lane in sorted(ns_lanes):
-            times = [e.time for e in events if lane_of[e.route] == lane and 900 <= e.time < 1800]
+            times = [t for t, route in events if lane_of[route] == lane and 900 <= t < 1800]
             if times:  # only the straight entry lane of each approach carries flow
                 assert len(times) == 450
                 assert times == list(range(900, 1800, 2))
 
     def test_first_and_third_periods_identical_pattern(self, grid):
-        events = gen_syn_heavy(grid)
-        p1 = sorted((e.time, e.route) for e in events if e.time < 900)
-        p3 = sorted((e.time - 1800, e.route) for e in events if 1800 <= e.time < 2700)
+        events = departures(gen_syn_heavy(grid))
+        p1 = sorted((t, route) for t, route in events if t < 900)
+        p3 = sorted((t - 1800, route) for t, route in events if 1800 <= t < 2700)
         assert p1 == p3
 
 
@@ -138,7 +137,7 @@ class TestFlowFiles:
         save_flow_file(flows, str(path))
         reloaded = load_flow_file(str(path), grid)
         assert reloaded == flows
-        assert expand_flows(reloaded) == expand_flows(flows)
+        assert departures(expand_flows(reloaded)) == departures(expand_flows(flows))
 
     def test_interval_expansion(self, grid, tmp_path):
         flow = syn_light_flows(grid)[0]
@@ -148,14 +147,13 @@ class TestFlowFiles:
         path = tmp_path / "flow.json"
         path.write_text(json.dumps(records))
         loaded = load_flow_file(str(path), grid)
-        events = expand_flows(loaded)
-        assert [e.time for e in events] == [0, 20, 40]
+        assert expand_flows(loaded).times.tolist() == [0, 20, 40]
 
     def test_empty_file(self, grid, tmp_path):
         path = tmp_path / "flow.json"
         path.write_text("[]")
         assert load_flow_file(str(path), grid) == []
-        assert expand_flows([]) == []
+        assert len(expand_flows([])) == 0
 
     def test_unknown_road_named_in_error(self, grid, tmp_path):
         path = tmp_path / "flow.json"
@@ -243,7 +241,7 @@ class TestSchedule:
     )
     def test_expansion_matches_the_reference_loop(self, flows, until):
         schedule = expand_flows(flows, until=until)
-        assert list(schedule) == reference_expand(flows, until)
+        assert departures(schedule) == reference_expand(flows, until)
         for flow in flows:
             assert flow.departures(until) == len(reference_expand([flow], until))
         # each distinct route of a departure once, in first-use order
@@ -254,22 +252,19 @@ class TestSchedule:
         second = FlowSpec(route=("b",), start=0, end=9, interval=1.5)
         third = FlowSpec(route=("a",), start=3, end=9, interval=3)
         schedule = expand_flows([first, second, third])
-        assert [(e.time, e.route) for e in schedule if e.time == 3] == [(3, ("a",)), (3, ("b",)), (3, ("a",))]
+        assert [dep for dep in departures(schedule) if dep[0] == 3] == [(3, ("a",)), (3, ("b",)), (3, ("a",))]
         assert schedule.routes == (("a",), ("b",))
-        assert schedule == reference_expand([first, second, third])
+        assert departures(schedule) == reference_expand([first, second, third])
+        # the constructor's stable sort alone keeps that order
+        burst = Schedule(np.array([3, 0, 3, 0]), np.array([1, 0, 0, 1]), (("a",), ("b",)))
+        assert departures(burst) == [(0, ("a",)), (0, ("b",)), (3, ("b",)), (3, ("a",))]
 
-    def test_reads_as_its_events(self, grid):
+    def test_holds_its_departures_in_read_only_arrays(self, grid):
         flows = syn_light_flows(grid)[:2]
         schedule = expand_flows(flows)
-        events = reference_expand(flows)
-        assert len(schedule) == len(events) == 360
-        assert (schedule[0], schedule[-1]) == (events[0], events[-1])
-        assert schedule[5:9] == events[5:9]
-        assert schedule == events and list(schedule) == events and schedule != events[1:]
-        assert Schedule.of(events) == schedule and Schedule.of(schedule) is schedule
+        assert len(schedule) == len(reference_expand(flows)) == 360
+        assert schedule.times.dtype == np.int64 and schedule.route_index.dtype == np.intp
         assert schedule.routes == tuple(flow.route for flow in flows)
-        with pytest.raises(IndexError):
-            schedule[len(schedule)]
         with pytest.raises(ValueError, match="read-only"):
             schedule.times[0] = 1
         with pytest.raises(ValueError, match="read-only"):
@@ -277,7 +272,7 @@ class TestSchedule:
 
     def test_rejects_departures_off_the_tick_range(self):
         with pytest.raises(ValueError, match="departure times must be >= 0, got -1"):
-            Schedule.of([SpawnEvent(3, ("a",)), SpawnEvent(-1, ("a",))])
+            Schedule(np.array([3, -1]), np.zeros(2, np.intp), (("a",),))
         with pytest.raises(ValueError, match="departure times must be >= 0"):
             expand_flows([FlowSpec(route=("a",), start=-5, end=5, interval=2)])
         with pytest.raises(ValueError, match="past 2\\*\\*63"):

@@ -5,8 +5,8 @@ checkpoint round trips."""
 import numpy as np
 import pytest
 
+from gridlight.experiment import ExperimentConfig
 from gridlight.learner import (
-    EpsilonSchedule,
     QNetwork,
     ReplayBuffer,
     Transition,
@@ -325,26 +325,25 @@ class TestReplayBuffer:
 
 class TestEpsilonSchedule:
     def test_endpoints(self):
-        sched = EpsilonSchedule(0.8, 0.2, 100)
-        assert epsilon(sched, 0) == 0.8
-        assert epsilon(sched, 99) == 0.2
-        assert epsilon(sched, 500) == 0.2
+        assert epsilon(0.8, 0.2, 100, 0) == 0.8
+        assert epsilon(0.8, 0.2, 100, 99) == 0.2
+        assert epsilon(0.8, 0.2, 100, 500) == 0.2
+        assert epsilon(0.8, 0.2, 1, 0) == 0.2
 
     def test_midpoint(self):
-        sched = EpsilonSchedule(0.8, 0.2, 101)
-        assert epsilon(sched, 50) == pytest.approx(0.5)
+        assert epsilon(0.8, 0.2, 101, 50) == pytest.approx(0.5)
 
     def test_monotone_non_increasing(self):
-        sched = EpsilonSchedule(0.8, 0.2, 37)
-        values = [epsilon(sched, e) for e in range(50)]
+        values = [epsilon(0.8, 0.2, 37, e) for e in range(50)]
         assert all(b <= a for a, b in zip(values, values[1:]))
         assert all(0.2 <= v <= 0.8 for v in values)
 
     def test_invalid_schedules(self):
-        with pytest.raises(ValueError):
-            EpsilonSchedule(0.1, 0.2, 10)
-        with pytest.raises(ValueError):
-            epsilon(EpsilonSchedule(0.8, 0.2, 10), -1)
+        # a training config is the one source of a schedule, and it rejects these
+        with pytest.raises(ValueError, match="not increase"):
+            ExperimentConfig(epsilon_start=0.1, epsilon_end=0.2)
+        with pytest.raises(ValueError, match="epsilon_horizon"):
+            ExperimentConfig(epsilon_horizon=0)
 
 
 class TestCheckpoints:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridlight.engine import EXITED, World
-from gridlight.flows import SpawnEvent
+from gridlight.flows import FlowSpec, expand_flows
 from gridlight.network import (
     APPROACHES,
     PHASE_COLUMNS,
@@ -277,12 +277,13 @@ class TestResolveRoute:
         entry_lane, movements = resolve_route(net, ("bypass",))
         assert movements == []
         assert entry_lane == net.roads["bypass"].lane_for_turn(Turn.STRAIGHT)
-        world = World(net, [SpawnEvent(0, ("bypass",))])
+        world = World(net, expand_flows([FlowSpec(("bypass",), start=0, end=0, interval=1)]))
         for _ in range(40):
             world.step()
         (veh,) = world.vehicles
         assert veh.lane_id == entry_lane and veh.status == EXITED
-        assert world.conservation() == (1, 1) and world.exited_total == 1
+        assert world.entered_total == world.exited_total == 1
+        assert world.on_network_count() == world.buffered_count() == 0
 
     def test_rejects_unknown_road(self):
         net = build_grid(1, 1, 300, 300)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from gridlight.engine import StepTelemetry, World
-from gridlight.flows import SpawnEvent
+from gridlight.flows import FlowSpec, expand_flows
 from gridlight.network import build_grid
 from gridlight.roadnet import load_roadnet, save_roadnet
 from gridlight.telemetry import GREEN, TELEMETRY_HEADER, YELLOW, write_telemetry_csv
@@ -68,17 +68,14 @@ def test_telemetry_csv_matches_csv_writer(tmp_path):
     net = turning_roadnet(tmp_path)
     assert {i.id for i in net.intersections} == set(ODD_IDS.values()) | {"i_1_2"}
     rng = np.random.default_rng(5)
-    events = []
-    for route in ROUTES:
-        events += [SpawnEvent(t, route) for t in range(0, 400, int(rng.integers(2, 6)))]
-    events.sort(key=lambda e: e.time)
-    world = World(net, events)
+    flows = [FlowSpec(route, start=0, end=399, interval=int(rng.integers(2, 6))) for route in ROUTES]
+    world = World(net, expand_flows(flows))
 
     steps, expected = [], []
     for _ in range(400):
-        for inter in net.intersections:
-            if world.needs_decision(inter.id):
-                world.apply_decision(inter.id, int(rng.integers(4)), int(rng.integers(5, 15)))
+        for r in world.due_signals().tolist():
+            inter = net.intersections[r]
+            world.apply_decision(inter.id, int(rng.integers(4)), int(rng.integers(5, 15)))
         tel = world.step()
         steps.append(tel)
         occupancy = {lane_id: world.occupancy(lane_id) for lane_id in net.lanes}
