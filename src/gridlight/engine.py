@@ -49,10 +49,13 @@ A tick skips work that cannot change anything, and each skip is exact:
   slot at ``clock_start + ceil(t_j - 1e-6) - 1``, the first tick whose
   elapsed time can reach ``t_j``.  A platoon-slot break wakes it
   ``max(1, int(gap / vmax))`` ticks on, since the head gains at most the
-  lane speed per tick.  A break on downstream capacity, the rear gap or a
-  spent budget sets no wake, because those change without the slot.  A
-  green that restarts a slot's clock sets its wake by the clearance rule
-  for the first crossing.
+  lane speed per tick.  A break on downstream capacity or the rear gap
+  sets no wake, because those change without the slot.  A green that
+  restarts a slot's clock sets its wake by the clearance rule for the
+  first crossing.
+* Spent budgets.  A slot whose budget is spent sleeps until its signal's
+  next decision tick: only a decision grants a budget, and a decision is
+  legal only once that tick has come.
 * Undue signals.  Each signal's next decision tick is kept in one array,
   set when its green is granted, so callers ask only the due signals.  A
   tick's signal update touches only the signals whose yellow ends in it.
@@ -415,7 +418,7 @@ class World:
 
     def due_signals(self) -> np.ndarray:
         """Positions in ``net.intersections`` of the signals whose green has run out."""
-        return np.flatnonzero(self._due <= self.time)
+        return (self._due <= self.time).nonzero()[0]
 
     # ------------------------------------------------------------------- step
 
@@ -493,7 +496,7 @@ class World:
         accel = self.k.accel
         fields = self._lane_fields
         settled_counts = self._settled
-        unsettled = np.flatnonzero(settled_counts < self._occupancy)
+        unsettled = (settled_counts < self._occupancy).nonzero()[0]
         for index, start in zip(unsettled.tolist(), settled_counts[unsettled].tolist()):
             vehicles, is_exit, vmax, stop = fields[index]
             settled = qlen = start
@@ -586,13 +589,14 @@ class World:
         lane_slot = self._lane_slot
         is_open = self._open.ravel()
         filled: list[int] = []
+        wake, due, per_signal = self._wake_flat, self._due, self._slot_lane.shape[1]
         # ascending, so already a heap
-        todo = np.flatnonzero(
-            self._open & (self._occupancy[self._slot_lane] > 0) & (self._wake <= self.time)
-        ).tolist()
+        ready = self._open & (self._occupancy[self._slot_lane] > 0) & (self._wake <= self.time)
+        todo = ready.ravel().nonzero()[0].tolist()
         while todo:
             s = heappop(todo)
             if self._slots[s].budget <= 0:
+                wake[s] = due[s // per_signal]
                 continue
             self._discharge_movement(s, discharged, filled)
             for lane in filled:

@@ -664,7 +664,7 @@ def train(
         del result
         if not all(map(math.isfinite, losses)):
             raise RuntimeError(f"training diverged: non-finite loss in episode {ep} (seed {seed})")
-        if not all(np.isfinite(a).all() for a in (*net.weights, *net.biases)):
+        if not np.isfinite(net.params).all():
             raise RuntimeError(f"training diverged: non-finite weights after episode {ep} (seed {seed})")
         row = {
             "episode": ep,

@@ -41,6 +41,10 @@ class QNetwork:
     Weight matrices are (fan_out, fan_in); initialization is uniform in
     +-1/sqrt(fan_in), drawn from the supplied generator so runs are
     reproducible.
+
+    Every parameter lives in one flat float64 vector, ``params``, laid out
+    as ``w0, b0, w1, b1, ...``: ``weights`` and ``biases`` are tuples of
+    views into it, so a write through a layer is a write to ``params``.
     """
 
     def __init__(
@@ -50,14 +54,23 @@ class QNetwork:
     ):
         if len(layer_sizes) < 2:
             raise ValueError("need at least an input and an output layer")
-        self.layer_sizes = tuple(int(n) for n in layer_sizes)
+        self._lay_out(tuple(int(n) for n in layer_sizes))
         rng = rng or np.random.default_rng(0)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(self.layer_sizes, self.layer_sizes[1:]):
-            bound = 1.0 / math.sqrt(fan_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-            self.biases.append(rng.uniform(-bound, bound, size=fan_out))
+        for w, b in zip(self.weights, self.biases):
+            bound = 1.0 / math.sqrt(w.shape[1])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+            b[...] = rng.uniform(-bound, bound, size=b.shape)
+
+    def _lay_out(self, layer_sizes: tuple[int, ...], params: Optional[np.ndarray] = None) -> None:
+        """Set the layer sizes and the flat vectors, with ``params`` as given or uninitialised."""
+        self.layer_sizes = layer_sizes
+        pairs = list(zip(layer_sizes, layer_sizes[1:]))
+        size = sum(fan_out * (fan_in + 1) for fan_in, fan_out in pairs)
+        self.params = np.empty(size) if params is None else params
+        #: ``lr`` times the last train step's gradient, laid out as ``params``
+        self._grad = np.empty(size)
+        self.weights, self.biases = _layer_views(self.params, pairs)
+        self._grad_w, self._grad_b = _layer_views(self._grad, pairs)
 
     @property
     def input_size(self) -> int:
@@ -69,10 +82,20 @@ class QNetwork:
 
     def copy(self) -> "QNetwork":
         twin = QNetwork.__new__(QNetwork)
-        twin.layer_sizes = self.layer_sizes
-        twin.weights = [w.copy() for w in self.weights]
-        twin.biases = [b.copy() for b in self.biases]
+        twin._lay_out(self.layer_sizes, self.params.copy())
         return twin
+
+
+def _layer_views(flat: np.ndarray, pairs: list[tuple[int, int]]) -> tuple[tuple, tuple]:
+    """Per layer, the (fan_out, fan_in) weight view and the bias view of ``flat``."""
+    weights, biases = [], []
+    at = 0
+    for fan_in, fan_out in pairs:
+        weights.append(flat[at : at + fan_out * fan_in].reshape(fan_out, fan_in))
+        at += fan_out * fan_in
+        biases.append(flat[at : at + fan_out])
+        at += fan_out
+    return tuple(weights), tuple(biases)
 
 
 def forward(net: QNetwork, s: np.ndarray) -> np.ndarray:
@@ -135,32 +158,36 @@ def train_step(
     if B == 0:
         raise ValueError("batch must be non-empty")
     targets = rewards.astype(float)
-    if not terminal.all():
-        best_next = forward_batch(target_net, next_states).max(axis=1)
-        targets[~terminal] += gamma * best_next[~terminal]
+    n_terminal = np.count_nonzero(terminal)
+    if n_terminal < B:
+        best_next = np.maximum.reduce(forward_batch(target_net, next_states), axis=1)
+        best_next *= gamma
+        if n_terminal:
+            live = ~terminal
+            targets[live] += best_next[live]
+        else:
+            targets += best_next
 
     activations = _activations(net, states)
     out = activations[-1]
     idx = np.arange(B)
     diff = out[idx, actions] - targets
-    loss = float(np.mean(diff**2))
+    loss = float(np.add.reduce(np.square(diff)) / B)
 
     grad_out = np.zeros_like(out)
     grad_out[idx, actions] = 2.0 * diff / B
 
-    grad_w: list[np.ndarray] = [np.empty(0)] * len(net.weights)
-    grad_b: list[np.ndarray] = [np.empty(0)] * len(net.biases)
+    # each layer's gradient goes into its view of the flat gradient
     g = grad_out
     for i in range(len(net.weights) - 1, -1, -1):
-        grad_w[i] = g.T @ activations[i]
-        grad_b[i] = g.sum(axis=0)
+        np.matmul(g.T, activations[i], out=net._grad_w[i])
+        np.add.reduce(g, axis=0, out=net._grad_b[i])
         if i > 0:
             g = (g @ net.weights[i]) * (activations[i] > 0.0)
 
-    for w, gw in zip(net.weights, grad_w):
-        w -= lr * gw
-    for b, gb in zip(net.biases, grad_b):
-        b -= lr * gb
+    grad = net._grad
+    grad *= lr
+    net.params -= grad
     return loss
 
 
@@ -170,10 +197,7 @@ def sync_target(net: QNetwork, target_net: QNetwork) -> None:
         raise ValueError(
             f"architecture mismatch: {net.layer_sizes} vs {target_net.layer_sizes}"
         )
-    for dst, src in zip(target_net.weights, net.weights):
-        np.copyto(dst, src)
-    for dst, src in zip(target_net.biases, net.biases):
-        np.copyto(dst, src)
+    np.copyto(target_net.params, net.params)
 
 
 class ReplayBuffer:
@@ -278,7 +302,7 @@ def load_checkpoint(path: str) -> QNetwork:
             f"layer sizes from {OBS_SIZE} inputs to 4 outputs"
         )
     sizes = tuple(int(n) for n in raw)
-    params: dict[str, np.ndarray] = {}
+    params: list[np.ndarray] = []
     for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
         for key, shape in ((f"w{i}", (fan_out, fan_in)), (f"b{i}", (fan_out,))):
             values = array(key)
@@ -286,9 +310,8 @@ def load_checkpoint(path: str) -> QNetwork:
                 raise ValueError(f"checkpoint {path}: {key} has shape {values.shape}, expected {shape}")
             if values.dtype.kind not in "fiu" or not np.isfinite(values).all():
                 raise ValueError(f"checkpoint {path}: {key} holds non-finite or non-numeric values")
-            params[key] = values.astype(float)
+            params.append(values.ravel())
+    # allocated only now: the sizes are bounded by arrays the file really holds
     net = QNetwork.__new__(QNetwork)
-    net.layer_sizes = sizes
-    net.weights = [params[f"w{i}"] for i in range(len(sizes) - 1)]
-    net.biases = [params[f"b{i}"] for i in range(len(sizes) - 1)]
+    net._lay_out(sizes, np.concatenate(params, dtype=float))
     return net

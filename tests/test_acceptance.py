@@ -28,7 +28,6 @@ deselect them with ``-m "not training"`` when a quick pass is needed.
     metrics.json and telemetry.csv
 """
 
-import concurrent.futures
 import json
 import statistics
 import time
@@ -44,7 +43,7 @@ from gridlight.experiment import (
     case_study,
     evaluate,
     run_single,
-    train,
+    train_many,
 )
 from gridlight.flows import (
     FlowSpec,
@@ -376,31 +375,6 @@ def test_criterion_09_spillback_behavior():
 # ------------------------------------------------------- criteria 10-12 setup
 
 
-def _train_worker(args):
-    doc, seed, out_dir = args
-    config = ExperimentConfig.from_dict(doc)
-    run = train(config, seed, out_dir=out_dir)
-    return {
-        "seed": seed,
-        "final": run.final_eval.average_travel_time,
-        "best": run.best_eval.average_travel_time,
-        "wall": run.wall_clock,
-    }
-
-
-def _train_all(config: ExperimentConfig, out_root=None) -> list[dict]:
-    tasks = [
-        (
-            config.to_dict(),
-            seed,
-            None if out_root is None else str(out_root / f"seed_{seed}"),
-        )
-        for seed in config.seeds
-    ]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
-        return list(pool.map(_train_worker, tasks))
-
-
 SEEDS = (0, 1, 2)
 
 LIGHT_DQN = ExperimentConfig(
@@ -431,7 +405,7 @@ def heavy_trainings(tmp_path_factory):
         out = root / reward_kind
         out.mkdir()
         results[reward_kind] = {
-            "runs": _train_all(heavy_config(reward_kind), out_root=out),
+            "runs": train_many(heavy_config(reward_kind), str(out), jobs=2)["per_seed"],
             "out": out,
         }
     return results
@@ -440,8 +414,8 @@ def heavy_trainings(tmp_path_factory):
 @pytest.mark.training
 def test_criterion_10_learning_beats_fixed_time():
     started = time.perf_counter()
-    runs = _train_all(LIGHT_DQN)
-    median_dqn = statistics.median(r["final"] for r in runs)
+    runs = train_many(LIGHT_DQN, jobs=2)["per_seed"]
+    median_dqn = statistics.median(r["final_eval"]["average_travel_time"] for r in runs.values())
     fixed = run_single(ExperimentConfig(controller=ControllerConfig(kind="fixed")), seed=0)
     fixed_att = fixed.metrics.average_travel_time
     elapsed = time.perf_counter() - started
@@ -456,10 +430,12 @@ def test_criterion_10_learning_beats_fixed_time():
 
 @pytest.mark.training
 def test_criterion_11_reward_variant_ordering(heavy_trainings):
-    prcol_med = statistics.median(r["final"] for r in heavy_trainings["prcol"]["runs"])
-    pressure_med = statistics.median(r["final"] for r in heavy_trainings["pressure"]["runs"])
+    prcol_med, pressure_med = (
+        statistics.median(r["final_eval"]["average_travel_time"] for r in heavy_trainings[kind]["runs"].values())
+        for kind in ("prcol", "pressure")
+    )
     walls = sum(
-        r["wall"] for kind in ("prcol", "pressure") for r in heavy_trainings[kind]["runs"]
+        r["wall_clock"] for kind in ("prcol", "pressure") for r in heavy_trainings[kind]["runs"].values()
     )
     assert prcol_med <= pressure_med
     assert walls < 30 * 60  # total training compute within the stated budget
@@ -486,11 +462,12 @@ def test_criterion_12_case_study_consistency(heavy_trainings, tmp_path):
     assert all(d.actual_discharged <= d.ideal_npass for d in closed)
 
     # behavioural half on the trained Syn-Heavy PRCOL policy (median seed)
-    runs = sorted(heavy_trainings["prcol"]["runs"], key=lambda r: r["final"])
-    median_run = runs[len(runs) // 2]
-    checkpoint = heavy_trainings["prcol"]["out"] / f"seed_{median_run['seed']}" / "checkpoint_final.npz"
+    runs = heavy_trainings["prcol"]["runs"]
+    seeds = sorted(runs, key=lambda seed: runs[seed]["final_eval"]["average_travel_time"])
+    median_seed = int(seeds[len(seeds) // 2])
+    checkpoint = heavy_trainings["prcol"]["out"] / f"seed_{median_seed}" / "checkpoint_final.npz"
     out = tmp_path / "eval"
-    evaluate(heavy_config("prcol"), str(checkpoint), seed=median_run["seed"], out_dir=str(out))
+    evaluate(heavy_config("prcol"), str(checkpoint), seed=median_seed, out_dir=str(out))
     from gridlight.telemetry import read_decisions_csv
 
     records = read_decisions_csv(str(out / "decisions.csv"))

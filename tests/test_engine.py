@@ -665,6 +665,49 @@ class TestDischargeWake:
         after, _ = self._beside_twin(*worlds, 40, decide)
         assert len(after) == 1
 
+    def test_spent_budget_sleeps_until_the_next_decision(self):
+        # three queued vehicles get a green budget of three while a fourth is
+        # still on its way: once the three have crossed, the slot sleeps until
+        # its green runs out at t=20, where the next decision grants the fourth
+        worlds = single(), single()
+        m = west_straight(worlds[0].net)
+        slot = worlds[0]._slots.index(worlds[0].services[m.id])
+        for world in worlds:
+            queue_up(world, m.in_lane, 3)
+            world.apply_decision("i_0_0", 0, 20)
+            place_vehicle(world, m.in_lane, pos=0.0, speed=0.0)
+
+        def decide(world):
+            if world.due_signals().size:
+                world.apply_decision("i_0_0", 0, 20)
+
+        world = worlds[0]
+        before, _ = self._beside_twin(*worlds, 15, decide)
+        assert world.services[m.id].budget == 0 and world._wake.flat[slot] == 20
+        after, _ = self._beside_twin(*worlds, 45, decide)
+        assert sum(world.services[m.id].cum_crossed for world in worlds) == 8
+        assert len(before) == 3 and len(after) == 1 and after[0] >= 20
+
+
+class TestDueSignals:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_due_signals_are_the_signals_whose_green_ran_out(self, seed):
+        # a due signal is decided at once or late; from t=200 one signal is
+        # not decided at all.  The answer is read again after every decision.
+        rng = np.random.default_rng(30_000 + seed)
+        net = build_grid(2, 2, 150, 150)
+        world = World(net, expand_flows([FlowSpec(straight_route(net, r), 0, 299, 4) for r, _ in net.entry_roads]))
+        never = int(rng.integers(len(net.intersections)))
+        for tick in range(300):
+            due = world.due_signals()
+            assert due.tolist() == np.flatnonzero(world._due <= world.time).tolist()
+            for r in due.tolist():
+                if rng.random() < 0.6 and not (r == never and tick >= 200):
+                    world.apply_decision(net.intersections[r].id, int(rng.integers(4)), int(rng.integers(1, 15)))
+                    assert world.due_signals().tolist() == np.flatnonzero(world._due <= world.time).tolist()
+            world.step(collect=False)
+        assert never in world.due_signals().tolist()  # its last green ran out before t=220
+
 
 class TestOccupancyVector:
     """The lane-occupancy vector every count is read from matches the lanes."""

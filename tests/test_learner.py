@@ -4,6 +4,8 @@ checkpoint round trips."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridlight.experiment import ExperimentConfig
 from gridlight.learner import (
@@ -395,3 +397,176 @@ class TestCheckpoints:
         twin = net.copy()
         net.weights[0][0, 0] += 1.0
         assert twin.weights[0][0, 0] != net.weights[0][0, 0]
+
+
+# ------------------------------------------- reference: the per-array learner
+#
+# The learner as it was before its parameters moved into one flat vector,
+# copied verbatim.  It updates a network through its weight and bias views,
+# one array at a time.
+
+
+def reference_forward_batch(net: QNetwork, states: np.ndarray) -> np.ndarray:
+    """Q-values for a (B, input) batch of states."""
+    h = np.asarray(states, dtype=float)
+    if h.ndim != 2 or h.shape[1] != net.input_size:
+        raise ValueError(f"batch must have shape (B, {net.input_size}), got {h.shape}")
+    return reference_activations(net, h)[-1]
+
+
+def reference_activations(net: QNetwork, states: np.ndarray) -> list[np.ndarray]:
+    """The input batch followed by every layer's output."""
+    activations = [states]
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = activations[-1] @ w.T + b
+        if i < last:
+            np.maximum(h, 0.0, out=h)
+        activations.append(h)
+    return activations
+
+
+def reference_train_step(
+    net: QNetwork,
+    target_net: QNetwork,
+    batch: Transition,
+    gamma: float,
+    lr: float,
+) -> float:
+    """One gradient-descent step on the squared TD error of a batch."""
+    states, actions, rewards, next_states, terminal = batch
+    B = len(actions)
+    if B == 0:
+        raise ValueError("batch must be non-empty")
+    targets = rewards.astype(float)
+    if not terminal.all():
+        best_next = reference_forward_batch(target_net, next_states).max(axis=1)
+        targets[~terminal] += gamma * best_next[~terminal]
+
+    activations = reference_activations(net, states)
+    out = activations[-1]
+    idx = np.arange(B)
+    diff = out[idx, actions] - targets
+    loss = float(np.mean(diff**2))
+
+    grad_out = np.zeros_like(out)
+    grad_out[idx, actions] = 2.0 * diff / B
+
+    grad_w: list[np.ndarray] = [np.empty(0)] * len(net.weights)
+    grad_b: list[np.ndarray] = [np.empty(0)] * len(net.biases)
+    g = grad_out
+    for i in range(len(net.weights) - 1, -1, -1):
+        grad_w[i] = g.T @ activations[i]
+        grad_b[i] = g.sum(axis=0)
+        if i > 0:
+            g = (g @ net.weights[i]) * (activations[i] > 0.0)
+
+    for w, gw in zip(net.weights, grad_w):
+        w -= lr * gw
+    for b, gb in zip(net.biases, grad_b):
+        b -= lr * gb
+    return loss
+
+
+def reference_sync_target(net: QNetwork, target_net: QNetwork) -> None:
+    """Copy the online parameters into the target network, bit for bit."""
+    if net.layer_sizes != target_net.layer_sizes:
+        raise ValueError(
+            f"architecture mismatch: {net.layer_sizes} vs {target_net.layer_sizes}"
+        )
+    for dst, src in zip(target_net.weights, net.weights):
+        np.copyto(dst, src)
+    for dst, src in zip(target_net.biases, net.biases):
+        np.copyto(dst, src)
+
+
+class TestFlatParameters:
+    """The flat-vector learner computes what the per-array reference does, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        hidden=st.lists(st.integers(1, 40), min_size=0, max_size=3),
+        inputs=st.integers(1, 20),
+        outputs=st.integers(1, 6),
+        steps=st.lists(
+            st.tuples(st.integers(1, 64), st.sampled_from(["none", "some", "all"])),
+            min_size=1,
+            max_size=8,
+        ),
+        sync_every=st.integers(1, 4),
+    )
+    def test_steps_match_the_reference(self, seed, hidden, inputs, outputs, steps, sync_every):
+        rng = np.random.default_rng(seed)
+        sizes = (inputs, *hidden, outputs)
+        net = QNetwork(sizes, rng)
+        target = QNetwork(sizes, rng)
+        ref, ref_target = net.copy(), target.copy()
+        gamma, lr = float(rng.uniform(0.0, 1.0)), float(rng.uniform(1e-4, 0.1))
+        for k, (size, kind) in enumerate(steps, start=1):
+            terminal = {
+                "none": np.zeros(size, bool),
+                "all": np.ones(size, bool),
+                "some": rng.random(size) < 0.5,
+            }[kind]
+            # the state rows are scaled so that some hidden units are dead
+            batch = Transition(
+                rng.normal(size=(size, inputs)) * 3.0,
+                rng.integers(outputs, size=size),
+                rng.normal(scale=5.0, size=size),
+                rng.normal(size=(size, inputs)) * 3.0,
+                terminal,
+            )
+            before = batch.r.copy()
+            loss = train_step(net, target, batch, gamma, lr)
+            assert loss == reference_train_step(ref, ref_target, batch, gamma, lr)
+            assert net.params.tobytes() == ref.params.tobytes()
+            assert target.params.tobytes() == ref_target.params.tobytes()
+            assert np.array_equal(batch.r, before)
+            s = rng.normal(size=inputs)
+            assert forward(net, s).tobytes() == reference_forward_batch(ref, s[None, :])[0].tobytes()
+            assert forward(target, s).tobytes() == reference_forward_batch(ref_target, s[None, :])[0].tobytes()
+            if k % sync_every == 0:
+                sync_target(net, target)
+                reference_sync_target(ref, ref_target)
+                assert target.params.tobytes() == ref_target.params.tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 64))
+    def test_batch_forward_matches_the_reference(self, seed, size):
+        rng = np.random.default_rng(seed)
+        net = QNetwork(rng=rng)
+        states = rng.normal(size=(size, 16))
+        assert forward_batch(net, states).tobytes() == reference_forward_batch(net, states).tobytes()
+
+    def test_forward_returns_its_own_array(self):
+        net = QNetwork(rng=np.random.default_rng(31))
+        rng = np.random.default_rng(32)
+        first = forward(net, rng.normal(size=16))
+        kept = first.copy()
+        forward(net, rng.normal(size=16))
+        forward_batch(net, rng.normal(size=(1, 16)))
+        assert np.array_equal(first, kept)
+
+    @staticmethod
+    def _assert_views_of_params(net: QNetwork) -> None:
+        assert isinstance(net.weights, tuple) and isinstance(net.biases, tuple)
+        assert net.params.size == sum(a.size for a in (*net.weights, *net.biases))
+        for layer in (*net.weights, *net.biases):
+            before = net.params.copy()
+            layer.flat[-1] += 1.0
+            assert np.count_nonzero(net.params != before) == 1
+
+    def test_layers_are_views_of_params(self, tmp_path):
+        net = QNetwork(rng=np.random.default_rng(33))
+        self._assert_views_of_params(net)
+        self._assert_views_of_params(net.copy())
+        path = str(tmp_path / "model.npz")
+        save_checkpoint(net, path)
+        self._assert_views_of_params(load_checkpoint(path))
+        target = QNetwork(rng=np.random.default_rng(34))
+        sync_target(net, target)
+        assert target.params.tobytes() == net.params.tobytes()
+        self._assert_views_of_params(target)
+        with pytest.raises(TypeError):
+            net.weights[0] = np.zeros((32, 16))
