@@ -48,11 +48,12 @@ A tick skips work that cannot change anything, and each skip is exact:
   slot's own crossing pops its lane's head.  A clearance break wakes the
   slot at ``clock_start + ceil(t_j - 1e-6) - 1``, the first tick whose
   elapsed time can reach ``t_j``.  A platoon-slot break wakes it
-  ``max(1, int(gap / vmax))`` ticks on, since the head gains at most the
-  lane speed per tick.  A break on downstream capacity or the rear gap
-  sets no wake, because those change without the slot.  A green that
-  restarts a slot's clock sets its wake by the clearance rule for the
-  first crossing.
+  ``max(1, ceil((gap - 1e-3) / vmax))`` ticks on: the head gains at most
+  the lane speed per tick, so it cannot come within 1e-6 of its slot
+  sooner, and the 1e-3 margin absorbs the rounding of the quotient.  A
+  break on downstream capacity or the rear gap sets no wake, because
+  those change without the slot.  A green that restarts a slot's clock
+  sets its wake by the clearance rule for the first crossing.
 * Spent budgets.  A slot whose budget is spent sleeps until its signal's
   next decision tick: only a decision grants a budget, and a decision is
   legal only once that tick has come.
@@ -63,11 +64,13 @@ A tick skips work that cannot change anything, and each skip is exact:
   ``yellow``): ``World.signals[id]`` is a live row, and a collected tick's
   ``phases`` and ``yellow`` are copies of its two fields.
 
-Discharge slots are fixed when the world is built: per intersection, the
-movements of phases 0-3 in ``PHASE_COLUMNS`` row order, then the four
-right turns.  One open mask admits the right turns always and a phase's
-movements while it shows green, so ascending open slots visit each
-intersection's green phase, then its right turns, in network order.
+Discharge slots are fixed per network: per intersection, the movements of
+phases 0-3 in ``PHASE_COLUMNS`` row order, then the four right turns.  One
+open mask admits the right turns always and a phase's movements while it
+shows green, so ascending open slots visit each intersection's green
+phase, then its right turns, in network order.  The slot layout and the
+other static tables are built once per network and shared by every world
+on it; a world builds only its mutable state.
 
 A world is mutated by exactly one caller; independent worlds may run
 concurrently.  Identical (network, schedule, decisions) produce bit
@@ -93,7 +96,6 @@ __all__ = [
     "Vehicle",
     "StepTelemetry",
     "World",
-    "movement_tables",
     "OBS_SIZE",
     "OBS_COUNTS",
 ]
@@ -149,12 +151,11 @@ class _LaneState:
     of that speed.
     """
 
-    __slots__ = ("lane", "vehicles", "is_exit", "index", "clear")
+    __slots__ = ("lane", "vehicles", "index", "clear")
 
-    def __init__(self, lane, is_exit: bool, index: int, clear: tuple[KinematicParams, list[float]]):
+    def __init__(self, lane, vehicles: deque, index: int, clear: tuple[KinematicParams, list[float]]):
         self.lane = lane
-        self.vehicles: deque[Vehicle] = deque()
-        self.is_exit = is_exit
+        self.vehicles: deque[Vehicle] = vehicles
         self.index = index
         self.clear = clear
 
@@ -195,22 +196,50 @@ class StepTelemetry:
     yellow: Optional[np.ndarray] = None
 
 
-def movement_tables(net: RoadNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index tables that read an intersection's counts out of a lane vector.
+class _NetworkTables:
+    """The read-only tables every world on one network shares.
 
-    Row ``r`` belongs to ``net.intersections[r]`` and column ``j`` to its
-    ``j``-th movement in canonical order: the position in ``net.lanes`` of
-    the movement's incoming lane, of its outgoing lane, and the outgoing
-    lane's capacity.
+    ``in_idx``, ``out_idx`` and ``n_max`` read an intersection's counts out
+    of a lane vector: row ``r`` is ``net.intersections[r]``, column ``j`` its
+    ``j``-th movement in canonical order, and the entries are the positions
+    in ``net.lanes`` of the movement's incoming and outgoing lanes and the
+    outgoing lane's capacity.  The ``slot_*`` tables follow the discharge
+    slots in (intersection, slot) order; a right turn starts with no budget.
     """
-    position = {lane_id: k for k, lane_id in enumerate(net.lanes)}
-    rows = [
-        (position[m.in_lane], position[m.out_lane], net.lanes[m.out_lane].capacity)
-        for inter in net.intersections
-        for m in inter.movements
-    ]
-    table = np.array(rows, dtype=np.int64).reshape(-1, 12, 3).transpose(2, 0, 1).copy()
-    return table[0], table[1], table[2]
+
+    def __init__(self, net: RoadNetwork):
+        position = {lane_id: k for k, lane_id in enumerate(net.lanes)}
+        movements = [m for inter in net.intersections for m in inter.movements]
+        self.in_idx = np.array([position[m.in_lane] for m in movements], np.int64).reshape(-1, 12)
+        self.out_idx = np.array([position[m.out_lane] for m in movements], np.int64).reshape(-1, 12)
+        self.n_max = np.array([lane.capacity for lane in net.lanes.values()], np.int64)[self.out_idx]
+        self.signal_index = {inter.id: r for r, inter in enumerate(net.intersections)}
+        exits = set(net.boundary_exits)
+        self.is_exit = [lane_id in exits for lane_id in net.lanes]
+        self.max_speed = [lane.max_speed for lane in net.lanes.values()]
+        self.length = [lane.length for lane in net.lanes.values()]
+        speeds: dict[float, int] = {}
+        self.lane_speed = [speeds.setdefault(speed, len(speeds)) for speed in self.max_speed]
+        self.speeds = tuple(speeds)
+        columns = PHASE_COLUMNS.ravel().tolist() + [movement_column(a, Turn.RIGHT) for a in APPROACHES]
+        self.slot_mid = [inter.movements[c].id for inter in net.intersections for c in columns]
+        self.slot_lane = self.in_idx[:, columns]
+        self.slot_src = self.slot_lane.ravel().tolist()
+        self.slot_out = self.out_idx[:, columns].ravel().tolist()
+        self.slot_speed = np.array(self.lane_speed, np.intp)[self.slot_lane]
+        self.slot_budget = ([0.0] * PHASE_COLUMNS.size + [math.inf] * len(APPROACHES)) * len(net.intersections)
+        lane_slot = np.full(len(net.lanes), -1)
+        lane_slot[self.slot_src] = np.arange(len(self.slot_src))
+        self.lane_slot = tuple(lane_slot.tolist())
+        for table in (self.in_idx, self.out_idx, self.n_max, self.slot_lane, self.slot_speed):
+            table.flags.writeable = False
+
+
+def _network_tables(net: RoadNetwork) -> _NetworkTables:
+    """The tables of ``net``, built on first use and kept on it beside its resolved routes."""
+    if net._tables is None:
+        net._tables = _NetworkTables(net)
+    return net._tables
 
 
 class World:
@@ -240,20 +269,20 @@ class World:
         self.obs_counts = obs_counts
         self.time = 0
 
-        exit_lanes = set(net.boundary_exits)
+        self._tables = tables = _network_tables(net)
+        self._in_idx, self._out_idx, self._n_max = tables.in_idx, tables.out_idx, tables.n_max
+        self._signal_index, self._slot_lane, self._lane_slot = tables.signal_index, tables.slot_lane, tables.lane_slot
         # platoon clearance times per lane speed, extended on demand
-        clear_tables: dict[float, tuple[KinematicParams, list[float]]] = {}
-        self.lanes: dict[str, _LaneState] = {}
-        for index, (lane_id, lane) in enumerate(net.lanes.items()):
-            clear = clear_tables.get(lane.max_speed)
-            if clear is None:
-                kin = replace(kinematics, max_speed=lane.max_speed)
-                clear = clear_tables[lane.max_speed] = (kin, [0.0, platoon_clear_time(1, kin)])
-            self.lanes[lane_id] = _LaneState(lane, lane_id in exit_lanes, index, clear)
-        self._lane_list = list(self.lanes.values())
+        kins = [replace(kinematics, max_speed=speed) for speed in tables.speeds]
+        clear_tables = [(kin, [0.0, platoon_clear_time(1, kin)]) for kin in kins]
+        deques = [deque() for _ in net.lanes]
+        self._lane_list = lanes = [
+            _LaneState(lane, vehicles, index, clear_tables[speed])
+            for index, (lane, vehicles, speed) in enumerate(zip(net.lanes.values(), deques, tables.lane_speed))
+        ]
+        self.lanes: dict[str, _LaneState] = dict(zip(net.lanes, self._lane_list))
         #: per lane, what the advance reads: (vehicles, is_exit, max_speed, length)
-        self._lane_fields = [(ls.vehicles, ls.is_exit, ls.lane.max_speed, ls.lane.length) for ls in self._lane_list]
-        self._signal_index = {inter.id: r for r, inter in enumerate(net.intersections)}
+        self._lane_fields = list(zip(deques, tables.is_exit, tables.max_speed, tables.length))
         n = len(net.intersections)
         heads = np.zeros(n, np.dtype((np.record, [("current_phase", np.int8), ("yellow", bool)])))
         #: each intersection's signal head, a live row of ``heads``
@@ -272,28 +301,19 @@ class World:
         #: stop line, or one headway behind the vehicle ahead); a lane whose
         #: vehicles are all settled is not advanced
         self._settled = np.zeros(len(net.lanes), np.int64)
-        self._in_idx, self._out_idx, self._n_max = movement_tables(net)
 
-        self.services: dict[str, _Service] = {
-            m.id: _Service(
-                m.id, self.lanes[m.in_lane], self.lanes[m.out_lane], math.inf if m.turn is Turn.RIGHT else 0.0
-            )
-            for inter in net.intersections
-            for m in inter.movements
-        }
-
-        # Discharge slots, 12 per intersection: phase k's movements at
-        # [k * width, (k + 1) * width), then the four right turns.
+        # one discharge record per slot, in slot order
+        self._slots = [
+            _Service(mid, lanes[src], lanes[out], budget)
+            for mid, src, out, budget in zip(tables.slot_mid, tables.slot_src, tables.slot_out, tables.slot_budget)
+        ]
+        self.services: dict[str, _Service] = {svc.mid: svc for svc in self._slots}
         self._phase_width = width = PHASE_COLUMNS.shape[1]
-        columns = PHASE_COLUMNS.ravel().tolist() + [movement_column(a, Turn.RIGHT) for a in APPROACHES]
-        self._slots = [self.services[inter.movements[c].id] for inter in net.intersections for c in columns]
         #: per intersection and phase, the services the phase grants, in phase order
         self._grants = [
             [tuple(self._slots[base + k : base + k + width]) for k in range(0, PHASE_COLUMNS.size, width)]
-            for base in range(0, len(self._slots), len(columns))
+            for base in range(0, len(self._slots), self._slot_lane.shape[1])
         ]
-        slot_lanes = [svc.src.index for svc in self._slots]
-        self._slot_lane = np.array(slot_lanes, np.int64).reshape(len(net.intersections), -1)
         #: which slots may discharge: the right turns, and the green phase's movements
         self._open = np.ones(self._slot_lane.shape, bool)
         self._open[:, width : PHASE_COLUMNS.size] = False
@@ -301,13 +321,8 @@ class World:
         self._wake = np.zeros(self._slot_lane.shape, np.int64)
         self._wake_flat = self._wake.reshape(-1)
         #: per slot, the wake of its first crossing after a clock start, less the start
-        self._first_wait = np.array(
-            [_clearance_wait(svc.src.clear[1][1]) for svc in self._slots], np.int64
-        ).reshape(self._slot_lane.shape)
-        #: the slot each lane feeds, or -1
-        self._lane_slot = [-1] * len(net.lanes)
-        for s, svc in enumerate(self._slots):
-            self._lane_slot[svc.src.index] = s
+        waits = np.array([_clearance_wait(clear[1][1]) for clear in clear_tables], np.int64)
+        self._first_wait = waits[tables.slot_speed]
 
         # spawn schedule, each distinct route resolved once, and entry buffers
         self._times = schedule.times
@@ -631,7 +646,7 @@ class World:
             # the j-th crossing requires the head to occupy the j-th platoon slot
             slot_pos = stop - (j - 1) * headway
             if head.pos < slot_pos - 1e-6:
-                self._wake_flat[s] = self.time + max(1, int((slot_pos - head.pos) / vmax))
+                self._wake_flat[s] = self.time + max(1, math.ceil((slot_pos - head.pos - 1e-3) / vmax))
                 break
             if head.route_idx + 1 < len(head.route):
                 dest = self.lanes[head.route[head.route_idx + 1].in_lane]

@@ -145,6 +145,10 @@ class RoadNetwork:
         self._by_id = {i.id: i for i in self.intersections}
         #: each route :func:`resolve_route` resolved on this network, by its road ids
         self._routes: dict[tuple[str, ...], tuple[str, list[Movement]]] = {}
+        #: each movement by its (road, next road) ids, indexed by the first :func:`resolve_route`
+        self._hops: Optional[dict[tuple[str, str], Movement]] = None
+        #: the static tables every ``engine.World`` on this network shares, built on first use
+        self._tables: Optional[object] = None
         self._lane_road = {
             lane_id: road for road in self.roads.values() for lane_id in road.lane_ids
         }
@@ -207,41 +211,16 @@ PHASE_COLUMNS = np.array([[movement_column(a, t) for a, t in pair] for pair in s
 PHASE_COLUMNS.flags.writeable = False
 
 
-def _movement_id(intersection_id: str, approach: str, turn: Turn) -> str:
-    return f"{intersection_id}:{approach}:{turn.value}"
+# heading of travel after each turn, by the heading before it
+_TURNED = {Turn.LEFT: _LEFT_OF, Turn.STRAIGHT: {h: h for h in _LEFT_OF}, Turn.RIGHT: _RIGHT_OF}
 
-
-def _make_intersection(
-    intersection_id: str,
-    incoming: dict[str, Road],
-    outgoing: dict[str, Road],
-) -> Intersection:
-    """Assemble the 12 movements of one junction in canonical order.
-
-    ``incoming`` / ``outgoing`` map approach labels (W/E/N/S) to the road
-    arriving from, respectively leaving toward, that side.
-    """
-    movements: list[Movement] = []
-    for approach in APPROACHES:
-        road_in = incoming[approach]
-        heading = road_in.heading
-        for turn in TURNS:
-            if turn is Turn.STRAIGHT:
-                heading_out = heading
-            elif turn is Turn.LEFT:
-                heading_out = _LEFT_OF[heading]
-            else:
-                heading_out = _RIGHT_OF[heading]
-            road_out = outgoing[heading_out]
-            movements.append(
-                Movement(
-                    id=_movement_id(intersection_id, approach, turn),
-                    in_lane=road_in.lane_for_turn(turn),
-                    out_lane=road_out.lane_for_turn(turn),
-                    turn=turn,
-                )
-            )
-    return Intersection(id=intersection_id, movements=tuple(movements))
+#: per approach in canonical order, per turn: the turn, its movement id's
+#: suffix, its lane's position in ``Road.lane_ids`` and the heading it leaves
+#: on, by the heading it arrives on
+_TURN_PLAN = tuple(
+    (approach, tuple((turn, f":{approach}:{turn.value}", k, _TURNED[turn]) for k, turn in enumerate(TURNS)))
+    for approach in APPROACHES
+)
 
 
 def _heading(p0: tuple[float, float], p1: tuple[float, float]) -> str:
@@ -287,34 +266,36 @@ def assemble_network(
     for road_id, start, end, length, max_speed in roads:
         if start == end:
             raise ValueError(f"road {road_id} starts and ends at {start}")
-        lane_ids = tuple(f"{road_id}_{i}" for i in range(3))
+        lane_ids = (f"{road_id}_0", f"{road_id}_1", f"{road_id}_2")
         heading = _heading(positions[start], positions[end])
-        built[road_id] = Road(road_id, start, end, heading, length, max_speed, lane_ids)  # type: ignore[arg-type]
+        built[road_id] = Road(road_id, start, end, heading, length, max_speed, lane_ids)
         cap = lane_capacity(length, l_v, l_g)
         for lane_id in lane_ids:
-            lanes[lane_id] = Lane(id=lane_id, length=length, max_speed=max_speed, capacity=cap)
+            lanes[lane_id] = Lane(lane_id, length, max_speed, cap)
 
     incoming: dict[str, dict[str, Road]] = {}
     outgoing: dict[str, dict[str, Road]] = {}
     entries: list[tuple[str, str]] = []
     exits: list[str] = []
     for road in built.values():
-        for node, buckets, approach, how in (
-            (road.end, incoming, _HEADING_TO_APPROACH[road.heading], "arriving from"),
-            (road.start, outgoing, road.heading, "leaving toward"),
-        ):
-            if node in virtual:
-                continue
-            bucket = buckets.setdefault(node, {})
-            if approach in bucket:
-                raise ValueError(f"intersection {node} has two roads {how} {approach}")
-            bucket[approach] = road
-        if road.start in virtual:
-            named = road.start.split("_")[1] if road.start.startswith("b_") else None
-            side = named if named in ("w", "e", "n", "s") else _HEADING_TO_APPROACH[road.heading].lower()
-            entries.extend((lane_id, side) for lane_id in road.lane_ids)
-        if road.end in virtual:
+        start, end, heading = road.start, road.end, road.heading
+        if end in virtual:
             exits.extend(road.lane_ids)
+        else:
+            bucket = incoming.setdefault(end, {})
+            approach = _HEADING_TO_APPROACH[heading]
+            if approach in bucket:
+                raise ValueError(f"intersection {end} has two roads arriving from {approach}")
+            bucket[approach] = road
+        if start in virtual:
+            named = start.split("_")[1] if start.startswith("b_") else None
+            side = named if named in ("w", "e", "n", "s") else _HEADING_TO_APPROACH[heading].lower()
+            entries.extend((lane_id, side) for lane_id in road.lane_ids)
+        else:
+            bucket = outgoing.setdefault(start, {})
+            if heading in bucket:
+                raise ValueError(f"intersection {start} has two roads leaving toward {heading}")
+            bucket[heading] = road
 
     intersections: list[Intersection] = []
     for node in positions:
@@ -323,7 +304,13 @@ def assemble_network(
         inc, out = incoming.get(node, {}), outgoing.get(node, {})
         if len(inc) != 4 or len(out) != 4:
             raise ValueError(f"intersection {node} is not a full 4-way junction")
-        intersections.append(_make_intersection(node, inc, out))
+        movements: list[Movement] = []
+        for approach, turns in _TURN_PLAN:
+            road_in = inc[approach]
+            for turn, suffix, k, turned in turns:
+                road_out = out[turned[road_in.heading]]
+                movements.append(Movement(node + suffix, road_in.lane_ids[k], road_out.lane_ids[k], turn))
+        intersections.append(Intersection(node, tuple(movements)))
 
     return RoadNetwork(
         intersections=intersections,
@@ -413,21 +400,25 @@ def resolve_route(net: RoadNetwork, road_ids: list[str] | tuple[str, ...]) -> tu
         raise ValueError(
             f"route must end at a boundary exit, but road {roads[-1].id} ends at {roads[-1].end}"
         )
+    hops = net._hops
+    if hops is None:
+        lane_road = net._lane_road
+        hops = net._hops = {
+            (lane_road[m.in_lane].id, lane_road[m.out_lane].id): m
+            for inter in net.intersections
+            for m in inter.movements
+        }
     movements: list[Movement] = []
-    for here, nxt in zip(roads, roads[1:]):
-        if here.end != nxt.start:
-            raise ValueError(f"roads {here.id} and {nxt.id} are not connected")
-        if here.end not in intersection_ids:
-            raise ValueError(f"route passes through non-intersection node {here.end}")
-        for m in net.intersection(here.end).movements:
-            if m.in_lane in here.lane_ids and m.out_lane in nxt.lane_ids:
-                movements.append(m)
-                break
-        else:
+    for hop in zip(route, route[1:]):
+        m = hops.get(hop)
+        if m is None:
+            here, nxt = net.roads[hop[0]], net.roads[hop[1]]
+            if here.end != nxt.start:
+                raise ValueError(f"roads {here.id} and {nxt.id} are not connected")
+            if here.end not in intersection_ids:
+                raise ValueError(f"route passes through non-intersection node {here.end}")
             raise ValueError(f"no movement from road {here.id} to road {nxt.id}")
-    if movements:
-        entry_lane = movements[0].in_lane
-    else:
-        entry_lane = roads[0].lane_for_turn(Turn.STRAIGHT)
+        movements.append(m)
+    entry_lane = movements[0].in_lane if movements else roads[0].lane_for_turn(Turn.STRAIGHT)
     resolved = net._routes[route] = (entry_lane, movements)
     return resolved

@@ -36,16 +36,6 @@ def _warn_ignored(record: dict[str, Any], known: set[str], seen: set[str], where
             log.warning("ignoring unsupported roadnet field %r (%s)", key, where)
 
 
-def _require_object(path: str, what: str, rec: Any) -> None:
-    if not isinstance(rec, dict):
-        raise RoadnetFormatError(f"{path}: malformed {what} record: {rec!r}")
-
-
-def _require_string(path: str, what: str, value: Any) -> None:
-    if not isinstance(value, str):
-        raise RoadnetFormatError(f"{path}: {what} must be a string, got {value!r}")
-
-
 def _finite(value: Any) -> float | None:
     """``value`` as a float when it is a finite JSON number, else ``None``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -57,11 +47,11 @@ def _finite(value: Any) -> float | None:
     return number if math.isfinite(number) else None
 
 
-def _positive(what: str, value: Any, error: type[ValueError] = ValueError) -> float:
-    """``value`` as a float when it is a finite JSON number > 0, else raises ``error``."""
+def _positive(what: str, value: Any) -> float:
+    """``value`` as a float when it is a finite JSON number > 0, else raises ``ValueError``."""
     number = _finite(value)
     if number is None or number <= 0:
-        raise error(f"{what} must be a finite number > 0, got {value!r}")
+        raise ValueError(f"{what} must be a finite number > 0, got {value!r}")
     return number
 
 
@@ -88,42 +78,50 @@ def load_roadnet(path: str, l_v: float = 5.0, l_g: float = 2.5) -> RoadNetwork:
         if not isinstance(doc[key], list):
             raise RoadnetFormatError(f"{path}: {key} must be a list, got {doc[key]!r}")
 
+    # one test per rule and record; a message is built only for a rule that fails
     seen_ignored: set[str] = set()
     positions: dict[str, tuple[float, float]] = {}
     virtual: set[str] = set()
     for rec in doc["intersections"]:
-        _require_object(path, "intersection", rec)
+        if not isinstance(rec, dict):
+            raise RoadnetFormatError(f"{path}: malformed intersection record: {rec!r}")
         _warn_ignored(rec, _INTERSECTION_KEYS, seen_ignored, "intersection")
         try:
             node_id = rec["id"]
-            point = (_finite(rec["point"]["x"]), _finite(rec["point"]["y"]))
+            x, y = _finite(rec["point"]["x"]), _finite(rec["point"]["y"])
         except (KeyError, TypeError) as exc:
             raise RoadnetFormatError(f"{path}: malformed intersection record: {rec!r}") from exc
-        _require_string(path, "intersection id", node_id)
-        if None in point:
+        if not isinstance(node_id, str):
+            raise RoadnetFormatError(f"{path}: intersection id must be a string, got {node_id!r}")
+        if x is None or y is None:
             raise RoadnetFormatError(f"{path}: intersection {node_id} point must hold finite numbers x and y")
         if node_id in positions:
             raise RoadnetFormatError(f"{path}: repeated intersection id {node_id}")
-        positions[node_id] = point  # type: ignore[assignment]
+        positions[node_id] = (x, y)
         is_virtual = rec.get("virtual", False)
-        if not isinstance(is_virtual, bool):
-            raise RoadnetFormatError(f"{path}: intersection {node_id} virtual must be true or false, got {is_virtual!r}")
-        if is_virtual:
+        if is_virtual is True:
             virtual.add(node_id)
+        elif is_virtual is not False:
+            raise RoadnetFormatError(f"{path}: intersection {node_id} virtual must be true or false, got {is_virtual!r}")
 
     roads: list[tuple[str, str, str, float, float]] = []
     road_ids: set[str] = set()
     for rec in doc["roads"]:
-        _require_object(path, "road", rec)
+        if not isinstance(rec, dict):
+            raise RoadnetFormatError(f"{path}: malformed road record: {rec!r}")
         _warn_ignored(rec, _ROAD_KEYS, seen_ignored, "road")
         try:
             road_id = rec["id"]
             start, end = rec["startIntersection"], rec["endIntersection"]
         except KeyError as exc:
             raise RoadnetFormatError(f"{path}: malformed road record: {rec!r}") from exc
-        _require_string(path, "road id", road_id)
-        _require_string(path, f"road {road_id} startIntersection", start)
-        _require_string(path, f"road {road_id} endIntersection", end)
+        if not isinstance(road_id, str):
+            raise RoadnetFormatError(f"{path}: road id must be a string, got {road_id!r}")
+        for what, node_id in (("startIntersection", start), ("endIntersection", end)):
+            if not isinstance(node_id, str):
+                raise RoadnetFormatError(
+                    f"{path}: road {road_id} {what} must be a string, got {node_id!r}"
+                )
         if road_id in road_ids:
             raise RoadnetFormatError(f"{path}: repeated road id {road_id}")
         road_ids.add(road_id)
@@ -145,15 +143,17 @@ def load_roadnet(path: str, l_v: float = 5.0, l_g: float = 2.5) -> RoadNetwork:
             raise RoadnetFormatError(
                 f"{path}: road {road_id} has {n_lanes} lanes; exactly 3 are supported"
             )
-        where = f"{path}: road {road_id}"
-        if "maxSpeed" in rec:
-            max_speed = _positive(f"{where} maxSpeed", rec["maxSpeed"], RoadnetFormatError)
-        elif isinstance(lane_spec, list) and "maxSpeed" in lane_spec[0]:
-            max_speed = _positive(f"{where} lane maxSpeed", lane_spec[0]["maxSpeed"], RoadnetFormatError)
-        else:
-            max_speed = 40.0 / 3.6
-        geometric = math.dist(positions[start], positions[end])
-        length = _positive(f"{where} length", rec.get("length", geometric), RoadnetFormatError)
+        try:
+            if "maxSpeed" in rec:
+                max_speed = _positive("maxSpeed", rec["maxSpeed"])
+            elif isinstance(lane_spec, list) and "maxSpeed" in lane_spec[0]:
+                max_speed = _positive("lane maxSpeed", lane_spec[0]["maxSpeed"])
+            else:
+                max_speed = 40.0 / 3.6
+            geometric = math.dist(positions[start], positions[end])
+            length = _positive("length", rec.get("length", geometric))
+        except ValueError as exc:
+            raise RoadnetFormatError(f"{path}: road {road_id} {exc}") from None
         roads.append((road_id, start, end, length, max_speed))
 
     try:

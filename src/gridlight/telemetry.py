@@ -32,7 +32,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .engine import StepTelemetry, movement_tables
+from .engine import StepTelemetry, _network_tables
 from .network import PHASE_COLUMNS, RoadNetwork
 
 __all__ = [
@@ -143,7 +143,7 @@ class _RowTables:
     """
 
     def __init__(self, net: RoadNetwork):
-        self.incoming = movement_tables(net)[0]
+        self.incoming = _network_tables(net).in_idx
         self.n_rows = len(net.intersections)
         self.n_phases = len(PHASE_COLUMNS)
         # where each movement's discharges go in a tick's flat (intersection, 24) counts

@@ -2,6 +2,7 @@
 observation layout, conservation / capacity / no-teleport invariants, and
 bit-level determinism."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridlight import engine
+from gridlight import engine, telemetry
 from gridlight.engine import EXITED, QUEUED, World
 from gridlight.flows import FlowSpec, Schedule, expand_flows, gen_syn_heavy, straight_route
 from gridlight.network import Turn, assemble_network, build_grid, resolve_route, standard_phase_table
-from gridlight.signalmath import DEFAULT_KINEMATICS, MovementCounts, platoon_clear_time
+from gridlight.signalmath import DEFAULT_KINEMATICS, KinematicParams, MovementCounts, platoon_clear_time
 
 from helpers import lane_occupancy, place_vehicle
 
@@ -640,6 +641,31 @@ class TestDischargeWake:
         crossed_at, skipping = self._beside_twin(*worlds, 60)
         assert len(crossed_at) == 1 and skipping > 0
 
+    # placed at t=5, past the right turn's first clearance time, the heads
+    # reach the stop line at t=31, 31 and 18; where the gap is not a whole
+    # number of ticks at lane speed (the last two), a wake rounded down
+    # visited the head once more, on the tick before
+    @pytest.mark.parametrize("pos", [0.0, 5.0, 150.0])
+    def test_lone_vehicle_at_lane_speed_is_visited_on_its_crossing_tick(self, pos):
+        world = single()
+        m = world.net.intersections[0].movements[2]  # W-right: always open, no budget
+        slot = world._slots.index(world.services[m.id])
+        for _ in range(5):
+            world.step()
+        place_vehicle(world, m.in_lane, pos=pos, speed=world.net.lanes[m.in_lane].max_speed)
+        visits = []
+        discharge = world._discharge_movement
+
+        def counted(s, acc, filled):
+            if s == slot:
+                visits.append(world.time)
+            discharge(s, acc, filled)
+
+        world._discharge_movement = counted
+        crossed_at = [tel.time for tel in (world.step() for _ in range(40)) if tel.discharged]
+        # the visit on the tick it was placed sets the wake
+        assert crossed_at == [{0.0: 31, 5.0: 31, 150.0: 18}[pos]] and visits == [5, crossed_at[0]]
+
     def test_restarted_clock_replaces_a_wake_set_under_the_old_one(self):
         # phase 0 runs from t=0; at t=3 it yields to phase 1 and at t=13 it
         # returns, so its clock restarts at t=18 while the head, far up the
@@ -687,6 +713,70 @@ class TestDischargeWake:
         after, _ = self._beside_twin(*worlds, 45, decide)
         assert sum(world.services[m.id].cum_crossed for world in worlds) == 8
         assert len(before) == 3 and len(after) == 1 and after[0] >= 20
+
+
+class TestSharedTables:
+    """Every world on a network shares its static tables, built once."""
+
+    @staticmethod
+    def _counting_builds(monkeypatch) -> list:
+        built = []
+        tables = engine._NetworkTables
+        monkeypatch.setattr(engine, "_NetworkTables", lambda net: built.append(net) or tables(net))
+        return built
+
+    def test_built_once_per_network(self, monkeypatch):
+        built = self._counting_builds(monkeypatch)
+        net = build_grid(2, 2, 150, 150)
+        first = World(net)
+        rows = telemetry._RowTables(net)
+        assert built == [net] and rows.incoming is first._tables.in_idx
+        second = World(net, kinematics=dataclasses.replace(DEFAULT_KINEMATICS, accel=1.0))
+        assert built == [net] and second._tables is first._tables
+        # the mutable state is each world's own
+        assert second._slots[0] is not first._slots[0] and second._wake is not first._wake
+        assert second._lane_list[0].vehicles is not first._lane_list[0].vehicles
+        assert second._lane_list[0].clear is not first._lane_list[0].clear
+        with pytest.raises(ValueError):
+            first._tables.slot_lane[0, 0] = 1
+
+    def test_replaced_network_gets_fresh_tables(self, monkeypatch):
+        built = self._counting_builds(monkeypatch)
+        net = build_grid(1, 2, 150, 150)
+        world = World(net, expand_flows([FlowSpec(straight_route(net, r), 0, 9, 5) for r, _ in net.entry_roads]))
+        replaced = dataclasses.replace(net, grid_shape=None)
+        assert net._routes and net._hops and not replaced._routes and replaced._hops is None
+        again = World(replaced)
+        assert built == [net, replaced] and again._tables is not world._tables
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(1, 2), (2, 2)]))
+    def test_worlds_stepped_in_alternation_match_separate_runs(self, seed, shape):
+        # two worlds on one network, with their own demand, kinematics and
+        # decisions, against each run alone on a network of its own
+        horizon = 200
+        slow = KinematicParams(accel=1.0, max_speed=9.0, vehicle_length=4.0, min_gap=2.0)
+        setups = [(seed, DEFAULT_KINEMATICS), (seed + 1, slow)]
+
+        def runs(nets):
+            worlds, rngs = [], []
+            for net, (s, kin) in zip(nets, setups):
+                rng = np.random.default_rng(s)
+                worlds.append(World(net, TestSkipInvariants._random_events(net, rng, horizon), kinematics=kin))
+                rngs.append(rng)
+            streams = [[], []]
+            for _ in range(horizon):
+                for world, rng, stream in zip(worlds, rngs, streams):
+                    for r in world.due_signals().tolist():
+                        world.apply_decision(world.net.intersections[r].id, int(rng.integers(4)), int(rng.integers(1, 21)))
+                    tel = world.step()
+                    stream.append(
+                        (tel.discharged, tel.exited, tel.occupancy.tolist(), tel.phases.tolist(), TestSkipInvariants._state(world))
+                    )
+            return streams
+
+        shared = build_grid(*shape, 120, 90)
+        assert runs([shared, shared]) == runs([build_grid(*shape, 120, 90), build_grid(*shape, 120, 90)])
 
 
 class TestDueSignals:

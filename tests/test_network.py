@@ -4,6 +4,7 @@ route resolution, and roadnet file round trips."""
 import collections
 import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from gridlight.network import (
     standard_phase_table,
     _heading,
 )
-from gridlight.roadnet import RoadnetFormatError, load_roadnet, save_roadnet
+from gridlight.roadnet import RoadnetFormatError, _finite, _load_json, _positive, _warn_ignored, load_roadnet, save_roadnet
 
 
 class TestLaneCapacity:
@@ -301,6 +302,91 @@ class TestResolveRoute:
             resolve_route(net, ("rd__b_w_0__i_0_0", "rd__i_0_0__i_0_1"))
 
 
+def reference_resolve_route(net: RoadNetwork, road_ids) -> tuple:
+    """The route scan ``resolve_route`` replaced, with no cache: each hop
+    scans the 12 movements of the intersection between its two roads."""
+    if not road_ids:
+        raise ValueError("route is empty")
+    for road_id in road_ids:
+        if road_id not in net.roads:
+            raise KeyError(f"route references unknown road {road_id!r}")
+    roads = [net.roads[r] for r in road_ids]
+    intersection_ids = {inter.id for inter in net.intersections}
+    if roads[0].start in intersection_ids:
+        raise ValueError(f"route must start at a boundary entry, but road {roads[0].id} starts at {roads[0].start}")
+    if roads[-1].end in intersection_ids:
+        raise ValueError(
+            f"route must end at a boundary exit, but road {roads[-1].id} ends at {roads[-1].end}"
+        )
+    movements = []
+    for here, nxt in zip(roads, roads[1:]):
+        if here.end != nxt.start:
+            raise ValueError(f"roads {here.id} and {nxt.id} are not connected")
+        if here.end not in intersection_ids:
+            raise ValueError(f"route passes through non-intersection node {here.end}")
+        for m in net.intersection(here.end).movements:
+            if m.in_lane in here.lane_ids and m.out_lane in nxt.lane_ids:
+                movements.append(m)
+                break
+        else:
+            raise ValueError(f"no movement from road {here.id} to road {nxt.id}")
+    if movements:
+        entry_lane = movements[0].in_lane
+    else:
+        entry_lane = roads[0].lane_for_turn(Turn.STRAIGHT)
+    return entry_lane, movements
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except (KeyError, ValueError) as exc:
+        return type(exc), exc.args
+
+
+@st.composite
+def _routes(draw):
+    """A network, plain or mutated, and a route on it: mostly a walk from
+    an entry road that takes a road leaving where the last one ended
+    (U-turns and boundary nodes included) and may stop at an exit, with now
+    and then a road from anywhere, an unknown id or no road at all."""
+    if draw(st.booleans()):
+        net = build_grid(*draw(st.sampled_from([(1, 1), (1, 3), (2, 2), (3, 3)])), 300, 300)
+    else:
+        try:
+            net = assemble_network(*draw(_mutated_grid_inputs()), l_v=5.0, l_g=2.5)
+        except ValueError:
+            net = build_grid(2, 2, 300, 300)
+    if not draw(st.integers(0, 30)):
+        return net, []
+    roads = list(net.roads.values())
+    junctions = {inter.id for inter in net.intersections}
+    entries = [r for r in roads if r.start not in junctions] or roads
+    route = [draw(st.sampled_from(entries if draw(st.integers(0, 5)) else roads)).id]
+    for _ in range(draw(st.integers(0, 8))):
+        last = net.roads[route[-1]]
+        if last.end not in junctions and draw(st.integers(0, 3)):
+            break
+        kind = draw(st.sampled_from(["next"] * 8 + ["any", "unknown"]))
+        if kind == "unknown":
+            route.insert(draw(st.integers(0, len(route))), "nope")
+            break
+        leaving = [r for r in roads if r.start == last.end]
+        route.append(draw(st.sampled_from(leaving if kind == "next" and leaving else roads)).id)
+    return net, route
+
+
+class TestResolveRouteReference:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_routes())
+    def test_matches_the_movement_scan(self, case):
+        net, route = case
+        expected = _outcome(reference_resolve_route, net, route)
+        assert _outcome(resolve_route, net, route) == expected
+        assert _outcome(resolve_route, net, tuple(route)) == expected  # and again, from the network's cache
+
+
 def _in_order(net: RoadNetwork) -> dict:
     """Every field of a network except ``grid_shape``, with dict order kept."""
     return {
@@ -471,3 +557,178 @@ class TestRoadnetFiles:
         path.write_text(json.dumps(doc))
         loaded = load_roadnet(str(path))
         assert all(lane.length == pytest.approx(300.0) for lane in loaded.lanes.values())
+
+
+# The roadnet field checks ``load_roadnet`` replaced, kept as references:
+# one helper call per rule, each message built for every record.
+
+
+def reference_finite(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
+
+
+def reference_positive(what, value, error=ValueError):
+    number = reference_finite(value)
+    if number is None or number <= 0:
+        raise error(f"{what} must be a finite number > 0, got {value!r}")
+    return number
+
+
+def _reference_require_object(path, what, rec):
+    if not isinstance(rec, dict):
+        raise RoadnetFormatError(f"{path}: malformed {what} record: {rec!r}")
+
+
+def _reference_require_string(path, what, value):
+    if not isinstance(value, str):
+        raise RoadnetFormatError(f"{path}: {what} must be a string, got {value!r}")
+
+
+def reference_load_roadnet(path, l_v=5.0, l_g=2.5):
+    doc = _load_json(path, RoadnetFormatError)
+    if not isinstance(doc, dict) or "intersections" not in doc or "roads" not in doc:
+        raise RoadnetFormatError(f"{path}: expected object with intersections and roads")
+    for key in ("intersections", "roads"):
+        if not isinstance(doc[key], list):
+            raise RoadnetFormatError(f"{path}: {key} must be a list, got {doc[key]!r}")
+    seen_ignored = set()
+    positions = {}
+    virtual = set()
+    for rec in doc["intersections"]:
+        _reference_require_object(path, "intersection", rec)
+        _warn_ignored(rec, {"id", "point", "virtual"}, seen_ignored, "intersection")
+        try:
+            node_id = rec["id"]
+            point = (reference_finite(rec["point"]["x"]), reference_finite(rec["point"]["y"]))
+        except (KeyError, TypeError) as exc:
+            raise RoadnetFormatError(f"{path}: malformed intersection record: {rec!r}") from exc
+        _reference_require_string(path, "intersection id", node_id)
+        if None in point:
+            raise RoadnetFormatError(f"{path}: intersection {node_id} point must hold finite numbers x and y")
+        if node_id in positions:
+            raise RoadnetFormatError(f"{path}: repeated intersection id {node_id}")
+        positions[node_id] = point
+        is_virtual = rec.get("virtual", False)
+        if not isinstance(is_virtual, bool):
+            raise RoadnetFormatError(f"{path}: intersection {node_id} virtual must be true or false, got {is_virtual!r}")
+        if is_virtual:
+            virtual.add(node_id)
+    roads = []
+    road_ids = set()
+    for rec in doc["roads"]:
+        _reference_require_object(path, "road", rec)
+        _warn_ignored(rec, {"id", "startIntersection", "endIntersection", "length", "maxSpeed", "lanes", "points"}, seen_ignored, "road")
+        try:
+            road_id = rec["id"]
+            start, end = rec["startIntersection"], rec["endIntersection"]
+        except KeyError as exc:
+            raise RoadnetFormatError(f"{path}: malformed road record: {rec!r}") from exc
+        _reference_require_string(path, "road id", road_id)
+        _reference_require_string(path, f"road {road_id} startIntersection", start)
+        _reference_require_string(path, f"road {road_id} endIntersection", end)
+        if road_id in road_ids:
+            raise RoadnetFormatError(f"{path}: repeated road id {road_id}")
+        road_ids.add(road_id)
+        for node_id in (start, end):
+            if node_id not in positions:
+                raise RoadnetFormatError(f"{path}: road {road_id} references unknown intersection {node_id}")
+        lane_spec = rec.get("lanes", 3)
+        if isinstance(lane_spec, list) and all(isinstance(lane, dict) for lane in lane_spec):
+            n_lanes = len(lane_spec)
+        elif isinstance(lane_spec, int) and not isinstance(lane_spec, bool):
+            n_lanes = lane_spec
+        else:
+            raise RoadnetFormatError(
+                f"{path}: road {road_id} lanes must be a count or a list of lane objects, got {lane_spec!r}"
+            )
+        if n_lanes != 3:
+            raise RoadnetFormatError(f"{path}: road {road_id} has {n_lanes} lanes; exactly 3 are supported")
+        where = f"{path}: road {road_id}"
+        if "maxSpeed" in rec:
+            max_speed = reference_positive(f"{where} maxSpeed", rec["maxSpeed"], RoadnetFormatError)
+        elif isinstance(lane_spec, list) and "maxSpeed" in lane_spec[0]:
+            max_speed = reference_positive(f"{where} lane maxSpeed", lane_spec[0]["maxSpeed"], RoadnetFormatError)
+        else:
+            max_speed = 40.0 / 3.6
+        geometric = math.dist(positions[start], positions[end])
+        length = reference_positive(f"{where} length", rec.get("length", geometric), RoadnetFormatError)
+        roads.append((road_id, start, end, length, max_speed))
+    try:
+        return assemble_network(positions, virtual, roads, l_v=l_v, l_g=l_g)
+    except ValueError as exc:
+        raise RoadnetFormatError(f"{path}: {exc}") from exc
+
+
+#: JSON values of every kind the field checks meet: bools, null, integers
+#: (0, negative, past float range), floats (NaN, infinities), strings, and
+#: nested lists and objects
+_JSON_VALUES = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.sampled_from([0, -1, 3, 10**309, -(10**309), 2**63]),
+    st.integers(-(10**400), 10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 300.0, 1e-300, 1e30, math.inf, -math.inf, math.nan]),
+    st.text(max_size=4),
+    st.sampled_from(["i_0_0", "b_w_0", "rd__b_w_0__i_0_0"]),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.lists(st.dictionaries(st.sampled_from(["maxSpeed", "x"]), st.integers(-1, 20), max_size=2), max_size=4),
+    st.dictionaries(st.sampled_from(["x", "y", "id", "maxSpeed"]), st.integers(-1, 400) | st.floats(), max_size=3),
+)
+
+
+def _roadnet_outcome(load, path):
+    try:
+        return _in_order(load(path))
+    except RoadnetFormatError as exc:
+        return str(exc)
+
+
+class TestRoadnetChecksReference:
+    @settings(max_examples=300, deadline=None)
+    @given(value=_JSON_VALUES)
+    def test_number_checks_match(self, value):
+        assert _outcome(_positive, "x", value) == _outcome(reference_positive, "x", value)
+        finite = _finite(value)
+        assert finite == reference_finite(value) or finite is reference_finite(value) is None
+        assert type(finite) is type(reference_finite(value))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        records=st.sampled_from(["intersections", "roads"]),
+        index=st.integers(0, 30),
+        field=st.sampled_from(
+            ["id", "point", "point.x", "point.y", "virtual", "startIntersection", "endIntersection",
+             "length", "maxSpeed", "lanes", "lanes.maxSpeed", "record", "other"]
+        ),
+        value=_JSON_VALUES,
+        drop=st.integers(0, 5),
+    )
+    def test_each_edit_gives_the_same_network_or_message(self, tmp_path_factory, records, index, field, value, drop):
+        # one field of one record of a 1x1 grid's roadnet is set, or dropped
+        path = tmp_path_factory.getbasetemp() / "reference-roadnet.json"
+        save_roadnet(build_grid(1, 1, 300, 300), str(path))
+        doc = json.loads(path.read_text())
+        recs = doc[records]
+        rec = recs[index % len(recs)]
+        if field == "record":
+            recs[index % len(recs)] = value
+        elif field == "lanes.maxSpeed":
+            rec["lanes"] = [{"maxSpeed": value}, {}, {}]
+            rec.pop("maxSpeed", None)
+        elif "." in field:
+            outer, inner = field.split(".")
+            if isinstance(rec.setdefault(outer, {}), dict):
+                rec[outer][inner] = value
+        elif not drop:
+            rec.pop(field, None)
+        else:
+            rec[field] = value
+        path.write_text(json.dumps(doc))
+        assert _roadnet_outcome(load_roadnet, str(path)) == _roadnet_outcome(reference_load_roadnet, str(path))
