@@ -223,7 +223,7 @@ class _NetworkTables:
         self.speeds = tuple(speeds)
         columns = PHASE_COLUMNS.ravel().tolist() + [movement_column(a, Turn.RIGHT) for a in APPROACHES]
         self.slot_mid = [inter.movements[c].id for inter in net.intersections for c in columns]
-        self.slot_lane = self.in_idx[:, columns]
+        self.slot_lane = self.in_idx[:, columns].copy()  # C order, as the tick loops read it
         self.slot_src = self.slot_lane.ravel().tolist()
         self.slot_out = self.out_idx[:, columns].ravel().tolist()
         self.slot_speed = np.array(self.lane_speed, np.intp)[self.slot_lane]
